@@ -8,6 +8,11 @@ cyclic coordinates use [0, m) and free coordinates use the hull of the
 coordinate range and its difference range.  When the combined range product
 cannot fit safely below 2**62, build_codec returns None and callers fall
 back to exact dict-of-tuples counting.
+
+Every n x n scan in the package walks its rows in blocks of about
+BLOCK_CELLS cells (row_chunks), so the int64 code buffers, the boolean
+matrices built from them and the float blocks of the GEMMs stay a few tens
+of MB whatever the set size.
 """
 
 from __future__ import annotations
@@ -19,9 +24,18 @@ import numpy as np
 
 from .groups import AdditiveSet, GroupSpec
 
-# caps chosen so every intermediate in encode() stays strictly inside int64
+# caps chosen so every intermediate in encode() and diff_codes() stays
+# strictly inside int64
 _COORD_CAP = 1 << 61
 _CODE_CAP = 1 << 62
+
+BLOCK_CELLS = 1 << 21
+
+
+def row_chunks(rows: int, width: int) -> list:
+    """(lo, hi) row ranges covering rows, each about BLOCK_CELLS / width rows."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 @dataclass
@@ -38,17 +52,30 @@ class Codec:
         """Codes of canonical coordinate rows (last axis is the coordinate)."""
         return (mat - self.lows) @ self.strides
 
-    def reduce_diffs(self, mat: np.ndarray) -> np.ndarray:
-        """Reduce cyclic coordinates of raw differences into [0, m), in place."""
-        for j, m in enumerate(self.spec.moduli):
-            if m:
-                mat[..., j] %= m
-        return mat
-
     def diff_codes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Codes of left[i] - right[j], shape (len(left), len(right))."""
-        diffs = left[:, None, :] - right[None, :, :]
-        return self.encode(self.reduce_diffs(diffs))
+        """Codes of left[i] - right[j], shape (len(left), len(right)).
+
+        Built one coordinate at a time in a single int64 buffer.  Both inputs
+        are canonical, so a cyclic difference lies in (-m, m) and one added m
+        where it is negative reduces it; a free difference lies in
+        [lows[j], lows[j] + radices[j]).  Each shifted digit is below its
+        radix and the running code below the radix product, which is at most
+        _CODE_CAP.
+        """
+        codes = np.empty((len(left), len(right)), dtype=np.int64)
+        digit = np.empty_like(codes) if self.spec.dim > 1 else codes
+        for j, m in enumerate(self.spec.moduli):
+            out = codes if j == 0 else digit
+            np.subtract(left[:, j, None], right[None, :, j], out=out)
+            if m:
+                np.add(out, m, out=out, where=out < 0)
+            elif self.lows[j]:
+                out -= self.lows[j]
+            if self.strides[j] != 1:
+                out *= self.strides[j]
+            if j:
+                codes += out
+        return codes
 
     def decode(self, codes: np.ndarray) -> list:
         """Invert encode(): int64 codes back to element tuples."""

@@ -20,11 +20,10 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ._codec import Codec, build_codec
+from ._codec import Codec, build_codec, row_chunks
 from ._parallel import chunked_map
 from .groups import AdditiveSet, Element, sub
 
-_PAIR_BUDGET = 2_000_000
 _DECODE_CHUNK = 1 << 16
 
 
@@ -100,8 +99,14 @@ class EnergyReport:
 
 
 def _merge_code_counts(parts: list) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the counts of equal codes over the per-chunk (codes, counts) parts.
+
+    Empties parts once they are copied out, so the per-chunk arrays are
+    freed before the sort.
+    """
     codes = np.concatenate([p[0] for p in parts])
     counts = np.concatenate([p[1] for p in parts])
+    parts.clear()
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     counts = counts[order]
@@ -125,15 +130,13 @@ def rep_table(a_set: AdditiveSet, threads: int = 1) -> RepTable:
         return RepTable(a_set, None, None, None, entries)
 
     n = len(a_set)
-    rows = max(1, _PAIR_BUDGET // n)
-    chunks = [(i, min(i + rows, n)) for i in range(0, n, rows)]
 
     def scan(chunk: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         lo, hi = chunk
         block = codec.diff_codes(codec.coords[lo:hi], codec.coords).ravel()
         return np.unique(block, return_counts=True)
 
-    parts = chunked_map(scan, chunks, threads)
+    parts = chunked_map(scan, row_chunks(n, n), threads)
     codes, counts = _merge_code_counts(parts)
     return RepTable(a_set, codec, codes, counts, None)
 

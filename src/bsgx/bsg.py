@@ -12,8 +12,10 @@ A' of A with
 for any rational eps in (0, 1/2).  The popular branch additionally achieves
 |A' - A'| <= 2^10 * eps^-4 * K^3 * |A'|.  Every threshold the analysis
 writes with a square root is compared after squaring, so the whole pipeline
-is exact integer and rational arithmetic; floating point appears only inside
-matrix products whose entries are integers below 2^53.
+is exact integer and rational arithmetic.  Floating point appears only
+inside 0/1 matrix products, in float32 while every entry and partial sum is
+an integer of at most 2^24 and in float64 past that; _gemm.exact_float is
+the one place that bound is checked.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ._codec import row_chunks
+from ._gemm import exact_float
 from ._parallel import chunked_map
 from .additive_stats import RepTable, rep_table
 from .errors import InvariantViolation
@@ -34,7 +38,6 @@ from .relation_lemma import Relation, TvWitness, extract_tv
 
 TOOL_VERSION = "0.1.0"
 
-_ROW_BUDGET = 2_000_000
 _DECODE_CHUNK = 1 << 16
 
 
@@ -56,7 +59,8 @@ class PartitionPQ:
 
     A difference d is popular when r(d)^2 * |A| >= E; the popular side is
     always small (at most |A| entries) and is materialized, while the
-    unpopular side may be huge and is exposed as a lazy iterator.
+    unpopular side may be huge and is exposed as a lazy iterator over its
+    differences; q_counts holds its counts as an int64 array.
     """
 
     def __init__(
@@ -68,7 +72,7 @@ class PartitionPQ:
         q_mass: int,
         q_size: int,
         q_codes,
-        q_counts,
+        q_counts: np.ndarray,
         q_entries: Optional[List[Tuple[Element, int]]],
     ) -> None:
         self.a_set = a_set
@@ -78,7 +82,7 @@ class PartitionPQ:
         self.q_mass = q_mass
         self.q_size = q_size
         self._q_codes = q_codes
-        self._q_counts = q_counts
+        self.q_counts = q_counts
         self._q_entries = q_entries
 
     @property
@@ -97,14 +101,8 @@ class PartitionPQ:
         for start in range(0, self.q_size, _DECODE_CHUNK):
             block = slice(start, start + _DECODE_CHUNK)
             decoded = self.rep.codec.decode(self._q_codes[block])
-            for d, c in zip(decoded, self._q_counts[block]):
+            for d, c in zip(decoded, self.q_counts[block]):
                 yield d, int(c)
-
-    def q_counts(self) -> List[int]:
-        """Just the counts of the unpopular side, in q_items order."""
-        if self._q_entries is not None:
-            return [c for _, c in self._q_entries]
-        return self._q_counts.tolist()
 
     def q_elements_at(self, indices) -> Tuple[Element, ...]:
         """Unpopular differences at the given ascending q_items positions."""
@@ -134,9 +132,10 @@ def partition_pq(a_set: AdditiveSet, rep: Optional[RepTable] = None, threads: in
                 p_mass += r * r
             else:
                 q_entries.append((d, r))
+        q_counts = np.array([c for _, c in q_entries], dtype=np.int64)
         pq = PartitionPQ(
             a_set, rep, tuple(p_items), p_mass, e_val - p_mass,
-            len(q_entries), None, None, q_entries,
+            len(q_entries), None, q_counts, q_entries,
         )
     else:
         counts = rep.counts
@@ -349,7 +348,6 @@ def _membership_matrices(
     codec = rep.codec
     elem_codes = codec.encode(codec.coords)
     p_coords = np.array(p_elems, dtype=np.int64)
-    rows = max(1, _ROW_BUDGET // max(n, 1))
 
     x_mat = np.empty((n, n), dtype=np.bool_)
 
@@ -359,7 +357,7 @@ def _membership_matrices(
         idx = np.searchsorted(rep.codes, block)
         x_mat[lo:hi] = rep.counts[idx] <= thin_floor
 
-    chunked_map(fill_x, [(lo, min(lo + rows, n)) for lo in range(0, n, rows)], threads)
+    chunked_map(fill_x, row_chunks(n, n), threads)
 
     m_mat = np.empty((len(p_elems), n), dtype=np.bool_)
 
@@ -371,12 +369,7 @@ def _membership_matrices(
         pos[pos == n] = 0
         m_mat[lo:hi] = (elem_codes[pos] == block).T
 
-    p_rows = max(1, _ROW_BUDGET // max(n, 1))
-    chunked_map(
-        fill_m,
-        [(lo, min(lo + p_rows, len(p_elems))) for lo in range(0, len(p_elems), p_rows)],
-        threads,
-    )
+    chunked_map(fill_m, row_chunks(len(p_elems), n), threads)
     return x_mat, m_mat
 
 
@@ -407,20 +400,20 @@ def extract_p(
     if not np.array_equal(slice_sizes, expected):
         raise InvariantViolation("slice size disagrees with its difference count")
 
-    x_f = x_mat.astype(np.float64)
-    m_f = m_mat.astype(np.float64)
-    rows = max(1, _ROW_BUDGET // max(n, 1))
-    chunks = [
-        (lo, min(lo + rows, len(pq.p_items)))
-        for lo in range(0, len(pq.p_items), rows)
-    ]
+    # entries of m_f @ x_f are at most n and a row sum of n of them is at most n^2
+    gemm_dtype = exact_float(n)
+    sum_dtype = exact_float(n * n)
+    x_f = x_mat.astype(gemm_dtype)
+    m_f = m_mat.astype(gemm_dtype)
 
     def thin_pairs(chunk: Tuple[int, int]) -> np.ndarray:
         lo, hi = chunk
         inner = m_f[lo:hi] @ x_f
-        return (inner * m_f[lo:hi]).sum(axis=1)
+        inner *= m_f[lo:hi]
+        return inner.sum(axis=1, dtype=sum_dtype).astype(np.int64)
 
-    thin_counts = np.concatenate(chunked_map(thin_pairs, chunks, threads)).astype(np.int64)
+    chunks = row_chunks(len(pq.p_items), n)
+    thin_counts = np.concatenate(chunked_map(thin_pairs, chunks, threads))
 
     p_num, p_den = eps.numerator, eps.denominator
     best_t = None
@@ -486,16 +479,15 @@ def extract_q(
     if Fraction(pq.q_mass) < (1 - eps / 4) * e_val:
         raise ValueError("unpopular branch requires q_mass >= (1 - eps/4) * E")
 
-    q_counts = pq.q_counts()
-    if not q_counts:
+    if not pq.q_size:
         raise ValueError("unpopular side is empty")
-    weights = WeightVector(rho=Fraction(n, e_val), coeffs=tuple(q_counts))
+    weights = WeightVector(rho=Fraction(n, e_val), coeffs=pq.q_counts)
     selection = select_index_set(weights, 1 - eps / 4)
     q_prime_elems = pq.q_elements_at(selection.index_set)
     q_prime = AdditiveSet(a_set.spec, q_prime_elems)
 
     relation = Relation.from_difference_set(a_set, q_prime_elems)
-    selected_mass = sum(q_counts[i] for i in selection.index_set)
+    selected_mass = int(pq.q_counts[list(selection.index_set)].sum())
     if relation.size != selected_mass:
         raise InvariantViolation("relation size disagrees with selected counts")
     delta = relation.delta

@@ -13,17 +13,22 @@ forms: the mass branch squares once to remove sqrt(rho), the cutoff test for
 the scan window divides out sqrt(rho), and in the size branch the rho powers
 cancel identically, so the whole selection is exact.
 
-Coefficients may be plain ints (the only caller passes representation
-counts); that case skips per-element Fraction boxing and sorts with numpy,
-which matters when the weight vector has millions of entries.  Both paths
-compute identical results.
+The selection runs one integer path.  Weights are unchanged by
+(c, rho) -> (L * c, rho / L^2), so multiplying every coefficient by the
+common denominator L of the Fraction ones makes them all integers.  Those
+sit in one numpy array, int64 when len * max^2 (which bounds every sum the
+selection forms) fits, else an object array of Python ints; the sort, the
+window ends and the prefix sums are numpy passes over it either way, and
+only the size-branch scan compares Python ints one prefix at a time.  The
+only caller passes the representation counts as an int64 array, which
+WeightVector checks without boxing its millions of entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Tuple, Union
 
 import numpy as np
@@ -32,7 +37,7 @@ from .errors import InvariantViolation
 
 Coeff = Union[int, Fraction]
 
-_INT64_SAFE = 1 << 31
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -87,25 +92,32 @@ class ScaledReal:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Weights x_i = coeff_i * sqrt(rho), each in [0, 1], not all zero."""
+    """Weights x_i = coeff_i * sqrt(rho), each in [0, 1], not all zero.
+
+    coeffs is a tuple of ints and Fractions, or a 1-d numpy integer array
+    that is kept as it is.
+    """
 
     rho: Fraction
-    coeffs: Tuple[Coeff, ...]
+    coeffs: Union[Tuple[Coeff, ...], np.ndarray]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", Fraction(self.rho))
-        coeffs = tuple(
-            c if type(c) is int else Fraction(c) for c in self.coeffs
-        )
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = self.coeffs
+        if isinstance(coeffs, np.ndarray):
+            if coeffs.ndim != 1 or coeffs.dtype.kind not in "iu":
+                raise ValueError("coefficient array must be 1-d integer")
+        else:
+            coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
         if self.rho <= 0:
             raise ValueError(f"radicand must be > 0, got {self.rho}")
-        if not coeffs:
+        if not len(coeffs):
             raise ValueError("weight vector must be nonempty")
-        top = max(coeffs)
-        low = min(coeffs)
+        top = int(coeffs.max()) if isinstance(coeffs, np.ndarray) else max(coeffs)
+        low = int(coeffs.min()) if isinstance(coeffs, np.ndarray) else min(coeffs)
         if low < 0:
             raise ValueError(f"weights must be >= 0, got coefficient {low}")
         if top == 0:
@@ -146,15 +158,17 @@ class PrefixSelection:
     window_hi: int
 
 
-def _sort_descending(coeffs: Tuple[Coeff, ...]) -> list:
-    """Stable descending order as a list of original indices."""
-    n = len(coeffs)
-    if all(type(c) is int for c in coeffs) and all(
-        c < _INT64_SAFE for c in coeffs
-    ):
-        arr = np.fromiter(coeffs, dtype=np.int64, count=n)
-        return np.argsort(-arr, kind="stable").tolist()
-    return sorted(range(n), key=lambda i: coeffs[i], reverse=True)
+def _integer_coeffs(xs: WeightVector) -> Tuple[np.ndarray, int]:
+    """(L * c as an int64 or object array, L) with L clearing every denominator."""
+    if isinstance(xs.coeffs, np.ndarray):
+        ints, scale, top = xs.coeffs, 1, int(xs.coeffs.max())
+    else:
+        scale = math.lcm(*(c.denominator for c in xs.coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in xs.coeffs]
+        top = max(ints)
+    # every sum formed below is at most len * top^2
+    dtype = np.int64 if len(ints) * top * top < _INT64_LIMIT else object
+    return np.asarray(ints, dtype=dtype), scale
 
 
 def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
@@ -170,54 +184,52 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    a, b = alpha.numerator, alpha.denominator
 
-    n = len(xs)
-    rho = xs.rho
-    order = _sort_descending(xs.coeffs)
-    c_desc = [xs.coeffs[i] for i in order]
-    c1 = sum(c_desc)
-    c2 = sum(c * c for c in c_desc)
+    coeffs, scale = _integer_coeffs(xs)
+    rho = xs.rho / (scale * scale)
+    keys = -coeffs
+    if keys.dtype != object:
+        # numpy's stable sort is a radix sort on keys of 16 bits or fewer
+        keys = keys.astype(np.min_scalar_type(int(keys.min())))
+    order = np.argsort(keys, kind="stable")
+    c_desc = coeffs[order]
+    c1 = int(c_desc.sum())
+    c2 = int(np.dot(c_desc, c_desc))
 
     # T <= S, i.e. c2^2 * rho <= c1^2, is forced by every weight being <= 1
-    if c2 * c2 * rho > c1 * c1:
+    if c2 * c2 * rho.numerator > c1 * c1 * rho.denominator:
         raise InvariantViolation("sum of squares exceeds sum of weights")
 
-    # largest index whose weight clears (1 - alpha) * T / (2 * S); the top
-    # weight always does, because 2 * c1 * c_max >= 2 * c2 > (1 - alpha) * c2
-    cut = (1 - alpha) * c2
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if 2 * c1 * c_desc[mid - 1] >= cut:
-            lo = mid
-        else:
-            hi = mid - 1
-    ell = lo
+    # l counts the weights clearing (1 - alpha) * T / (2 * S), i.e. the
+    # integer c >= (b - a) * c2 / (2 * b * c1); the top weight always does,
+    # because 2 * c1 * c_max >= 2 * c2 > (1 - alpha) * c2
+    cut = -(-(b - a) * c2 // (2 * b * c1))
+    ell = int(np.searchsorted(-c_desc, -cut, side="right"))
 
-    prefix = list(accumulate(c_desc[:ell]))
+    prefix = np.cumsum(c_desc[:ell])
 
-    # smallest prefix length whose sum reaches alpha * T
-    k_thresh = alpha * alpha * c2 * c2 * rho
-    if prefix[ell - 1] ** 2 < k_thresh:
+    # k is the smallest prefix length with prefix^2 >= alpha^2 * c2^2 * rho,
+    # i.e. prefix >= floor_p, the least integer whose square clears it
+    need = -(-(a * a * c2 * c2 * rho.numerator) // (b * b * rho.denominator))
+    floor_p = math.isqrt(need)
+    if floor_p * floor_p < need:
+        floor_p += 1
+    if int(prefix[ell - 1]) < floor_p:
         raise InvariantViolation(f"no prefix of length <= {ell} reaches the mass floor")
-    lo, hi = 1, ell
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if prefix[mid - 1] ** 2 >= k_thresh:
-            hi = mid
-        else:
-            lo = mid + 1
-    k = lo
+    k = int(np.searchsorted(prefix, floor_p, side="left")) + 1
 
-    size_factor = (1 - alpha) ** 5 * c2**4
+    # size branch 1024 * p^6 * c1^2 >= (1 - alpha)^5 * c2^4 * i^4, times b^5
+    lhs_factor = 1024 * c1 * c1 * b**5
+    rhs_factor = (b - a) ** 5 * c2**4
     for i in range(k, ell + 1):
-        p = prefix[i - 1]
-        if 1024 * p**6 * c1 * c1 >= size_factor * i**4:
+        p = int(prefix[i - 1])
+        if lhs_factor * p**6 >= rhs_factor * i**4:
             return PrefixSelection(
-                order=tuple(order),
+                order=tuple(order.tolist()),
                 chosen_i=i,
-                index_set=tuple(sorted(order[:i])),
-                certified_sum=ScaledReal(Fraction(p), rho),
+                index_set=tuple(np.sort(order[:i]).tolist()),
+                certified_sum=ScaledReal(Fraction(p, scale), xs.rho),
                 window_lo=k,
                 window_hi=ell,
             )

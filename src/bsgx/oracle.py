@@ -424,7 +424,8 @@ def verify_st(
     checks: List[CheckRecord] = []
     n = len(xs)
     rho = xs.rho
-    coeffs = [Fraction(c) for c in xs.coeffs]
+    # int() first: coefficients may come as numpy integers from an array
+    coeffs = [c if isinstance(c, Fraction) else Fraction(int(c)) for c in xs.coeffs]
 
     order_true = sorted(range(n), key=lambda i: (-coeffs[i], i))
     checks.append(

@@ -13,8 +13,10 @@ the set of thin pairs over A^2 is called Omega below.  All thresholds are
 exact rational comparisons on integer counts.
 
 The relation is stored as a boolean matrix indexed by the (sorted) elements
-of A.  Counting passes run as row-chunked float64 matrix products; every
-intermediate value is an integer below 2^53, so the results are exact and
+of A.  Counting passes run as row-chunked 0/1 matrix products in the float
+dtype that _gemm.exact_float picks: float32 while |A| <= 2^24, the bound under
+which every entry and partial sum is an exact integer.  Sums of products run
+in a dtype checked against their own bound, so the results are exact and
 independent of chunking and thread count.
 """
 
@@ -27,12 +29,11 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 
 import numpy as np
 
-from ._codec import build_codec
+from ._codec import build_codec, row_chunks
+from ._gemm import exact_float
 from ._parallel import chunked_map
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element, sub
-
-_ROW_BUDGET = 4_000_000
 
 
 class Relation:
@@ -90,21 +91,16 @@ class Relation:
                 for c, lo, radix in zip(m, codec.lows, codec.radices)
             )
         ]
-        if in_range:
-            member_codes = np.sort(
-                codec.encode(np.array(in_range, dtype=np.int64))
-            )
-        else:
-            member_codes = np.empty(0, dtype=np.int64)
-        matrix = np.empty((n, n), dtype=np.bool_)
-        rows = max(1, _ROW_BUDGET // max(n, 1))
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
+        matrix = np.zeros((n, n), dtype=np.bool_)
+        if not in_range:
+            return cls(base, matrix)
+        member_codes = np.sort(codec.encode(np.array(in_range, dtype=np.int64)))
+        last = len(member_codes) - 1
+        for lo, hi in row_chunks(n, n):
             block = codec.diff_codes(codec.coords[lo:hi], codec.coords)
             pos = np.searchsorted(member_codes, block)
-            pos[pos == len(member_codes)] = 0
-            found = member_codes[pos] == block if len(member_codes) else np.zeros_like(block, dtype=bool)
-            matrix[lo:hi] = found
+            np.minimum(pos, last, out=pos)
+            np.equal(member_codes[pos], block, out=matrix[lo:hi])
         return cls(base, matrix)
 
     @cached_property
@@ -134,7 +130,7 @@ def neighborhoods(relation: Relation) -> Dict[Element, frozenset]:
 
 def common_counts(relation: Relation) -> Dict[Tuple[Element, Element], int]:
     """|{x : a in N(x) and a' in N(x)}| for every ordered pair (a, a')."""
-    m = relation.matrix.astype(np.float64)
+    m = relation.matrix.astype(exact_float(len(relation.base)))
     counts = m @ m.T
     base = relation.base
     out = {}
@@ -175,7 +171,9 @@ def extract_tv(relation: Relation, xi: Fraction, threads: int = 1) -> TvWitness:
         raise ValueError("relation must be nonempty")
     delta = Fraction(r_size, n * n)
 
-    matrix_f = relation.matrix.astype(np.float64)
+    gemm_dtype = exact_float(n)
+    sum_dtype = exact_float(n * n)
+    matrix_f = relation.matrix.astype(gemm_dtype)
     deg = relation.matrix.sum(axis=0, dtype=np.int64)
 
     if int(np.dot(deg, deg)) * n < r_size * r_size:
@@ -185,28 +183,29 @@ def extract_tv(relation: Relation, xi: Fraction, threads: int = 1) -> TvWitness:
     thresh = delta * delta * xi * xi * n / 8
     t_floor = thresh.numerator // thresh.denominator
 
-    rows = max(1, _ROW_BUDGET // max(n, 1))
-    chunks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-
     def scan(chunk: Tuple[int, int]) -> np.ndarray:
         lo, hi = chunk
         common_block = matrix_f[lo:hi] @ matrix_f.T
         omega_block = common_block <= t_floor
-        partner_block = omega_block.astype(np.float64) @ matrix_f
-        return (matrix_f[lo:hi] * partner_block).sum(axis=0)
+        if not omega_block.any():
+            # no thin pair in these rows: their contribution is exactly zero
+            return np.zeros(n, dtype=np.int64)
+        partner_block = omega_block.astype(gemm_dtype) @ matrix_f
+        partner_block *= matrix_f[lo:hi]
+        return partner_block.sum(axis=0, dtype=sum_dtype).astype(np.int64)
 
-    omega_weight = np.zeros(n, dtype=np.float64)
-    for part in chunked_map(scan, chunks, threads):
+    omega_weight = np.zeros(n, dtype=np.int64)
+    for part in chunked_map(scan, row_chunks(n, n), threads):
         omega_weight += part
-    omega_weight_int = omega_weight.astype(np.int64)
 
-    best_j = 0
-    best_score = None
-    for j in range(n):
-        score = xi * int(deg[j]) ** 2 - 8 * int(omega_weight_int[j])
-        if best_score is None or score > best_score:
-            best_score = score
-            best_j = j
+    # score xi * deg^2 - 8 * omega, times xi's denominator, in Python ints;
+    # argmax keeps the first maximum, the lexicographically smallest center
+    scores = (
+        xi.numerator * deg.astype(object) ** 2
+        - 8 * xi.denominator * omega_weight.astype(object)
+    )
+    best_j = int(np.argmax(scores))
+    best_score = Fraction(scores[best_j], xi.denominator)
     # selection guarantee: deg^2 - 8 * xi^-1 * omega >= delta^2 * (1 - xi) * n^2
     if best_score / xi < delta * delta * (1 - xi) * n * n:
         raise InvariantViolation("no center reaches the averaged score floor")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsgx import _codec
 from bsgx.bsg import (
     ExtractionReport,
     Params,
@@ -46,7 +47,7 @@ def test_partition_012():
     assert pq.q_mass == 10
     assert pq.q_size == 4
     assert pq.energy == 19
-    assert sorted(pq.q_counts()) == [1, 1, 2, 2]
+    assert sorted(pq.q_counts.tolist()) == [1, 1, 2, 2]
     assert list(pq.q_items()) == [
         ((-2,), 1),
         ((-1,), 2),
@@ -188,6 +189,18 @@ def test_reports_are_deterministic_objects():
     r2 = extract(a, Params(eps=F(1, 4)), threads=3)
     assert r1 == r2
     assert r1.to_json() == r2.to_json()
+
+
+def test_branch_q_report_bytes_do_not_depend_on_threads(monkeypatch):
+    a = gen_random(40, 79, 12)
+    params = Params(eps=F(2, 5))
+    whole = extract(a, params).to_json()
+    assert json.loads(whole)["case"] == "Q"
+    # a tiny block budget splits every scan into many chunks, so the
+    # per-chunk buffers run side by side under chunked_map
+    monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
+    assert extract(a, params, threads=1).to_json() == whole
+    assert extract(a, params, threads=3).to_json() == whole
 
 
 def test_theorem_bounds_recorded_exactly():

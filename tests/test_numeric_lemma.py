@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bsgx.generators import SplitMix64
@@ -7,6 +8,7 @@ from bsgx.numeric_lemma import (
     PrefixSelection,
     ScaledReal,
     WeightVector,
+    _integer_coeffs,
     select_index_set,
 )
 from bsgx.oracle import verify_st
@@ -161,3 +163,71 @@ def test_seeded_random_vectors_pass_the_oracle():
         assert isinstance(sel, PrefixSelection)
         res = verify_st(w, alpha, sel)
         assert res.ok, (trial, [c for c in res.checks if c.status == "fail"])
+
+
+def _three_forms(ints, rho, scale):
+    """The same weights as an int64 array, an int tuple, and Fractions c / L
+    with radicand rho * L^2, whose denominators the selection clears."""
+    return (
+        WeightVector(rho=rho, coeffs=np.array(ints, dtype=np.int64)),
+        WeightVector(rho=rho, coeffs=tuple(ints)),
+        WeightVector(rho=rho * scale * scale, coeffs=tuple(F(c, scale) for c in ints)),
+    )
+
+
+def test_array_tuple_and_fraction_coefficients_agree():
+    rng = SplitMix64(2024)
+    for trial in range(40):
+        n = 1 + rng.below(60)
+        # few distinct values, so ties are common
+        ints = [rng.below(1 + rng.below(12)) * (1 + rng.below(5)) for _ in range(n)]
+        if max(ints) == 0:
+            ints[-1] = 1
+        rho = F(1, max(ints) ** 2 * (1 + rng.below(4)))
+        scale = 1 + rng.below(30)
+        alpha = F(1 + rng.below(38), 40)
+        w_arr, w_int, w_frac = _three_forms(ints, rho, scale)
+        sel_arr, sel_int, sel_frac = (select_index_set(w, alpha) for w in (w_arr, w_int, w_frac))
+        assert sel_arr == sel_int, trial
+        assert (sel_frac.order, sel_frac.chosen_i, sel_frac.index_set) == (
+            sel_int.order, sel_int.chosen_i, sel_int.index_set
+        )
+        assert (sel_frac.window_lo, sel_frac.window_hi) == (sel_int.window_lo, sel_int.window_hi)
+        assert sel_frac.certified_sum.square() == sel_int.certified_sum.square()
+        for w, sel in ((w_arr, sel_arr), (w_int, sel_int), (w_frac, sel_frac)):
+            res = verify_st(w, alpha, sel)
+            assert res.ok, (trial, [c for c in res.checks if c.status == "fail"])
+
+
+def test_selection_past_int64_takes_the_object_path():
+    # len * max^2 = 4 * 2^62 = 2^64 does not fit in int64, although every
+    # coefficient does
+    ints = [1 << 31, 1 << 31, 3, (1 << 31) - 1]
+    rho = F(1, 1 << 62)
+    w_arr, w_int, w_frac = _three_forms(ints, rho, 7)
+    for w in (w_arr, w_int, w_frac):
+        assert _integer_coeffs(w)[0].dtype == object
+    small = WeightVector(rho=rho, coeffs=np.array(ints[:1], dtype=np.int64))
+    assert _integer_coeffs(small)[0].dtype == np.int64
+    alpha = F(3, 4)
+    sel = select_index_set(w_arr, alpha)
+    assert select_index_set(w_int, alpha) == sel
+    assert select_index_set(w_frac, alpha).index_set == sel.index_set
+    assert sel.order == (0, 1, 3, 2)
+    for w in (w_arr, w_int, w_frac):
+        assert verify_st(w, alpha, select_index_set(w, alpha)).ok
+
+
+def test_weight_vector_checks_arrays_without_boxing():
+    w = WeightVector(rho=F(1, 16), coeffs=np.array([4, 0, 2], dtype=np.int64))
+    assert isinstance(w.coeffs, np.ndarray) and len(w) == 3
+    for bad in (
+        np.array([], dtype=np.int64),
+        np.array([0, 0], dtype=np.int64),
+        np.array([-1, 2], dtype=np.int64),
+        np.array([5], dtype=np.int64),  # 5 * sqrt(1/16) > 1
+        np.array([1.0]),
+        np.array([[1]], dtype=np.int64),
+    ):
+        with pytest.raises(ValueError):
+            WeightVector(rho=F(1, 16), coeffs=bad)

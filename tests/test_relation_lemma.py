@@ -3,6 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bsgx.relation_lemma as relation_lemma
+from bsgx._gemm import exact_float
+from bsgx.errors import InvariantViolation
 from bsgx.generators import SplitMix64, gen_ap, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, sub
 from bsgx.oracle import verify_tv_property
@@ -155,3 +158,31 @@ def test_tv_witness_verified_synthetic():
     res = verify_tv_property(r, w, F(1, 3))
     assert res.ok, [c for c in res.checks if c.status == "fail"]
     assert all(c.status == "pass" for c in res.checks)
+
+
+def test_exact_float_bound_is_guarded():
+    # bounds only: nothing of these sizes is allocated
+    assert exact_float(1) is np.float32
+    assert exact_float(1 << 24) is np.float32
+    assert exact_float((1 << 24) + 1) is np.float64
+    assert exact_float(20_000 * 20_000) is np.float64
+    assert exact_float(1 << 53) is np.float64
+    with pytest.raises(InvariantViolation):
+        exact_float((1 << 53) + 1)
+
+
+def test_extract_tv_asks_the_guard_and_agrees_in_float64(monkeypatch):
+    base = gen_random(45, 211, 4)
+    r = Relation.from_difference_set(base, [(d,) for d in range(30)])
+    n = len(base)
+    asked = []
+
+    def spy(bound):
+        asked.append(bound)
+        return exact_float(bound)
+
+    monkeypatch.setattr(relation_lemma, "exact_float", spy)
+    w32 = extract_tv(r, F(1, 4))
+    assert asked == [n, n * n]
+    monkeypatch.setattr(relation_lemma, "exact_float", lambda bound: np.float64)
+    assert extract_tv(r, F(1, 4)) == w32
