@@ -60,13 +60,7 @@ from .oracle import (
     verify_st,
     verify_tv_property,
 )
-from .relation_lemma import (
-    Relation,
-    TvWitness,
-    common_counts,
-    extract_tv,
-    neighborhoods,
-)
+from .relation_lemma import Relation, TvWitness, extract_tv
 
 __version__ = "0.1.0"
 
@@ -94,7 +88,6 @@ __all__ = [
     "WeightVector",
     "add",
     "case_select",
-    "common_counts",
     "difference_set",
     "energy",
     "energy_bruteforce",
@@ -107,7 +100,6 @@ __all__ = [
     "gen_ball",
     "gen_random",
     "neg",
-    "neighborhoods",
     "parse_set",
     "partition_pq",
     "rep_table",

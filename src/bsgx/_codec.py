@@ -6,8 +6,10 @@ order on coordinate tuples, so sorting codes sorts elements.  One shared
 radix vector covers both the base set and all of its pairwise differences:
 cyclic coordinates use [0, m) and free coordinates use the hull of the
 coordinate range and its difference range.  When the combined range product
-cannot fit safely below 2**62, build_codec returns None and callers fall
-back to exact dict-of-tuples counting.
+cannot fit safely below 2**62, build_codec returns None, and the rep table
+codes each difference by its rank among the sorted differences instead.
+build_codec is called only there, so that is the one place the choice is
+made; every later stage runs the same numpy path on either kind of code.
 
 Every n x n scan in the package walks its rows in blocks of about
 BLOCK_CELLS cells (row_chunks), so the int64 code buffers, the boolean

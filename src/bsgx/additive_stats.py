@@ -5,17 +5,23 @@ d it stores r(d), the number of ordered pairs (a, b) in A x A with a - b = d.
 From it we read off the energy E(A) = sum of r(d)^2 and the doubling
 parameter K = |A|^3 / E(A) as an exact rational.
 
-Counting is O(|A|^2).  When the coordinates are small enough to pack into
-int64 codes the pair scan runs as chunked numpy work over difference codes;
-all intermediate values are integers well inside int64, so the counts are
-exact and independent of chunking and thread schedule.  Otherwise a plain
-dictionary scan over Python integers is used.
+The table is also the one difference index of the package: every difference
+has an int64 code, codes ascend in lexicographic difference order, and
+pair_codes gives the codes of a row block of the n x n difference matrix.
+build_codec alone picks the code: a mixed-radix code when the coordinates
+pack into int64, else the rank of d among the sorted distinct differences.
+Everything downstream (partition, membership matrices, relation build) runs
+the same numpy path on these codes.  Counting is O(|A|^2); all values are
+integers well inside int64, so the counts are exact and independent of
+chunking and thread schedule.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -28,63 +34,62 @@ _DECODE_CHUNK = 1 << 16
 
 
 class RepTable:
-    """Counts r(d) over all d in A - A, in lexicographic key order."""
+    """Counts r(d) over all d in A - A, keyed by ascending int64 codes.
+
+    With a codec (codec is not None) the codes are its mixed-radix codes;
+    without one the code of d is its rank among the sorted differences,
+    which diffs lists in order.
+    """
 
     def __init__(
         self,
         a_set: AdditiveSet,
         codec: Optional[Codec],
-        codes: Optional[np.ndarray],
-        counts: Optional[np.ndarray],
-        entries: Optional[dict],
+        codes: np.ndarray,
+        counts: np.ndarray,
+        diffs: Optional[list] = None,
     ) -> None:
         self.a_set = a_set
         self.codec = codec
         self.codes = codes
         self.counts = counts
-        self.entries = entries
-        self._sorted_keys: Optional[list] = None
+        self._diffs = diffs
 
     def __len__(self) -> int:
-        if self.entries is not None:
-            return len(self.entries)
         return len(self.codes)
 
-    def count(self, d: Element) -> int:
-        """r(d); zero when d is not a difference of the base set."""
-        d = self.a_set.spec.reduce(d)
-        if self.entries is not None:
-            return self.entries.get(d, 0)
-        for c, lo, radix in zip(d, self.codec.lows, self.codec.radices):
-            if not lo <= c < lo + radix:
-                return 0
-        code = self.codec.encode(np.array(d, dtype=np.int64))
-        i = int(np.searchsorted(self.codes, code))
-        if i < len(self.codes) and self.codes[i] == code:
-            return int(self.counts[i])
-        return 0
+    @cached_property
+    def _rank(self) -> dict:
+        return {d: i for i, d in enumerate(self._diffs)}
+
+    def pair_codes(self, lo: int, hi: int) -> np.ndarray:
+        """Codes of a_i - a_j for lo <= i < hi and every j, shape (hi - lo, n)."""
+        if self.codec is not None:
+            coords = self.codec.coords
+            return self.codec.diff_codes(coords[lo:hi], coords)
+        spec = self.a_set.spec
+        elems = self.a_set.elements
+        rank = self._rank
+        block = np.empty((hi - lo, len(elems)), dtype=np.int64)
+        for row, a in zip(block, elems[lo:hi]):
+            row[:] = np.fromiter(
+                (rank[sub(spec, a, b)] for b in elems), dtype=np.int64, count=len(elems)
+            )
+        return block
+
+    def decode(self, codes: np.ndarray) -> list:
+        """The differences with the given codes, as element tuples."""
+        if self.codec is not None:
+            return self.codec.decode(codes)
+        return [self._diffs[c] for c in codes.tolist()]
 
     def items(self) -> Iterator[Tuple[Element, int]]:
         """(difference, count) pairs in lexicographic difference order."""
-        if self.entries is not None:
-            if self._sorted_keys is None:
-                self._sorted_keys = sorted(self.entries)
-            for d in self._sorted_keys:
-                yield d, self.entries[d]
-            return
         for start in range(0, len(self.codes), _DECODE_CHUNK):
             block = slice(start, start + _DECODE_CHUNK)
-            for d, c in zip(self.codec.decode(self.codes[block]), self.counts[block]):
-                yield d, int(c)
-
-    def total_pairs(self) -> int:
-        if self.entries is not None:
-            return sum(self.entries.values())
-        return int(self.counts.sum())
+            yield from zip(self.decode(self.codes[block]), self.counts[block].tolist())
 
     def energy_sum(self) -> int:
-        if self.entries is not None:
-            return sum(c * c for c in self.entries.values())
         return int(np.dot(self.counts, self.counts))
 
 
@@ -122,12 +127,12 @@ def rep_table(a_set: AdditiveSet, threads: int = 1) -> RepTable:
     codec = build_codec(a_set)
     if codec is None:
         spec = a_set.spec
-        entries: dict = {}
-        for a in a_set.elements:
-            for b in a_set.elements:
-                d = sub(spec, a, b)
-                entries[d] = entries.get(d, 0) + 1
-        return RepTable(a_set, None, None, None, entries)
+        elems = a_set.elements
+        tally = Counter(sub(spec, a, b) for a in elems for b in elems)
+        diffs = sorted(tally)
+        counts = np.fromiter((tally[d] for d in diffs), dtype=np.int64, count=len(diffs))
+        codes = np.arange(len(diffs), dtype=np.int64)
+        return RepTable(a_set, None, codes, counts, diffs)
 
     n = len(a_set)
 
@@ -138,7 +143,7 @@ def rep_table(a_set: AdditiveSet, threads: int = 1) -> RepTable:
 
     parts = chunked_map(scan, row_chunks(n, n), threads)
     codes, counts = _merge_code_counts(parts)
-    return RepTable(a_set, codec, codes, counts, None)
+    return RepTable(a_set, codec, codes, counts)
 
 
 def energy(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,13 +32,11 @@ from ._gemm import exact_float
 from ._parallel import chunked_map
 from .additive_stats import RepTable, rep_table
 from .errors import InvariantViolation
-from .groups import AdditiveSet, Element, serialize_set, sub
+from .groups import AdditiveSet, Element, serialize_set
 from .numeric_lemma import PrefixSelection, WeightVector, select_index_set
 from .relation_lemma import Relation, TvWitness, extract_tv
 
 TOOL_VERSION = "0.1.0"
-
-_DECODE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,33 +55,31 @@ class Params:
 class PartitionPQ:
     """Differences of A split by popularity, with the mass of each side.
 
-    A difference d is popular when r(d)^2 * |A| >= E; the popular side is
-    always small (at most |A| entries) and is materialized, while the
-    unpopular side may be huge and is exposed as a lazy iterator over its
-    differences; q_counts holds its counts as an int64 array.
+    A difference d is popular when r(d)^2 * |A| >= E.  Both sides are kept
+    as ascending rep-table codes with their int64 counts; the popular side,
+    at most |A| differences, is also decoded into p_items.
     """
 
     def __init__(
         self,
         a_set: AdditiveSet,
         rep: RepTable,
+        p_codes: np.ndarray,
         p_items: Tuple[Tuple[Element, int], ...],
         p_mass: int,
         q_mass: int,
-        q_size: int,
-        q_codes,
+        q_codes: np.ndarray,
         q_counts: np.ndarray,
-        q_entries: Optional[List[Tuple[Element, int]]],
     ) -> None:
         self.a_set = a_set
         self.rep = rep
+        self.p_codes = p_codes
         self.p_items = p_items
         self.p_mass = p_mass
         self.q_mass = q_mass
-        self.q_size = q_size
-        self._q_codes = q_codes
+        self.q_size = len(q_codes)
+        self.q_codes = q_codes
         self.q_counts = q_counts
-        self._q_entries = q_entries
 
     @property
     def set_size(self) -> int:
@@ -93,27 +89,6 @@ class PartitionPQ:
     def energy(self) -> int:
         return self.p_mass + self.q_mass
 
-    def q_items(self) -> Iterator[Tuple[Element, int]]:
-        """(difference, count) over the unpopular side, lexicographic."""
-        if self._q_entries is not None:
-            yield from self._q_entries
-            return
-        for start in range(0, self.q_size, _DECODE_CHUNK):
-            block = slice(start, start + _DECODE_CHUNK)
-            decoded = self.rep.codec.decode(self._q_codes[block])
-            for d, c in zip(decoded, self.q_counts[block]):
-                yield d, int(c)
-
-    def q_elements_at(self, indices) -> Tuple[Element, ...]:
-        """Unpopular differences at the given ascending q_items positions."""
-        if self._q_entries is not None:
-            return tuple(self._q_entries[i][0] for i in indices)
-        codes = self._q_codes[np.asarray(indices, dtype=np.int64)]
-        return tuple(self.rep.codec.decode(codes))
-
-    def p_elements(self) -> Tuple[Element, ...]:
-        return tuple(d for d, _ in self.p_items)
-
 
 def partition_pq(a_set: AdditiveSet, rep: Optional[RepTable] = None, threads: int = 1) -> PartitionPQ:
     """Split A - A by the exact popularity test r(d)^2 * |A| >= E."""
@@ -121,49 +96,25 @@ def partition_pq(a_set: AdditiveSet, rep: Optional[RepTable] = None, threads: in
         rep = rep_table(a_set, threads=threads)
     n = len(a_set)
     e_val = rep.energy_sum()
-    if rep.entries is not None:
-        p_items: List[Tuple[Element, int]] = []
-        q_entries: List[Tuple[Element, int]] = []
-        p_mass = 0
-        for d in sorted(rep.entries):
-            r = rep.entries[d]
-            if r * r * n >= e_val:
-                p_items.append((d, r))
-                p_mass += r * r
-            else:
-                q_entries.append((d, r))
-        q_counts = np.array([c for _, c in q_entries], dtype=np.int64)
-        pq = PartitionPQ(
-            a_set, rep, tuple(p_items), p_mass, e_val - p_mass,
-            len(q_entries), None, q_counts, q_entries,
-        )
-    else:
-        counts = rep.counts
-        popular = counts * counts * n >= e_val
-        p_codes = rep.codes[popular]
-        p_counts = counts[popular]
-        p_mass = int(np.dot(p_counts, p_counts))
-        p_items = tuple(
-            (d, int(c))
-            for d, c in zip(rep.codec.decode(p_codes), p_counts)
-        )
-        q_codes = rep.codes[~popular]
-        q_counts = counts[~popular]
-        pq = PartitionPQ(
-            a_set, rep, p_items, p_mass, e_val - p_mass,
-            len(q_codes), q_codes, q_counts, None,
-        )
+    counts = rep.counts
+    # r(d)^2 * n <= n^3 stays inside int64 for any n whose n^2 scan can run
+    popular = counts * counts * n >= e_val
+    p_codes = rep.codes[popular]
+    p_counts = counts[popular]
+    p_mass = int(np.dot(p_counts, p_counts))
+    p_items = tuple(zip(rep.decode(p_codes), p_counts.tolist()))
     zero = a_set.spec.zero()
-    if all(d != zero for d, _ in pq.p_items):
+    if all(d != zero for d, _ in p_items):
         raise InvariantViolation("zero difference missing from the popular side")
-    return pq
+    return PartitionPQ(
+        a_set, rep, p_codes, p_items, p_mass, e_val - p_mass,
+        rep.codes[~popular], counts[~popular],
+    )
 
 
 def case_select(pq: PartitionPQ, eps: Fraction) -> str:
     """"P" when the popular mass reaches eps * E / 4, else "Q"."""
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
+    eps = Params(eps).eps
     if 4 * pq.p_mass >= eps * pq.energy:
         return "P"
     if Fraction(pq.q_mass) < (1 - eps / 4) * pq.energy:
@@ -328,48 +279,31 @@ def _finish_report(
 def _membership_matrices(
     pq: PartitionPQ, thin_floor: int, threads: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Build X[i, j] = (r(a_i - a_j) <= thin_floor) and M[t, i] = (a_i in A_d_t)."""
-    a_set = pq.a_set
+    """Build X[i, j] = (r(a_i - a_j) <= thin_floor) and M[t, i] = (a_i in A_d_t).
+
+    Both come from one scan of the difference codes: a_i is in A_d exactly
+    when a_i - a_j = d for some j.
+    """
     rep = pq.rep
-    n = len(a_set)
-    p_elems = pq.p_elements()
-    if rep.entries is not None:
-        spec = a_set.spec
-        x_mat = np.empty((n, n), dtype=np.bool_)
-        for i, a in enumerate(a_set.elements):
-            for j, b in enumerate(a_set.elements):
-                x_mat[i, j] = rep.entries[sub(spec, a, b)] <= thin_floor
-        m_mat = np.empty((len(p_elems), n), dtype=np.bool_)
-        for t, d in enumerate(p_elems):
-            for i, a in enumerate(a_set.elements):
-                m_mat[t, i] = sub(spec, a, d) in a_set.as_set
-        return x_mat, m_mat
-
-    codec = rep.codec
-    elem_codes = codec.encode(codec.coords)
-    p_coords = np.array(p_elems, dtype=np.int64)
-
+    n = len(pq.a_set)
+    # popularity is monotone in r(d): d is popular exactly when r(d) reaches
+    # the least popular count
+    pop_floor = min(c for _, c in pq.p_items)
+    # p_rank[k] is the row of M of the k-th rep-table difference, if popular
+    p_rank = np.zeros(len(rep), dtype=np.int64)
+    p_rank[np.searchsorted(rep.codes, pq.p_codes)] = np.arange(len(pq.p_codes))
     x_mat = np.empty((n, n), dtype=np.bool_)
+    m_mat = np.zeros((len(pq.p_codes), n), dtype=np.bool_)
 
-    def fill_x(chunk: Tuple[int, int]) -> None:
+    def fill(chunk: Tuple[int, int]) -> None:
         lo, hi = chunk
-        block = codec.diff_codes(codec.coords[lo:hi], codec.coords)
-        idx = np.searchsorted(rep.codes, block)
-        x_mat[lo:hi] = rep.counts[idx] <= thin_floor
+        idx = np.searchsorted(rep.codes, rep.pair_codes(lo, hi))
+        counts = rep.counts[idx]
+        x_mat[lo:hi] = counts <= thin_floor
+        hits = np.flatnonzero(counts >= pop_floor)
+        m_mat[p_rank[idx.ravel()[hits]], lo + hits // n] = True
 
-    chunked_map(fill_x, row_chunks(n, n), threads)
-
-    m_mat = np.empty((len(p_elems), n), dtype=np.bool_)
-
-    def fill_m(chunk: Tuple[int, int]) -> None:
-        lo, hi = chunk
-        # a_j - d_t for t in the chunk: diff_codes gives column-major layout
-        block = codec.diff_codes(codec.coords, p_coords[lo:hi])
-        pos = np.searchsorted(elem_codes, block)
-        pos[pos == n] = 0
-        m_mat[lo:hi] = (elem_codes[pos] == block).T
-
-    chunked_map(fill_m, row_chunks(len(p_elems), n), threads)
+    chunked_map(fill, row_chunks(n, n), threads)
     return x_mat, m_mat
 
 
@@ -483,11 +417,12 @@ def extract_q(
         raise ValueError("unpopular side is empty")
     weights = WeightVector(rho=Fraction(n, e_val), coeffs=pq.q_counts)
     selection = select_index_set(weights, 1 - eps / 4)
-    q_prime_elems = pq.q_elements_at(selection.index_set)
-    q_prime = AdditiveSet(a_set.spec, q_prime_elems)
+    index_set = np.array(selection.index_set, dtype=np.int64)
+    q_prime_codes = pq.q_codes[index_set]
+    q_prime = AdditiveSet(a_set.spec, tuple(pq.rep.decode(q_prime_codes)))
 
-    relation = Relation.from_difference_set(a_set, q_prime_elems)
-    selected_mass = int(pq.q_counts[list(selection.index_set)].sum())
+    relation = Relation.from_difference_set(pq.rep, q_prime_codes)
+    selected_mass = int(pq.q_counts[index_set].sum())
     if relation.size != selected_mass:
         raise InvariantViolation("relation size disagrees with selected counts")
     delta = relation.delta

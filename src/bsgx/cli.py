@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .additive_stats import energy
-from .bsg import Params, extract
+from .bsg import Params, _frac_str, extract
 from .errors import AsetFormatError, InvariantViolation
 from .generators import GenSpec
 from .groups import AdditiveSet, parse_set, serialize_set
@@ -54,18 +54,11 @@ def _read_set(path: str) -> AdditiveSet:
 
 def _parse_eps(text: str) -> Fraction:
     try:
-        eps = Fraction(text)
+        return Params(eps=Fraction(text)).eps
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(
-            EXIT_BAD_EPS, f"eps must be a fraction like 1/4, got {text!r}"
+            EXIT_BAD_EPS, f"eps must be a fraction in (0, 1/2) like 1/4, got {text!r}"
         ) from exc
-    if not 0 < eps < Fraction(1, 2):
-        raise _CliError(EXIT_BAD_EPS, f"eps must be in (0, 1/2), got {text}")
-    return eps
-
-
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _write_text(path: Optional[str], text: str) -> None:

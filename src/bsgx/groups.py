@@ -130,11 +130,6 @@ class AdditiveSet:
     def as_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    def translate(self, t: Element) -> "AdditiveSet":
-        """The translate A + t (a bijection, so no dedup is needed)."""
-        shifted = sorted(add(self.spec, a, t) for a in self.elements)
-        return AdditiveSet(self.spec, tuple(shifted))
-
 
 def parse_set(data: "bytes | str") -> AdditiveSet:
     """Parse the ASET v1 text format into a canonical AdditiveSet.

@@ -55,42 +55,6 @@ class ScaledReal:
         if self.rho <= 0:
             raise ValueError(f"radicand must be > 0, got {self.rho}")
 
-    def square(self) -> Fraction:
-        return self.coeff * self.coeff * self.rho
-
-    def __add__(self, other: "ScaledReal") -> "ScaledReal":
-        self._check_same_rho(other)
-        return ScaledReal(self.coeff + other.coeff, self.rho)
-
-    def __le__(self, other: "ScaledReal") -> bool:
-        self._check_same_rho(other)
-        return self.coeff <= other.coeff
-
-    def __lt__(self, other: "ScaledReal") -> bool:
-        self._check_same_rho(other)
-        return self.coeff < other.coeff
-
-    def ge_rational(self, q: Fraction) -> bool:
-        """Exact test coeff * sqrt(rho) >= q."""
-        if q <= 0:
-            return True
-        return self.square() >= q * q
-
-    def le_rational(self, q: Fraction) -> bool:
-        """Exact test coeff * sqrt(rho) <= q."""
-        if q < 0:
-            return False
-        return self.square() <= q * q
-
-    def __float__(self) -> float:
-        return float(self.coeff) * float(self.rho) ** 0.5
-
-    def _check_same_rho(self, other: "ScaledReal") -> None:
-        if self.rho != other.rho:
-            raise ValueError(
-                f"mixed radicands {self.rho} and {other.rho} are not comparable"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
@@ -128,29 +92,19 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def value(self, i: int) -> ScaledReal:
-        return ScaledReal(Fraction(self.coeffs[i]), self.rho)
 
-    def sum_s(self) -> ScaledReal:
-        """S, the sum of all weights."""
-        return ScaledReal(Fraction(sum(self.coeffs)), self.rho)
-
-    def sum_t(self) -> Fraction:
-        """T, the sum of all squared weights (a plain rational)."""
-        return sum((c * c for c in self.coeffs), Fraction(0)) * self.rho
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixSelection:
     """A chosen prefix of the stable descending order, with its certified sum.
 
-    order is the full permutation (0-based original indices) sorting weights
-    descending with ties kept in original order; index_set lists the first
-    chosen_i of those indices, sorted ascending; window_lo and window_hi are
-    the bounds of the prefix lengths the scan was allowed to consider.
+    order is the full permutation (an int64 array of 0-based original
+    indices) sorting weights descending with ties kept in original order;
+    index_set lists the first chosen_i of those indices, sorted ascending;
+    window_lo and window_hi are the bounds of the prefix lengths the scan was
+    allowed to consider.
     """
 
-    order: Tuple[int, ...]
+    order: np.ndarray
     chosen_i: int
     index_set: Tuple[int, ...]
     certified_sum: ScaledReal
@@ -226,7 +180,7 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
         p = int(prefix[i - 1])
         if lhs_factor * p**6 >= rhs_factor * i**4:
             return PrefixSelection(
-                order=tuple(order.tolist()),
+                order=order,
                 chosen_i=i,
                 index_set=tuple(np.sort(order[:i]).tolist()),
                 certified_sum=ScaledReal(Fraction(p, scale), xs.rho),

@@ -89,11 +89,7 @@ def energy_bruteforce(a_set: AdditiveSet) -> int:
             f"brute-force energy is limited to {_BRUTEFORCE_CAP} elements, "
             f"got {len(a_set)}"
         )
-    spec = a_set.spec
-    sums = Counter(
-        add(spec, a, b) for a in a_set.elements for b in a_set.elements
-    )
-    return sum(c * c for c in sums.values())
+    return _energy_by_sums(a_set)
 
 
 def _energy_by_sums(a_set: AdditiveSet) -> int:

@@ -25,15 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
 
-from ._codec import build_codec, row_chunks
+from ._codec import row_chunks
 from ._gemm import exact_float
 from ._parallel import chunked_map
+from .additive_stats import RepTable
 from .errors import InvariantViolation
-from .groups import AdditiveSet, Element, sub
+from .groups import AdditiveSet, Element
 
 
 class Relation:
@@ -59,48 +60,21 @@ class Relation:
         return cls(base, matrix)
 
     @classmethod
-    def from_element_pairs(
-        cls, base: AdditiveSet, pairs: Iterable[Tuple[Element, Element]]
-    ) -> "Relation":
-        index = {a: i for i, a in enumerate(base.elements)}
-        return cls.from_index_pairs(
-            base, ((index[a], index[b]) for a, b in pairs)
-        )
+    def from_difference_set(cls, rep: RepTable, codes: np.ndarray) -> "Relation":
+        """The relation {(a, b) : a - b in D} on rep's base set.
 
-    @classmethod
-    def from_difference_set(
-        cls, base: AdditiveSet, members: Iterable[Element]
-    ) -> "Relation":
-        """The relation {(a, b) : a - b in members}."""
-        spec = base.spec
-        member_set = {spec.reduce(m) for m in members}
+        codes lists the rep-table codes of D in ascending order.
+        """
+        base = rep.a_set
         n = len(base)
-        codec = build_codec(base)
-        if codec is None:
-            matrix = np.zeros((n, n), dtype=np.bool_)
-            for i, a in enumerate(base.elements):
-                for j, b in enumerate(base.elements):
-                    if sub(spec, a, b) in member_set:
-                        matrix[i, j] = True
-            return cls(base, matrix)
-        in_range = [
-            m
-            for m in member_set
-            if all(
-                lo <= c < lo + radix
-                for c, lo, radix in zip(m, codec.lows, codec.radices)
-            )
-        ]
         matrix = np.zeros((n, n), dtype=np.bool_)
-        if not in_range:
-            return cls(base, matrix)
-        member_codes = np.sort(codec.encode(np.array(in_range, dtype=np.int64)))
-        last = len(member_codes) - 1
-        for lo, hi in row_chunks(n, n):
-            block = codec.diff_codes(codec.coords[lo:hi], codec.coords)
-            pos = np.searchsorted(member_codes, block)
-            np.minimum(pos, last, out=pos)
-            np.equal(member_codes[pos], block, out=matrix[lo:hi])
+        if len(codes):
+            last = len(codes) - 1
+            for lo, hi in row_chunks(n, n):
+                block = rep.pair_codes(lo, hi)
+                pos = np.searchsorted(codes, block)
+                np.minimum(pos, last, out=pos)
+                np.equal(codes[pos], block, out=matrix[lo:hi])
         return cls(base, matrix)
 
     @cached_property
@@ -116,29 +90,6 @@ class Relation:
     def pairs(self) -> FrozenSet[Tuple[int, int]]:
         ii, jj = np.nonzero(self.matrix)
         return frozenset(zip(ii.tolist(), jj.tolist()))
-
-
-def neighborhoods(relation: Relation) -> Dict[Element, frozenset]:
-    """N(x) = {a : (a, x) in R} for every x in the base set."""
-    base = relation.base
-    out = {}
-    for j, x in enumerate(base.elements):
-        rows = np.flatnonzero(relation.matrix[:, j])
-        out[x] = frozenset(base.elements[i] for i in rows)
-    return out
-
-
-def common_counts(relation: Relation) -> Dict[Tuple[Element, Element], int]:
-    """|{x : a in N(x) and a' in N(x)}| for every ordered pair (a, a')."""
-    m = relation.matrix.astype(exact_float(len(relation.base)))
-    counts = m @ m.T
-    base = relation.base
-    out = {}
-    for i, a in enumerate(base.elements):
-        row = counts[i]
-        for j, b in enumerate(base.elements):
-            out[(a, b)] = int(row[j])
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,24 @@
-"""Shared pytest plumbing.
+"""Shared pytest plumbing and test-side helpers.
 
 test_acceptance.py appends one line per top-level check to ACCEPTANCE_LINES;
 the hook below prints the whole block after the test summary, so the
 pass/fail lines are visible in a plain ``pytest -v`` run (no -s needed).
+
+The helpers below build relations from elements rather than rep-table codes
+and recount neighbourhoods by their definitions; the library needs none of
+them.  Test modules import them with ``from conftest import ...``.
 """
+
+from contextlib import contextmanager
+from typing import Dict, Iterable, Tuple
+
+import numpy as np
+import pytest
+
+import bsgx.additive_stats as additive_stats
+from bsgx._gemm import exact_float
+from bsgx.groups import AdditiveSet, Element, add
+from bsgx.relation_lemma import Relation
 
 ACCEPTANCE_LINES = []
 
@@ -14,3 +29,59 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance summary")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@contextmanager
+def counting_path(fallback: bool):
+    """While the block runs, rep_table takes the rank-coded fallback if asked."""
+    with pytest.MonkeyPatch.context() as mp:
+        if fallback:
+            mp.setattr(additive_stats, "build_codec", lambda a_set: None)
+        yield
+
+
+def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relation:
+    """The relation {(a, b) : a - b in members}, built from rep-table codes.
+
+    Members are reduced first; those that are not differences of base add
+    nothing to the relation.
+    """
+    rep = additive_stats.rep_table(base)
+    wanted = {base.spec.reduce(m) for m in members}
+    codes = [c for c, (d, _) in zip(rep.codes.tolist(), rep.items()) if d in wanted]
+    return Relation.from_difference_set(rep, np.array(codes, dtype=np.int64))
+
+
+def relation_from_element_pairs(
+    base: AdditiveSet, pairs: Iterable[Tuple[Element, Element]]
+) -> Relation:
+    index = {a: i for i, a in enumerate(base.elements)}
+    return Relation.from_index_pairs(base, ((index[a], index[b]) for a, b in pairs))
+
+
+def neighborhoods(relation: Relation) -> Dict[Element, frozenset]:
+    """N(x) = {a : (a, x) in R} for every x in the base set."""
+    base = relation.base
+    out = {}
+    for j, x in enumerate(base.elements):
+        rows = np.flatnonzero(relation.matrix[:, j])
+        out[x] = frozenset(base.elements[i] for i in rows)
+    return out
+
+
+def common_counts(relation: Relation) -> Dict[Tuple[Element, Element], int]:
+    """|{x : a in N(x) and a' in N(x)}| for every ordered pair (a, a')."""
+    m = relation.matrix.astype(exact_float(len(relation.base)))
+    counts = m @ m.T
+    elems = relation.base.elements
+    return {
+        (a, b): int(counts[i, j])
+        for i, a in enumerate(elems)
+        for j, b in enumerate(elems)
+    }
+
+
+def translate(a_set: AdditiveSet, t: Element) -> AdditiveSet:
+    """The translate A + t (a bijection, so no dedup is needed)."""
+    shifted = sorted(add(a_set.spec, a, t) for a in a_set.elements)
+    return AdditiveSet(a_set.spec, tuple(shifted))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Tuple
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, difference_relation
 
 from bsgx.bsg import ExtractionReport, Params, extract
 from bsgx.cli import main as cli_main
@@ -267,7 +267,7 @@ def test_path_richness_of_filtered_subsets():
                 if run.report.case != "Q":
                     continue
                 w = run.report.witness
-                relation = Relation.from_difference_set(row.a, w.q_prime)
+                relation = difference_relation(row.a, w.q_prime.elements)
                 res = verify_tv_property(relation, w.tv, w.tv.xi)
                 assert res.ok, (row.label, run.eps)
                 assert all(c.status == "pass" for c in res.checks)

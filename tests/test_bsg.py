@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+
+from conftest import counting_path
 
 from bsgx import _codec
 from bsgx.bsg import (
@@ -9,6 +12,7 @@ from bsgx.bsg import (
     Params,
     PWitness,
     QWitness,
+    _membership_matrices,
     case_select,
     extract,
     extract_p,
@@ -16,8 +20,8 @@ from bsgx.bsg import (
     partition_pq,
 )
 from bsgx.errors import InvariantViolation
-from bsgx.generators import gen_ap, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec
+from bsgx.generators import gen_ap, gen_ball, gen_random
+from bsgx.groups import AdditiveSet, GroupSpec, sub
 from bsgx.oracle import verify_extraction, verify_report_dict
 
 F = Fraction
@@ -48,7 +52,7 @@ def test_partition_012():
     assert pq.q_size == 4
     assert pq.energy == 19
     assert sorted(pq.q_counts.tolist()) == [1, 1, 2, 2]
-    assert list(pq.q_items()) == [
+    assert list(zip(pq.rep.decode(pq.q_codes), pq.q_counts.tolist())) == [
         ((-2,), 1),
         ((-1,), 2),
         ((1,), 2),
@@ -187,7 +191,12 @@ def test_reports_are_deterministic_objects():
     a = gen_random(50, 101, 5)
     r1 = extract(a, Params(eps=F(1, 4)), threads=1)
     r2 = extract(a, Params(eps=F(1, 4)), threads=3)
-    assert r1 == r2
+    s1, s2 = r1.witness.selection, r2.witness.selection
+    # a selection compares by identity, since its order is an array
+    assert s1.order.tolist() == s2.order.tolist()
+    assert {**vars(s1), "order": None} == {**vars(s2), "order": None}
+    unselected = [replace(r, witness=replace(r.witness, selection=None)) for r in (r1, r2)]
+    assert unselected[0] == unselected[1]
     assert r1.to_json() == r2.to_json()
 
 
@@ -201,6 +210,22 @@ def test_branch_q_report_bytes_do_not_depend_on_threads(monkeypatch):
     monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
     assert extract(a, params, threads=1).to_json() == whole
     assert extract(a, params, threads=3).to_json() == whole
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_membership_matrices_match_their_definitions(fallback, monkeypatch):
+    a = gen_ball(2, 9)  # nine popular differences
+    with counting_path(fallback):
+        pq = partition_pq(a)
+    assert (pq.rep.codec is None) == fallback
+    monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
+    x_mat, m_mat = _membership_matrices(pq, 6, threads=2)
+    table = dict(pq.rep.items())
+    elems = a.elements
+    assert x_mat.tolist() == [[table[sub(a.spec, x, y)] <= 6 for y in elems] for x in elems]
+    for t, (d, _) in enumerate(pq.p_items):
+        # A_d = A intersect (A + d)
+        assert m_mat[t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
 
 
 def test_theorem_bounds_recorded_exactly():

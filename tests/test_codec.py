@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import counting_path
+
 from bsgx._codec import _CODE_CAP, _COORD_CAP, build_codec
+from bsgx.additive_stats import rep_table
 from bsgx.groups import AdditiveSet, GroupSpec, sub
 
 
@@ -72,3 +76,25 @@ def test_near_cap_sets_are_packed():
             [codec.encode(np.array(sub(a.spec, x, y))).item() for y in a.elements]
             for x in a.elements
         ]
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@given(a=packable_sets(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pair_codes_decode_to_differences(fallback, a, data):
+    # the rank codes of the fallback and the codec's codes index alike
+    with counting_path(fallback):
+        rep = rep_table(a)
+    assume(fallback or rep.codec is not None)
+    assert (rep.codec is None) == fallback
+    codes = rep.codes.tolist()
+    assert codes == sorted(set(codes))
+    diffs = [d for d, _ in rep.items()]
+    assert diffs == sorted(set(diffs))
+    n = len(a)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    block = rep.pair_codes(lo, hi)
+    assert block.shape == (hi - lo, n)
+    want = [sub(a.spec, x, y) for x in a.elements[lo:hi] for y in a.elements]
+    assert rep.decode(block.ravel()) == want

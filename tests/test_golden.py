@@ -1,0 +1,87 @@
+"""Golden reports: SHA-256 of the extract JSON for fixed (set, eps) pairs.
+
+The digests were taken before the codec and fallback counting paths were
+merged into one difference index, so any refactor that moves a report byte
+fails here.  Labels ending in *2^53 are isomorphic copies with coordinates
+and moduli multiplied by 2^53, whose differences are too wide for int64
+codes and so take the rank-coded fallback.  A "knife" eps is 4 * p_mass / E,
+where both branch hypotheses hold with equality.
+"""
+
+import hashlib
+from fractions import Fraction as F
+
+import pytest
+
+from conftest import counting_path
+
+from bsgx import AdditiveSet, GroupSpec, Params, extract, gen_ap, gen_axis, gen_ball, gen_random
+from bsgx._codec import build_codec
+from bsgx.additive_stats import rep_table
+from bsgx.bsg import partition_pq
+
+COPY_FACTOR = 1 << 53
+
+_BASES = {
+    "ap:40,3,7": lambda: gen_ap(40, 3, 7),
+    "ball:3,4": lambda: gen_ball(3, 4),
+    "axis:23,3": lambda: gen_axis(23, 3),
+    "random:80,521,2": lambda: gen_random(80, 521, 2),
+    "random:63,127,7": lambda: gen_random(63, 127, 7),
+}
+
+
+def scaled(a: AdditiveSet) -> AdditiveSet:
+    """The copy of a with every coordinate and modulus multiplied by 2^53."""
+    return AdditiveSet.from_elements(
+        GroupSpec(tuple(m * COPY_FACTOR for m in a.spec.moduli)),
+        (tuple(c * COPY_FACTOR for c in e) for e in a.elements),
+    )
+
+
+def build(label: str, eps: str, both: bool):
+    """The input set and parameters of one golden case."""
+    base, _, copy = label.partition("*")
+    a = _BASES[base]()
+    if copy:
+        a = scaled(a)
+    if eps == "knife":
+        pq = partition_pq(a)
+        eps_val = F(4 * pq.p_mass, pq.energy)
+    else:
+        eps_val = F(eps)
+    return a, Params(eps=eps_val, run_both=both)
+
+
+GOLDEN = {
+    ("ap:40,3,7", "1/4", False): "02bff2d97995244036e120afdc9d10d6e5fb0483cb139c095948bb51c4c5443a",
+    ("ap:40,3,7*2^53", "1/4", False): "bf1af06a91853b1af789918b2eef35699ba375ad0c2406cc9b6ea6ac3744df29",
+    ("ball:3,4", "1/10", False): "5fee3442292b8576585da656c4683fc974b5e459ae433fbd56b7c83dc9c02779",
+    ("axis:23,3", "2/5", False): "9f3b26d7b0d95b51efa9c6bd4db6607981fed8226927bd128c47e785dd5de5bf",
+    ("axis:23,3*2^53", "2/5", False): "4cae46b784840545fe93be96e2005709505dac26e76599a3f5354bc9c2c3e085",
+    ("random:80,521,2", "2/5", False): "2691deadd9c1b01b18216854c6a23acc512b43aba885e134073f4678f9adec28",
+    ("random:80,521,2*2^53", "2/5", False): "d7562580703e3a8a04f558b85ee8caf646a851186c5e7e0905e8e9643307cf8f",
+    ("random:80,521,2", "knife", True): "1ddae9157cb22e62243d22bee822fde14698481b2ac5633ac6c58bdc5be25f6e",
+    ("random:80,521,2*2^53", "knife", True): "3e0898031363f5732e8ba0b5b5982029313dd2cc45d5fb40d1fcf1eb4cb409a8",
+    ("random:63,127,7", "knife", True): "2e2ac60d4f8adb8efbc0ecbf2794a22461fbc202dcb56e2dae57fc2ee26c4581",
+}
+
+
+@pytest.mark.parametrize("label,eps,both", list(GOLDEN))
+def test_golden_report_bytes(label, eps, both):
+    a, params = build(label, eps, both)
+    assert (build_codec(a) is None) == label.endswith("*2^53")
+    out = extract(a, params).to_json().encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[(label, eps, both)]
+
+
+@pytest.mark.parametrize(
+    "label,eps,both",
+    [("ap:40,3,7", "1/4", False), ("axis:23,3", "2/5", False), ("random:63,127,7", "knife", True)],
+)
+def test_one_patch_moves_the_whole_pipeline_to_rank_codes(label, eps, both):
+    a, params = build(label, eps, both)
+    packed = extract(a, params).to_json()
+    with counting_path(fallback=True):
+        assert rep_table(a).codec is None
+        assert extract(a, params).to_json() == packed

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import translate
+
 from bsgx.errors import AsetFormatError
 from bsgx.groups import (
     AdditiveSet,
@@ -72,7 +74,7 @@ def test_direct_construction_is_strict():
 def test_translate_is_a_bijection():
     spec = GroupSpec((0, 3))
     a = AdditiveSet.from_elements(spec, [(0, 0), (1, 2), (4, 1)])
-    t = a.translate((5, 2))
+    t = translate(a, (5, 2))
     assert len(t) == len(a)
     assert t.elements == tuple(sorted(add(spec, x, (5, 2)) for x in a))
 

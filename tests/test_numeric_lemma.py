@@ -16,31 +16,17 @@ from bsgx.oracle import verify_st
 F = Fraction
 
 
+def square(x: ScaledReal) -> Fraction:
+    """The square coeff^2 * rho of coeff * sqrt(rho)."""
+    return x.coeff * x.coeff * x.rho
+
+
+def fields(sel: PrefixSelection) -> tuple:
+    """The fields of a selection but its certified sum, order as a list."""
+    return (sel.order.tolist(), sel.chosen_i, sel.index_set, sel.window_lo, sel.window_hi)
+
+
 class TestScaledReal:
-    def test_value_semantics(self):
-        x = ScaledReal(F(3), F(1, 4))  # 3 * sqrt(1/4) = 3/2
-        assert x.square() == F(9, 4)
-        assert float(x) == pytest.approx(1.5)
-        assert x.ge_rational(F(3, 2)) and x.le_rational(F(3, 2))
-        assert x.ge_rational(F(149, 100))
-        assert not x.ge_rational(F(151, 100))
-        assert x.ge_rational(F(-1))  # nonnegative beats any negative
-        assert not x.le_rational(F(-1))
-
-    def test_same_rho_comparisons(self):
-        a = ScaledReal(F(2), F(1, 3))
-        b = ScaledReal(F(5), F(1, 3))
-        assert a < b and a <= b
-        assert (a + b).coeff == 7
-
-    def test_mixed_rho_rejected(self):
-        a = ScaledReal(F(2), F(1, 3))
-        b = ScaledReal(F(2), F(1, 5))
-        with pytest.raises(ValueError):
-            a < b
-        with pytest.raises(ValueError):
-            a + b
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ScaledReal(F(-1), F(1, 2))
@@ -49,12 +35,6 @@ class TestScaledReal:
 
 
 class TestWeightVector:
-    def test_sums(self):
-        w = WeightVector(rho=F(1, 16), coeffs=(4, 0, 2))
-        assert w.sum_s().coeff == 6
-        assert w.sum_t() == F(20, 16)
-        assert float(w.value(0)) == pytest.approx(1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WeightVector(rho=F(1, 4), coeffs=())
@@ -87,7 +67,7 @@ def test_four_equal_weights_picks_a_pair():
     assert sel.chosen_i == 2
     assert sel.index_set == (0, 1)  # stable: ties keep original order
     assert sel.window_lo == 2 and sel.window_hi == 4
-    assert sel.certified_sum.square() == 4  # sum is 2 = 2*sqrt(1)
+    assert square(sel.certified_sum) == 4  # sum is 2 = 2*sqrt(1)
     assert verify_st(w, F(1, 2), sel).ok
 
 
@@ -99,8 +79,8 @@ def test_same_values_different_scaling_agree():
         sa = select_index_set(a, alpha)
         sb = select_index_set(b, alpha)
         assert sa.index_set == sb.index_set
-        assert sa.order == sb.order
-        assert sa.certified_sum.square() == sb.certified_sum.square()
+        assert sa.order.tolist() == sb.order.tolist()
+        assert square(sa.certified_sum) == square(sb.certified_sum)
 
 
 def test_alpha_out_of_range():
@@ -127,8 +107,8 @@ def test_selection_is_a_descending_prefix():
     w = WeightVector(rho=F(1, 100), coeffs=(3, 7, 7, 1, 0, 9))
     sel = select_index_set(w, F(2, 3))
     # order must sort values descending, stable on ties
-    assert sel.order == (5, 1, 2, 0, 3, 4)
-    assert sel.index_set == tuple(sorted(sel.order[: sel.chosen_i]))
+    assert sel.order.tolist() == [5, 1, 2, 0, 3, 4]
+    assert sel.index_set == tuple(sorted(sel.order[: sel.chosen_i].tolist()))
     assert sel.window_lo <= sel.chosen_i <= sel.window_hi
     assert verify_st(w, F(2, 3), sel).ok
 
@@ -146,7 +126,7 @@ def test_int_and_fraction_coefficients_agree():
         for alpha in (F(1, 2), F(39, 40)):
             si = select_index_set(wi, alpha)
             sf = select_index_set(wf, alpha)
-            assert si == sf
+            assert fields(si) == fields(sf) and si.certified_sum == sf.certified_sum
 
 
 def test_seeded_random_vectors_pass_the_oracle():
@@ -188,12 +168,9 @@ def test_array_tuple_and_fraction_coefficients_agree():
         alpha = F(1 + rng.below(38), 40)
         w_arr, w_int, w_frac = _three_forms(ints, rho, scale)
         sel_arr, sel_int, sel_frac = (select_index_set(w, alpha) for w in (w_arr, w_int, w_frac))
-        assert sel_arr == sel_int, trial
-        assert (sel_frac.order, sel_frac.chosen_i, sel_frac.index_set) == (
-            sel_int.order, sel_int.chosen_i, sel_int.index_set
-        )
-        assert (sel_frac.window_lo, sel_frac.window_hi) == (sel_int.window_lo, sel_int.window_hi)
-        assert sel_frac.certified_sum.square() == sel_int.certified_sum.square()
+        assert fields(sel_arr) == fields(sel_int) == fields(sel_frac), trial
+        assert sel_arr.certified_sum == sel_int.certified_sum
+        assert square(sel_frac.certified_sum) == square(sel_int.certified_sum)
         for w, sel in ((w_arr, sel_arr), (w_int, sel_int), (w_frac, sel_frac)):
             res = verify_st(w, alpha, sel)
             assert res.ok, (trial, [c for c in res.checks if c.status == "fail"])
@@ -211,9 +188,10 @@ def test_selection_past_int64_takes_the_object_path():
     assert _integer_coeffs(small)[0].dtype == np.int64
     alpha = F(3, 4)
     sel = select_index_set(w_arr, alpha)
-    assert select_index_set(w_int, alpha) == sel
+    sel_int = select_index_set(w_int, alpha)
+    assert fields(sel_int) == fields(sel) and sel_int.certified_sum == sel.certified_sum
     assert select_index_set(w_frac, alpha).index_set == sel.index_set
-    assert sel.order == (0, 1, 3, 2)
+    assert sel.order.tolist() == [0, 1, 3, 2]
     for w in (w_arr, w_int, w_frac):
         assert verify_st(w, alpha, select_index_set(w, alpha)).ok
 

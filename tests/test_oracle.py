@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import difference_relation
+
 from bsgx.additive_stats import energy
 from bsgx.bsg import Params, extract
 from bsgx.generators import SplitMix64, gen_ap, gen_axis, gen_ball, gen_random
@@ -147,7 +149,7 @@ def test_verify_tv_skips_above_the_guard():
 
 def test_verify_tv_catches_a_forged_witness():
     base = gen_ap(15)
-    r = Relation.from_difference_set(base, [(d,) for d in range(-3, 4)])
+    r = difference_relation(base, [(d,) for d in range(-3, 4)])
     w = extract_tv(r, F(1, 2))
     forged = type(w)(
         x_star=w.x_star,

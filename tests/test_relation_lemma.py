@@ -3,18 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import (
+    common_counts,
+    counting_path,
+    difference_relation,
+    neighborhoods,
+    relation_from_element_pairs,
+)
+
 import bsgx.relation_lemma as relation_lemma
+from bsgx.additive_stats import rep_table
 from bsgx._gemm import exact_float
 from bsgx.errors import InvariantViolation
 from bsgx.generators import SplitMix64, gen_ap, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, sub
 from bsgx.oracle import verify_tv_property
-from bsgx.relation_lemma import (
-    Relation,
-    common_counts,
-    extract_tv,
-    neighborhoods,
-)
+from bsgx.relation_lemma import Relation, extract_tv
 
 F = Fraction
 Z = GroupSpec((0,))
@@ -32,8 +36,8 @@ def complete_relation(base):
 def test_constructors_agree():
     base = zset(0, 1, 2)
     r1 = Relation.from_index_pairs(base, [(1, 0), (2, 1)])
-    r2 = Relation.from_element_pairs(base, [((1,), (0,)), ((2,), (1,))])
-    r3 = Relation.from_difference_set(base, [(1,)])
+    r2 = relation_from_element_pairs(base, [((1,), (0,)), ((2,), (1,))])
+    r3 = difference_relation(base, [(1,)])
     assert (r1.matrix == r2.matrix).all()
     assert (r1.matrix == r3.matrix).all()
     assert r1.size == 2
@@ -54,7 +58,7 @@ def test_bad_constructor_input():
 def test_neighborhoods_convention():
     # (a, b) in R iff a - b in {1}; N(x) collects the left entries
     base = zset(0, 1, 2)
-    r = Relation.from_difference_set(base, [(1,)])
+    r = difference_relation(base, [(1,)])
     nb = neighborhoods(r)
     assert nb[(0,)] == {(1,)}
     assert nb[(1,)] == {(2,)}
@@ -64,28 +68,39 @@ def test_neighborhoods_convention():
 def test_difference_set_relation_reduces_members():
     base = AdditiveSet.from_elements(GroupSpec((5,)), [(0,), (1,), (3,)])
     # -4 is 1 mod 5, so both name the same member
-    r1 = Relation.from_difference_set(base, [(-4,)])
-    r2 = Relation.from_difference_set(base, [(1,)])
+    r1 = difference_relation(base, [(-4,)])
+    r2 = difference_relation(base, [(1,)])
     assert (r1.matrix == r2.matrix).all()
 
 
 def test_difference_set_relation_brute_force():
-    rng = SplitMix64(31)
-    for _ in range(10):
-        base = gen_random(1 + rng.below(30), 53, rng.next_u64())
-        members = [(rng.below(53),) for _ in range(rng.below(8))]
-        r = Relation.from_difference_set(base, members)
-        mset = {base.spec.reduce(m) for m in members}
-        for i, a in enumerate(base.elements):
-            for j, b in enumerate(base.elements):
-                assert r.matrix[i, j] == (sub(base.spec, a, b) in mset)
+    for fallback in (False, True):
+        rng = SplitMix64(31)
+        for _ in range(10):
+            base = gen_random(1 + rng.below(30), 53, rng.next_u64())
+            members = [(rng.below(53),) for _ in range(rng.below(8))]
+            with counting_path(fallback):
+                r = difference_relation(base, members)
+            mset = {base.spec.reduce(m) for m in members}
+            for i, a in enumerate(base.elements):
+                for j, b in enumerate(base.elements):
+                    assert r.matrix[i, j] == (sub(base.spec, a, b) in mset)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_relation_from_all_or_no_codes(fallback):
+    base = gen_random(20, 53, 5)
+    with counting_path(fallback):
+        rep = rep_table(base)
+    assert Relation.from_difference_set(rep, rep.codes).matrix.all()
+    assert not Relation.from_difference_set(rep, rep.codes[:0]).matrix.any()
 
 
 def test_common_counts_identity():
     # sum over ordered pairs of |common right-partners| equals the sum of
     # squared column degrees
     base = gen_random(18, 101, 9)
-    r = Relation.from_difference_set(base, [(d,) for d in (1, 5, 17, 44)])
+    r = difference_relation(base, [(d,) for d in (1, 5, 17, 44)])
     counts = common_counts(r)
     nb = neighborhoods(r)
     assert sum(counts.values()) == sum(len(v) ** 2 for v in nb.values())
@@ -142,7 +157,7 @@ def test_extract_tv_nesting_and_floor():
 
 def test_extract_tv_threads_deterministic():
     base = gen_random(45, 211, 4)
-    r = Relation.from_difference_set(base, [(d,) for d in range(30)])
+    r = difference_relation(base, [(d,) for d in range(30)])
     w1 = extract_tv(r, F(1, 4), threads=1)
     w4 = extract_tv(r, F(1, 4), threads=4)
     assert w1 == w4
@@ -173,7 +188,7 @@ def test_exact_float_bound_is_guarded():
 
 def test_extract_tv_asks_the_guard_and_agrees_in_float64(monkeypatch):
     base = gen_random(45, 211, 4)
-    r = Relation.from_difference_set(base, [(d,) for d in range(30)])
+    r = difference_relation(base, [(d,) for d in range(30)])
     n = len(base)
     asked = []
 
