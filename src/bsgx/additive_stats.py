@@ -13,7 +13,7 @@ pack into int64, else the rank of d among the sorted distinct differences.
 Everything downstream (partition, membership matrices, relation build) runs
 the same numpy path on these codes.  Counting is O(|A|^2); all values are
 integers well inside int64, so the counts are exact and independent of
-chunking and thread schedule.
+chunking.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ._codec import Codec, build_codec, row_chunks
-from ._parallel import chunked_map
 from .groups import AdditiveSet, Element, sub
 
 _DECODE_CHUNK = 1 << 16
@@ -122,7 +121,7 @@ def _merge_code_counts(parts: list) -> Tuple[np.ndarray, np.ndarray]:
     return codes[starts], np.add.reduceat(counts, starts)
 
 
-def rep_table(a_set: AdditiveSet, threads: int = 1) -> RepTable:
+def rep_table(a_set: AdditiveSet) -> RepTable:
     """Count every ordered pairwise difference of a_set."""
     codec = build_codec(a_set)
     if codec is None:
@@ -135,25 +134,19 @@ def rep_table(a_set: AdditiveSet, threads: int = 1) -> RepTable:
         return RepTable(a_set, None, codes, counts, diffs)
 
     n = len(a_set)
-
-    def scan(chunk: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = chunk
+    parts = []
+    for lo, hi in row_chunks(n, n):
         block = codec.diff_codes(codec.coords[lo:hi], codec.coords).ravel()
-        return np.unique(block, return_counts=True)
-
-    parts = chunked_map(scan, row_chunks(n, n), threads)
+        parts.append(np.unique(block, return_counts=True))
+        del block  # free it before the next block is built
     codes, counts = _merge_code_counts(parts)
     return RepTable(a_set, codec, codes, counts)
 
 
-def energy(
-    a_set: AdditiveSet,
-    rep: Optional[RepTable] = None,
-    threads: int = 1,
-) -> EnergyReport:
+def energy(a_set: AdditiveSet, rep: Optional[RepTable] = None) -> EnergyReport:
     """Energy E(A) = sum of r(d)^2 with K = |A|^3 / E(A) in lowest terms."""
     if rep is None:
-        rep = rep_table(a_set, threads=threads)
+        rep = rep_table(a_set)
     n = len(a_set)
     e_val = rep.energy_sum()
     return EnergyReport(
@@ -164,9 +157,7 @@ def energy(
     )
 
 
-def difference_set(a_set: AdditiveSet, rep: Optional[RepTable] = None) -> AdditiveSet:
+def difference_set(a_set: AdditiveSet) -> AdditiveSet:
     """The set A - A of all ordered pairwise differences, canonicalized."""
-    if rep is None:
-        rep = rep_table(a_set)
-    elems = tuple(d for d, _ in rep.items())
+    elems = tuple(d for d, _ in rep_table(a_set).items())
     return AdditiveSet(a_set.spec, elems)

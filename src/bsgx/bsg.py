@@ -29,7 +29,6 @@ import numpy as np
 
 from ._codec import row_chunks
 from ._gemm import exact_float
-from ._parallel import chunked_map
 from .additive_stats import RepTable, rep_table
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element, serialize_set
@@ -89,11 +88,18 @@ class PartitionPQ:
     def energy(self) -> int:
         return self.p_mass + self.q_mass
 
+    def p_holds(self, eps: Fraction) -> bool:
+        """The popular-branch hypothesis: 4 * p_mass >= eps * E."""
+        return 4 * self.p_mass >= eps * self.energy
 
-def partition_pq(a_set: AdditiveSet, rep: Optional[RepTable] = None, threads: int = 1) -> PartitionPQ:
+    def q_holds(self, eps: Fraction) -> bool:
+        """The unpopular-branch hypothesis: q_mass >= (1 - eps/4) * E."""
+        return self.q_mass >= (1 - eps / 4) * self.energy
+
+
+def partition_pq(a_set: AdditiveSet) -> PartitionPQ:
     """Split A - A by the exact popularity test r(d)^2 * |A| >= E."""
-    if rep is None:
-        rep = rep_table(a_set, threads=threads)
+    rep = rep_table(a_set)
     n = len(a_set)
     e_val = rep.energy_sum()
     counts = rep.counts
@@ -115,9 +121,9 @@ def partition_pq(a_set: AdditiveSet, rep: Optional[RepTable] = None, threads: in
 def case_select(pq: PartitionPQ, eps: Fraction) -> str:
     """"P" when the popular mass reaches eps * E / 4, else "Q"."""
     eps = Params(eps).eps
-    if 4 * pq.p_mass >= eps * pq.energy:
+    if pq.p_holds(eps):
         return "P"
-    if Fraction(pq.q_mass) < (1 - eps / 4) * pq.energy:
+    if not pq.q_holds(eps):
         raise InvariantViolation("neither branch hypothesis holds")
     return "Q"
 
@@ -228,7 +234,6 @@ def _finish_report(
     case: str,
     witness: Union[PWitness, QWitness],
     a_prime: AdditiveSet,
-    threads: int,
 ) -> ExtractionReport:
     n = pq.set_size
     e_val = pq.energy
@@ -238,10 +243,11 @@ def _finish_report(
     diff_bound_p = (
         2**10 * eps**-4 * k_val**3 * len(a_prime) if case == "P" else None
     )
-    diff_size = len(rep_table(a_prime, threads=threads))
+    diff_size = len(rep_table(a_prime))
     m = len(a_prime)
 
     size_ok = m * m * n >= (1 - eps) ** 2 * e_val
+    # implied by size_ok: multiply it by E / n and use E >= n^2
     size_ok_cleared = m * m * e_val >= (1 - eps) ** 2 * n**3
     diff_ok = diff_size <= diff_bound
     diff_ok_p = diff_size <= diff_bound_p if diff_bound_p is not None else None
@@ -276,9 +282,7 @@ def _finish_report(
     )
 
 
-def _membership_matrices(
-    pq: PartitionPQ, thin_floor: int, threads: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, np.ndarray]:
     """Build X[i, j] = (r(a_i - a_j) <= thin_floor) and M[t, i] = (a_i in A_d_t).
 
     Both come from one scan of the difference codes: a_i is in A_d exactly
@@ -294,22 +298,18 @@ def _membership_matrices(
     p_rank[np.searchsorted(rep.codes, pq.p_codes)] = np.arange(len(pq.p_codes))
     x_mat = np.empty((n, n), dtype=np.bool_)
     m_mat = np.zeros((len(pq.p_codes), n), dtype=np.bool_)
-
-    def fill(chunk: Tuple[int, int]) -> None:
-        lo, hi = chunk
+    for lo, hi in row_chunks(n, n):
         idx = np.searchsorted(rep.codes, rep.pair_codes(lo, hi))
         counts = rep.counts[idx]
         x_mat[lo:hi] = counts <= thin_floor
         hits = np.flatnonzero(counts >= pop_floor)
         m_mat[p_rank[idx.ravel()[hits]], lo + hits // n] = True
-
-    chunked_map(fill, row_chunks(n, n), threads)
+        del idx, counts, hits  # free them before the next block is built
     return x_mat, m_mat
 
 
 def extract_p(
-    a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction, threads: int = 1,
-    run_both: bool = False,
+    a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction, run_both: bool = False
 ) -> ExtractionReport:
     """Popular branch: pick the difference whose slice has few thin pairs.
 
@@ -319,15 +319,15 @@ def extract_p(
     with ties broken by larger |A_d| and then lexicographically smaller d.
     A' keeps the elements of A* = A_d* with at most |A*| / 4 thin partners.
     """
-    eps = Fraction(eps)
+    eps = Params(eps).eps
+    if not pq.p_holds(eps):
+        raise ValueError("popular branch requires p_mass >= eps * E / 4")
     n = len(a_set)
     e_val = pq.energy
-    if 4 * pq.p_mass < eps * e_val:
-        raise ValueError("popular branch requires p_mass >= eps * E / 4")
 
     thin = eps * eps * e_val / (16 * n * n)
     thin_floor = thin.numerator // thin.denominator
-    x_mat, m_mat = _membership_matrices(pq, thin_floor, threads)
+    x_mat, m_mat = _membership_matrices(pq, thin_floor)
 
     slice_sizes = m_mat.sum(axis=1, dtype=np.int64)
     expected = np.array([c for _, c in pq.p_items], dtype=np.int64)
@@ -339,15 +339,12 @@ def extract_p(
     sum_dtype = exact_float(n * n)
     x_f = x_mat.astype(gemm_dtype)
     m_f = m_mat.astype(gemm_dtype)
-
-    def thin_pairs(chunk: Tuple[int, int]) -> np.ndarray:
-        lo, hi = chunk
+    thin_counts = np.empty(len(pq.p_items), dtype=np.int64)
+    for lo, hi in row_chunks(len(pq.p_items), n):
         inner = m_f[lo:hi] @ x_f
         inner *= m_f[lo:hi]
-        return inner.sum(axis=1, dtype=sum_dtype).astype(np.int64)
-
-    chunks = row_chunks(len(pq.p_items), n)
-    thin_counts = np.concatenate(chunked_map(thin_pairs, chunks, threads))
+        thin_counts[lo:hi] = inner.sum(axis=1, dtype=sum_dtype)
+        del inner  # free it before the next block is built
 
     p_num, p_den = eps.numerator, eps.denominator
     best_t = None
@@ -391,12 +388,11 @@ def extract_p(
         thin_threshold=thin_floor,
         thin_pairs_in_a_star=s_star,
     )
-    return _finish_report(a_set, pq, eps, run_both, "P", witness, a_prime, threads)
+    return _finish_report(a_set, pq, eps, run_both, "P", witness, a_prime)
 
 
 def extract_q(
-    a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction, threads: int = 1,
-    run_both: bool = False,
+    a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction, run_both: bool = False
 ) -> ExtractionReport:
     """Unpopular branch: weight selection, then the 3-step path filter.
 
@@ -406,12 +402,12 @@ def extract_q(
     {(a, b) : a - b in Q'} has density delta >= (1 - eps/2) * K^(-1/2),
     and the path filter with xi = eps / 2 yields A'.
     """
-    eps = Fraction(eps)
+    eps = Params(eps).eps
+    if not pq.q_holds(eps):
+        raise ValueError("unpopular branch requires q_mass >= (1 - eps/4) * E")
     n = len(a_set)
     e_val = pq.energy
     k_val = Fraction(n**3, e_val)
-    if Fraction(pq.q_mass) < (1 - eps / 4) * e_val:
-        raise ValueError("unpopular branch requires q_mass >= (1 - eps/4) * E")
 
     if not pq.q_size:
         raise ValueError("unpopular side is empty")
@@ -433,23 +429,19 @@ def extract_q(
     if Fraction(chosen**4) > 2**21 * eps**-5 * k_val**4 * delta**6 * n**4:
         raise InvariantViolation("selected prefix too long for the path bound")
 
-    tv = extract_tv(relation, eps / 2, threads=threads)
+    tv = extract_tv(relation, eps / 2)
     witness = QWitness(selection=selection, q_prime=q_prime, delta=delta, tv=tv)
-    return _finish_report(
-        a_set, pq, eps, run_both, "Q", witness, tv.a_prime, threads
-    )
+    return _finish_report(a_set, pq, eps, run_both, "Q", witness, tv.a_prime)
 
 
-def extract(a_set: AdditiveSet, params: Params, threads: int = 1) -> ExtractionReport:
+def extract(a_set: AdditiveSet, params: Params) -> ExtractionReport:
     """Full pipeline: partition, choose a branch, extract, certify."""
-    pq = partition_pq(a_set, threads=threads)
+    pq = partition_pq(a_set)
     eps = params.eps
-    e_val = pq.energy
-    p_holds = 4 * pq.p_mass >= eps * e_val
-    q_holds = Fraction(pq.q_mass) >= (1 - eps / 4) * e_val
-    if params.run_both and p_holds and q_holds:
-        report_p = extract_p(a_set, pq, eps, threads, run_both=True)
-        report_q = extract_q(a_set, pq, eps, threads, run_both=True)
+    case = case_select(pq, eps)
+    if params.run_both and case == "P" and pq.q_holds(eps):
+        report_p = extract_p(a_set, pq, eps, run_both=True)
+        report_q = extract_q(a_set, pq, eps, run_both=True)
         ratio_p = Fraction(report_p.diff_size, report_p.a_prime_size)
         ratio_q = Fraction(report_q.diff_size, report_q.a_prime_size)
         if ratio_p != ratio_q:
@@ -461,6 +453,6 @@ def extract(a_set: AdditiveSet, params: Params, threads: int = 1) -> ExtractionR
                 else report_q
             )
         return report_p
-    if p_holds:
-        return extract_p(a_set, pq, eps, threads, run_both=params.run_both)
-    return extract_q(a_set, pq, eps, threads, run_both=params.run_both)
+    if case == "P":
+        return extract_p(a_set, pq, eps, run_both=params.run_both)
+    return extract_q(a_set, pq, eps, run_both=params.run_both)

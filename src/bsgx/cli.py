@@ -6,8 +6,7 @@ bad parameters; 3 invalid eps; 4 a certified inequality failed internally
 succeed on every input).
 
 All outputs are deterministic for fixed inputs and flags: reports carry no
-timestamps unless --timestamps is given, and --threads only changes how
-work is scheduled, never any computed value.
+timestamps unless --timestamps is given.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def cmd_energy(args: argparse.Namespace) -> int:
     a_set = _read_set(args.set_file)
-    report = energy(a_set, threads=args.threads)
+    report = energy(a_set)
     out = {
         "n": report.set_size,
         "diff_size": report.diff_size,
@@ -86,7 +85,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     a_set = _read_set(args.set_file)
     eps = _parse_eps(args.eps)
     try:
-        report = extract(a_set, Params(eps=eps, run_both=args.both), threads=args.threads)
+        report = extract(a_set, Params(eps=eps, run_both=args.both))
     except InvariantViolation as exc:
         raise _CliError(EXIT_INTERNAL, f"internal assertion failed: {exc}") from exc
     doc = report.to_json_dict()
@@ -158,7 +157,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise _CliError(EXIT_USAGE, f"{spec.label()}: {exc}") from exc
         for eps in eps_list:
             try:
-                report = extract(a_set, Params(eps=eps), threads=args.threads)
+                report = extract(a_set, Params(eps=eps))
             except InvariantViolation as exc:
                 raise _CliError(
                     EXIT_INTERNAL, f"internal assertion failed: {exc}"
@@ -197,13 +196,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for the counting scans (results are identical for any value)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsgx",
@@ -213,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = sub.add_parser("energy", help="print size, difference-set size, energy, and K")
     p_energy.add_argument("set_file")
-    _add_threads(p_energy)
     p_energy.set_defaults(func=cmd_energy)
 
     p_extract = sub.add_parser("extract", help="run the extraction and write a JSON report")
@@ -224,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--out", help="report path (default: stdout)")
     p_extract.add_argument("--timestamps", action="store_true",
                            help="include a generation timestamp in the report")
-    _add_threads(p_extract)
     p_extract.set_defaults(func=cmd_extract)
 
     p_verify = sub.add_parser("verify", help="brute-force check a report against its input set")
@@ -268,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--eps", default="1/10,1/4,2/5",
                          help="comma-separated eps list (default 1/10,1/4,2/5)")
     p_bench.add_argument("--csv", help="output path (default: stdout)")
-    _add_threads(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -277,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        sys.stderr.write("error: --threads must be >= 1\n")
-        return EXIT_USAGE
     if hasattr(args, "family_args_of"):
         args.family_args = args.family_args_of(args)
     try:

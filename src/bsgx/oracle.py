@@ -199,6 +199,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
             m * m * n >= (1 - eps) ** 2 * e_true,
         )
     )
+    # implied by size_lower_bound: multiply it by E / n and use E >= n^2
     checks.append(
         _check(
             "size_lower_bound_cleared",

@@ -17,7 +17,7 @@ of A.  Counting passes run as row-chunked 0/1 matrix products in the float
 dtype that _gemm.exact_float picks: float32 while |A| <= 2^24, the bound under
 which every entry and partial sum is an exact integer.  Sums of products run
 in a dtype checked against their own bound, so the results are exact and
-independent of chunking and thread count.
+independent of chunking.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from ._codec import row_chunks
 from ._gemm import exact_float
-from ._parallel import chunked_map
 from .additive_stats import RepTable
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element
@@ -105,7 +104,7 @@ class TvWitness:
     xi: Fraction
 
 
-def extract_tv(relation: Relation, xi: Fraction, threads: int = 1) -> TvWitness:
+def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
     """Pick x*, form A* = N(x*), filter to A'; all guarantees asserted.
 
     x* maximizes |N(x)|^2 - 8 * xi^-1 * |N(x)^2 intersect Omega| with ties
@@ -134,20 +133,15 @@ def extract_tv(relation: Relation, xi: Fraction, threads: int = 1) -> TvWitness:
     thresh = delta * delta * xi * xi * n / 8
     t_floor = thresh.numerator // thresh.denominator
 
-    def scan(chunk: Tuple[int, int]) -> np.ndarray:
-        lo, hi = chunk
-        common_block = matrix_f[lo:hi] @ matrix_f.T
-        omega_block = common_block <= t_floor
+    omega_weight = np.zeros(n, dtype=np.int64)
+    for lo, hi in row_chunks(n, n):
+        omega_block = matrix_f[lo:hi] @ matrix_f.T <= t_floor
         if not omega_block.any():
             # no thin pair in these rows: their contribution is exactly zero
-            return np.zeros(n, dtype=np.int64)
+            continue
         partner_block = omega_block.astype(gemm_dtype) @ matrix_f
         partner_block *= matrix_f[lo:hi]
-        return partner_block.sum(axis=0, dtype=sum_dtype).astype(np.int64)
-
-    omega_weight = np.zeros(n, dtype=np.int64)
-    for part in chunked_map(scan, row_chunks(n, n), threads):
-        omega_weight += part
+        omega_weight += partner_block.sum(axis=0, dtype=sum_dtype).astype(np.int64)
 
     # score xi * deg^2 - 8 * omega, times xi's denominator, in Python ints;
     # argmax keeps the first maximum, the lexicographically smallest center

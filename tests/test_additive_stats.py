@@ -85,12 +85,6 @@ def test_energy_accepts_precomputed_table():
     assert energy(a, rep=rep) == energy(a)
 
 
-def test_threads_do_not_change_anything():
-    a = gen_random(40, 211, 11)
-    assert energy(a, threads=3) == energy(a, threads=1)
-    assert dict(rep_table(a, threads=4).items()) == dict(rep_table(a).items())
-
-
 def test_dict_fallback_agrees_with_fast_path(monkeypatch):
     sets = [
         gen_random(25, 64, 5),

@@ -111,6 +111,16 @@ def test_extract_q_requires_its_hypothesis():
         extract_q(A012, pq, F(1, 5))
 
 
+@pytest.mark.parametrize("eps", [F(0), F(1, 2), F(3, 4), F(-1, 4)])
+@pytest.mark.parametrize(
+    "branch,a", [(extract_p, gen_ap(30)), (extract_q, gen_random(63, 127, 7))]
+)
+def test_branches_range_check_eps(branch, a, eps):
+    pq = partition_pq(a)
+    with pytest.raises(ValueError, match="eps must be in"):
+        branch(a, pq, eps)
+
+
 def test_extract_q_random_fixture():
     a = gen_random(63, 127, 7)
     rep = extract(a, Params(eps=F(1, 4)))
@@ -189,8 +199,8 @@ def test_report_json_q_case_embeds_q_prime():
 
 def test_reports_are_deterministic_objects():
     a = gen_random(50, 101, 5)
-    r1 = extract(a, Params(eps=F(1, 4)), threads=1)
-    r2 = extract(a, Params(eps=F(1, 4)), threads=3)
+    r1 = extract(a, Params(eps=F(1, 4)))
+    r2 = extract(a, Params(eps=F(1, 4)))
     s1, s2 = r1.witness.selection, r2.witness.selection
     # a selection compares by identity, since its order is an array
     assert s1.order.tolist() == s2.order.tolist()
@@ -200,16 +210,14 @@ def test_reports_are_deterministic_objects():
     assert r1.to_json() == r2.to_json()
 
 
-def test_branch_q_report_bytes_do_not_depend_on_threads(monkeypatch):
+def test_branch_q_report_bytes_do_not_depend_on_chunking(monkeypatch):
     a = gen_random(40, 79, 12)
     params = Params(eps=F(2, 5))
     whole = extract(a, params).to_json()
     assert json.loads(whole)["case"] == "Q"
-    # a tiny block budget splits every scan into many chunks, so the
-    # per-chunk buffers run side by side under chunked_map
+    # a tiny block budget splits every scan into one-row chunks
     monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
-    assert extract(a, params, threads=1).to_json() == whole
-    assert extract(a, params, threads=3).to_json() == whole
+    assert extract(a, params).to_json() == whole
 
 
 @pytest.mark.parametrize("fallback", [False, True])
@@ -219,7 +227,7 @@ def test_membership_matrices_match_their_definitions(fallback, monkeypatch):
         pq = partition_pq(a)
     assert (pq.rep.codec is None) == fallback
     monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
-    x_mat, m_mat = _membership_matrices(pq, 6, threads=2)
+    x_mat, m_mat = _membership_matrices(pq, 6)
     table = dict(pq.rep.items())
     elems = a.elements
     assert x_mat.tolist() == [[table[sub(a.spec, x, y)] <= 6 for y in elems] for x in elems]

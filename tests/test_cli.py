@@ -159,10 +159,6 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_threads_must_be_positive(aset_file, capsys):
-    assert main(["energy", aset_file(A012), "--threads", "0"]) == 2
-
-
 def test_bench_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main([
@@ -195,11 +191,3 @@ def test_bench_rejects_bad_family(capsys):
     assert main(["bench", "--families", "nope:3", "--eps", "1/4"]) == 2
     assert main(["bench", "--families", "ap:5", "--eps", "1/2"]) == 3
 
-
-def test_extract_threads_byte_identical(aset_file, tmp_path):
-    src = aset_file(A012)
-    r1 = tmp_path / "r1.json"
-    r2 = tmp_path / "r2.json"
-    assert main(["extract", src, "--eps", "1/5", "--out", str(r1), "--threads", "1"]) == 0
-    assert main(["extract", src, "--eps", "1/5", "--out", str(r2), "--threads", "4"]) == 0
-    assert r1.read_bytes() == r2.read_bytes()

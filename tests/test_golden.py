@@ -15,7 +15,7 @@ import pytest
 
 from conftest import counting_path
 
-from bsgx import AdditiveSet, GroupSpec, Params, extract, gen_ap, gen_axis, gen_ball, gen_random
+from bsgx import AdditiveSet, GroupSpec, Params, _codec, extract, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx._codec import build_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
@@ -67,10 +67,21 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("label,eps,both", list(GOLDEN))
-def test_golden_report_bytes(label, eps, both):
+# every case at the default block budget, and again at 64 cells, where every
+# n x n scan splits into one-row chunks; the default cases' ids carry no suffix
+GOLDEN_CASES = [
+    pytest.param(*key, cells, id="-".join(map(str, key)) + suffix)
+    for cells, suffix in ((None, ""), (64, "-64cells"))
+    for key in GOLDEN
+]
+
+
+@pytest.mark.parametrize("label,eps,both,cells", GOLDEN_CASES)
+def test_golden_report_bytes(label, eps, both, cells, monkeypatch):
     a, params = build(label, eps, both)
     assert (build_codec(a) is None) == label.endswith("*2^53")
+    if cells is not None:
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
     out = extract(a, params).to_json().encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN[(label, eps, both)]
 

@@ -12,6 +12,7 @@ from conftest import (
 )
 
 import bsgx.relation_lemma as relation_lemma
+from bsgx import _codec
 from bsgx.additive_stats import rep_table
 from bsgx._gemm import exact_float
 from bsgx.errors import InvariantViolation
@@ -146,7 +147,8 @@ def test_extract_tv_nesting_and_floor():
             pairs.add((rng.below(n), rng.below(n)))
         r = Relation.from_index_pairs(base, pairs)
         xi = F(1 + rng.below(9), 10)
-        w = extract_tv(r, xi, threads=1 + rng.below(3))
+        rng.below(3)  # an unused draw, kept so the later trials stay the same
+        w = extract_tv(r, xi)
         assert w.xi == xi and w.delta == r.delta
         a_star = set(w.a_star.elements)
         assert set(w.a_prime.elements) <= a_star <= set(base.elements)
@@ -155,12 +157,30 @@ def test_extract_tv_nesting_and_floor():
         assert w.triple_lower_bound == w.delta**4 * xi**4 * n**2 * len(w.a_prime) / 128
 
 
-def test_extract_tv_threads_deterministic():
-    base = gen_random(45, 211, 4)
-    r = difference_relation(base, [(d,) for d in range(30)])
-    w1 = extract_tv(r, F(1, 4), threads=1)
-    w4 = extract_tv(r, F(1, 4), threads=4)
-    assert w1 == w4
+@pytest.mark.parametrize("cells", [None, 64])
+def test_extract_tv_center_maximizes_its_score(cells, monkeypatch):
+    # a dense core of 20 rows related to every column, and 20 sparse rows with
+    # at most two partners among the first 6 columns: thin pairs then sit in
+    # many row blocks, and the centers among those 6 columns pay for them
+    rng = SplitMix64(31)
+    n = 40
+    base = gen_ap(n)
+    pairs = [(i, j) for i in range(20) for j in range(n)]
+    pairs += [(i, rng.below(6)) for i in range(20, n) for _ in range(2)]
+    r = Relation.from_index_pairs(base, pairs)
+    if cells is not None:
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+    xi = F(1)
+    w = extract_tv(r, xi)
+    thin = r.delta**2 * xi**2 * n / 8
+    counts = common_counts(r)
+    scores = []
+    for x, nb in neighborhoods(r).items():
+        omega = sum(1 for a in nb for b in nb if counts[(a, b)] <= thin)
+        scores.append((xi * len(nb) ** 2 - 8 * omega, x))
+    best = max(score for score, _ in scores)
+    assert w.x_star == min(x for score, x in scores if score == best)
+    assert w.omega_card_in_astar > 0
 
 
 def test_tv_witness_verified_synthetic():
