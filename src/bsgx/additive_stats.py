@@ -143,10 +143,9 @@ def rep_table(a_set: AdditiveSet) -> RepTable:
     return RepTable(a_set, codec, codes, counts)
 
 
-def energy(a_set: AdditiveSet, rep: Optional[RepTable] = None) -> EnergyReport:
+def energy(a_set: AdditiveSet) -> EnergyReport:
     """Energy E(A) = sum of r(d)^2 with K = |A|^3 / E(A) in lowest terms."""
-    if rep is None:
-        rep = rep_table(a_set)
+    rep = rep_table(a_set)
     n = len(a_set)
     e_val = rep.energy_sum()
     return EnergyReport(

@@ -13,9 +13,9 @@ for any rational eps in (0, 1/2).  The popular branch additionally achieves
 |A' - A'| <= 2^10 * eps^-4 * K^3 * |A'|.  Every threshold the analysis
 writes with a square root is compared after squaring, so the whole pipeline
 is exact integer and rational arithmetic.  Floating point appears only
-inside 0/1 matrix products, in float32 while every entry and partial sum is
-an integer of at most 2^24 and in float64 past that; _gemm.exact_float is
-the one place that bound is checked.
+inside the 0/1 matrix products of relation_lemma, whose exactness bound is
+checked in one place (_gemm); both branches count and filter their thin
+pairs through relation_lemma.thin_pairs_per_slice and drop_thin.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ._codec import row_chunks
-from ._gemm import exact_float
 from .additive_stats import RepTable, rep_table
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element, serialize_set
 from .numeric_lemma import PrefixSelection, WeightVector, select_index_set
-from .relation_lemma import Relation, TvWitness, extract_tv
+from .relation_lemma import Relation, TvWitness, drop_thin, extract_tv, thin_pairs_per_slice
 
 TOOL_VERSION = "0.1.0"
 
@@ -283,7 +282,7 @@ def _finish_report(
 
 
 def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Build X[i, j] = (r(a_i - a_j) <= thin_floor) and M[t, i] = (a_i in A_d_t).
+    """Build X[i, j] = (r(a_i - a_j) <= thin_floor) and M[i, t] = (a_i in A_d_t).
 
     Both come from one scan of the difference codes: a_i is in A_d exactly
     when a_i - a_j = d for some j.
@@ -293,17 +292,17 @@ def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, 
     # popularity is monotone in r(d): d is popular exactly when r(d) reaches
     # the least popular count
     pop_floor = min(c for _, c in pq.p_items)
-    # p_rank[k] is the row of M of the k-th rep-table difference, if popular
+    # p_rank[k] is the column of M of the k-th rep-table difference, if popular
     p_rank = np.zeros(len(rep), dtype=np.int64)
     p_rank[np.searchsorted(rep.codes, pq.p_codes)] = np.arange(len(pq.p_codes))
     x_mat = np.empty((n, n), dtype=np.bool_)
-    m_mat = np.zeros((len(pq.p_codes), n), dtype=np.bool_)
+    m_mat = np.zeros((n, len(pq.p_codes)), dtype=np.bool_)
     for lo, hi in row_chunks(n, n):
         idx = np.searchsorted(rep.codes, rep.pair_codes(lo, hi))
         counts = rep.counts[idx]
         x_mat[lo:hi] = counts <= thin_floor
         hits = np.flatnonzero(counts >= pop_floor)
-        m_mat[p_rank[idx.ravel()[hits]], lo + hits // n] = True
+        m_mat[lo + hits // n, p_rank[idx.ravel()[hits]]] = True
         del idx, counts, hits  # free them before the next block is built
     return x_mat, m_mat
 
@@ -329,22 +328,11 @@ def extract_p(
     thin_floor = thin.numerator // thin.denominator
     x_mat, m_mat = _membership_matrices(pq, thin_floor)
 
-    slice_sizes = m_mat.sum(axis=1, dtype=np.int64)
+    slice_sizes = m_mat.sum(axis=0, dtype=np.int64)
     expected = np.array([c for _, c in pq.p_items], dtype=np.int64)
     if not np.array_equal(slice_sizes, expected):
         raise InvariantViolation("slice size disagrees with its difference count")
-
-    # entries of m_f @ x_f are at most n and a row sum of n of them is at most n^2
-    gemm_dtype = exact_float(n)
-    sum_dtype = exact_float(n * n)
-    x_f = x_mat.astype(gemm_dtype)
-    m_f = m_mat.astype(gemm_dtype)
-    thin_counts = np.empty(len(pq.p_items), dtype=np.int64)
-    for lo, hi in row_chunks(len(pq.p_items), n):
-        inner = m_f[lo:hi] @ x_f
-        inner *= m_f[lo:hi]
-        thin_counts[lo:hi] = inner.sum(axis=1, dtype=sum_dtype)
-        del inner  # free it before the next block is built
+    thin_counts = thin_pairs_per_slice(m_mat, x_mat)
 
     p_num, p_den = eps.numerator, eps.denominator
     best_t = None
@@ -368,11 +356,8 @@ def extract_p(
     if m_star * m_star * n < e_val:
         raise InvariantViolation("chosen difference is not popular")
 
-    star_rows = np.flatnonzero(m_mat[best_t])
-    x_star_mat = x_mat[np.ix_(star_rows, star_rows)]
-    thin_partners = x_star_mat.sum(axis=1, dtype=np.int64)
-    keep = 4 * thin_partners <= m_star
-    prime_rows = star_rows[keep]
+    star_rows = np.flatnonzero(m_mat[:, best_t])
+    prime_rows = drop_thin(star_rows, x_mat)
     if Fraction(len(prime_rows)) < (1 - eps) * m_star:
         raise InvariantViolation("filtered slice below its guaranteed size")
 

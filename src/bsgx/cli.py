@@ -84,10 +84,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     a_set = _read_set(args.set_file)
     eps = _parse_eps(args.eps)
-    try:
-        report = extract(a_set, Params(eps=eps, run_both=args.both))
-    except InvariantViolation as exc:
-        raise _CliError(EXIT_INTERNAL, f"internal assertion failed: {exc}") from exc
+    report = extract(a_set, Params(eps=eps, run_both=args.both))
     doc = report.to_json_dict()
     if args.timestamps:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
@@ -122,7 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_USAGE, f"cannot read report: {exc}") from exc
     try:
         result = verify_report_dict(a_set, report)
-    except (KeyError, TypeError, ValueError, AsetFormatError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, AsetFormatError) as exc:
         raise _CliError(EXIT_USAGE, f"report does not match the set: {exc}") from exc
     sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n")
     return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
@@ -156,12 +153,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, f"{spec.label()}: {exc}") from exc
         for eps in eps_list:
-            try:
-                report = extract(a_set, Params(eps=eps))
-            except InvariantViolation as exc:
-                raise _CliError(
-                    EXIT_INTERNAL, f"internal assertion failed: {exc}"
-                ) from exc
+            report = extract(a_set, Params(eps=eps))
             checks = dict(report.checks)
             ratio = Fraction(report.diff_size, report.a_prime_size) / report.K**4
             rows.append(
@@ -273,6 +265,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    except InvariantViolation as exc:
+        sys.stderr.write(f"error: internal assertion failed: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,6 +18,11 @@ dtype that _gemm.exact_float picks: float32 while |A| <= 2^24, the bound under
 which every entry and partial sum is an exact integer.  Sums of products run
 in a dtype checked against their own bound, so the results are exact and
 independent of chunking.
+
+Both branches of the extraction end in the same step, which lives here:
+thin_pairs_per_slice counts the thin pairs inside each candidate slice (a
+neighborhood N(x) here, a popular-difference slice A_d in bsg.extract_p),
+and drop_thin filters the chosen slice.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Tuple
 
 import numpy as np
 
@@ -45,18 +50,6 @@ class Relation:
             raise ValueError("relation matrix must be boolean of shape (|A|, |A|)")
         self.base = base
         self.matrix = matrix
-
-    @classmethod
-    def from_index_pairs(
-        cls, base: AdditiveSet, pairs: Iterable[Tuple[int, int]]
-    ) -> "Relation":
-        n = len(base)
-        matrix = np.zeros((n, n), dtype=np.bool_)
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"index pair ({i}, {j}) out of range for |A|={n}")
-            matrix[i, j] = True
-        return cls(base, matrix)
 
     @classmethod
     def from_difference_set(cls, rep: RepTable, codes: np.ndarray) -> "Relation":
@@ -91,6 +84,37 @@ class Relation:
         return frozenset(zip(ii.tolist(), jj.tolist()))
 
 
+def thin_pairs_per_slice(members: np.ndarray, thin: np.ndarray) -> np.ndarray:
+    """The thin pairs inside each slice, as an int64 count per slice.
+
+    members is an n x k 0/1 matrix with one slice per column and thin the
+    n x n boolean thin-pair matrix; slice t counts
+    sum over i, j of members[i, t] * thin[i, j] * members[j, t].
+    """
+    n = len(thin)
+    # entries of thin @ members are at most n and a column sum of n of them
+    # at most n^2
+    gemm_dtype = exact_float(n)
+    sum_dtype = exact_float(n * n)
+    members_f = members.astype(gemm_dtype, copy=False)
+    counts = np.zeros(members.shape[1], dtype=np.int64)
+    for lo, hi in row_chunks(n, n):
+        if not thin[lo:hi].any():
+            # no thin pair in these rows: their contribution is exactly zero
+            continue
+        partner_block = thin[lo:hi].astype(gemm_dtype) @ members_f
+        partner_block *= members_f[lo:hi]
+        counts += partner_block.sum(axis=0, dtype=sum_dtype).astype(np.int64)
+        del partner_block  # free it before the next block is built
+    return counts
+
+
+def drop_thin(rows: np.ndarray, thin: np.ndarray) -> np.ndarray:
+    """The rows with at most len(rows) / 4 thin partners among rows."""
+    partners = thin[np.ix_(rows, rows)].sum(axis=1, dtype=np.int64)
+    return rows[4 * partners <= len(rows)]
+
+
 @dataclass(frozen=True)
 class TvWitness:
     """The chosen center, its neighborhood, and the filtered subset."""
@@ -121,9 +145,7 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
         raise ValueError("relation must be nonempty")
     delta = Fraction(r_size, n * n)
 
-    gemm_dtype = exact_float(n)
-    sum_dtype = exact_float(n * n)
-    matrix_f = relation.matrix.astype(gemm_dtype)
+    matrix_f = relation.matrix.astype(exact_float(n))
     deg = relation.matrix.sum(axis=0, dtype=np.int64)
 
     if int(np.dot(deg, deg)) * n < r_size * r_size:
@@ -132,16 +154,10 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
     # thin-pair threshold: common count <= delta^2 * xi^2 * n / 8
     thresh = delta * delta * xi * xi * n / 8
     t_floor = thresh.numerator // thresh.denominator
-
-    omega_weight = np.zeros(n, dtype=np.int64)
+    omega = np.empty((n, n), dtype=np.bool_)
     for lo, hi in row_chunks(n, n):
-        omega_block = matrix_f[lo:hi] @ matrix_f.T <= t_floor
-        if not omega_block.any():
-            # no thin pair in these rows: their contribution is exactly zero
-            continue
-        partner_block = omega_block.astype(gemm_dtype) @ matrix_f
-        partner_block *= matrix_f[lo:hi]
-        omega_weight += partner_block.sum(axis=0, dtype=sum_dtype).astype(np.int64)
+        np.less_equal(matrix_f[lo:hi] @ matrix_f.T, t_floor, out=omega[lo:hi])
+    omega_weight = thin_pairs_per_slice(matrix_f, omega)
 
     # score xi * deg^2 - 8 * omega, times xi's denominator, in Python ints;
     # argmax keeps the first maximum, the lexicographically smallest center
@@ -156,14 +172,7 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
         raise InvariantViolation("no center reaches the averaged score floor")
 
     star_idx = np.flatnonzero(relation.matrix[:, best_j])
-    n_star = len(star_idx)
-    star_f = matrix_f[star_idx]
-    common_star = star_f @ star_f.T
-    omega_star = common_star <= t_floor
-    omega_card = int(omega_star.sum(dtype=np.int64))
-    thin_partners = omega_star.sum(axis=1, dtype=np.int64)
-    keep = 4 * thin_partners <= n_star
-    prime_idx = star_idx[keep]
+    prime_idx = drop_thin(star_idx, omega)
     if len(prime_idx) == 0:
         raise InvariantViolation("every neighborhood element was filtered out")
     if Fraction(len(prime_idx)) < delta * (1 - xi) * n:
@@ -176,7 +185,7 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
         x_star=base.elements[best_j],
         a_star=a_star,
         a_prime=a_prime,
-        omega_card_in_astar=omega_card,
+        omega_card_in_astar=int(omega_weight[best_j]),
         triple_lower_bound=bound,
         delta=delta,
         xi=xi,

@@ -52,11 +52,22 @@ def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relati
     return Relation.from_difference_set(rep, np.array(codes, dtype=np.int64))
 
 
+def relation_from_index_pairs(base: AdditiveSet, pairs: Iterable[Tuple[int, int]]) -> Relation:
+    """The relation holding (a_i, a_j) for each index pair (i, j)."""
+    n = len(base)
+    matrix = np.zeros((n, n), dtype=np.bool_)
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"index pair ({i}, {j}) out of range for |A|={n}")
+        matrix[i, j] = True
+    return Relation(base, matrix)
+
+
 def relation_from_element_pairs(
     base: AdditiveSet, pairs: Iterable[Tuple[Element, Element]]
 ) -> Relation:
     index = {a: i for i, a in enumerate(base.elements)}
-    return Relation.from_index_pairs(base, ((index[a], index[b]) for a, b in pairs))
+    return relation_from_index_pairs(base, ((index[a], index[b]) for a, b in pairs))
 
 
 def neighborhoods(relation: Relation) -> Dict[Element, frozenset]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Tuple
 
-from conftest import ACCEPTANCE_LINES, difference_relation
+from conftest import ACCEPTANCE_LINES, difference_relation, relation_from_index_pairs
 
 from bsgx.bsg import ExtractionReport, Params, extract
 from bsgx.cli import main as cli_main
@@ -39,7 +39,7 @@ from bsgx.oracle import (
     verify_st,
     verify_tv_property,
 )
-from bsgx.relation_lemma import Relation, extract_tv
+from bsgx.relation_lemma import extract_tv
 from bsgx.additive_stats import energy
 
 F = Fraction
@@ -283,7 +283,7 @@ def test_path_richness_of_filtered_subsets():
             pairs = set()
             while len(pairs) < target:
                 pairs.add((rng.below(n), rng.below(n)))
-            relation = Relation.from_index_pairs(gen_ap(n), pairs)
+            relation = relation_from_index_pairs(gen_ap(n), pairs)
             assert relation.delta >= F(1, 5)
             xi = F(1 + rng.below(10), 10)
             witness = extract_tv(relation, xi)

@@ -79,12 +79,6 @@ def test_rep_invariants_on_a_structured_set():
     assert table[a.spec.zero()] == n
 
 
-def test_energy_accepts_precomputed_table():
-    a = gen_random(20, 101, 3)
-    rep = rep_table(a)
-    assert energy(a, rep=rep) == energy(a)
-
-
 def test_dict_fallback_agrees_with_fast_path(monkeypatch):
     sets = [
         gen_random(25, 64, 5),

@@ -233,7 +233,7 @@ def test_membership_matrices_match_their_definitions(fallback, monkeypatch):
     assert x_mat.tolist() == [[table[sub(a.spec, x, y)] <= 6 for y in elems] for x in elems]
     for t, (d, _) in enumerate(pq.p_items):
         # A_d = A intersect (A + d)
-        assert m_mat[t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
+        assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
 
 
 def test_theorem_bounds_recorded_exactly():

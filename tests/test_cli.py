@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import bsgx.cli as cli
 from bsgx.cli import main
+from bsgx.errors import InvariantViolation
 from bsgx.groups import parse_set
 
 A012 = "aset 1\ndim 1\nmod 0\n0\n1\n2\n"
@@ -111,6 +113,24 @@ def test_verify_garbage_report_exits_2(aset_file, tmp_path, capsys):
     assert main(["verify", src, str(bad)]) == 2
     bad.write_text('{"version": "0.1.0"}')
     assert main(["verify", src, str(bad)]) == 2
+    good = tmp_path / "good.json"
+    main(["extract", src, "--eps", "1/5", "--out", str(good)])
+    for eps in ("0/1", "1/0"):
+        doc = json.loads(good.read_text())
+        doc["params"]["eps"] = eps
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", src, str(bad)]) == 2, eps
+
+
+def test_internal_assertion_exits_4(aset_file, monkeypatch, capsys):
+    def broken(a_set, params):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(cli, "extract", broken)
+    src = aset_file(A012)
+    for argv in (["extract", src, "--eps", "1/4"], ["bench", "--families", "ap:10"]):
+        assert main(argv) == 4
+        assert "error: internal assertion failed: planted" in capsys.readouterr().err
 
 
 def test_verify_report_for_different_set_exits_2(aset_file, tmp_path, capsys):

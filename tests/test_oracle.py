@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import difference_relation
+from conftest import difference_relation, relation_from_index_pairs
 
 from bsgx.additive_stats import energy
 from bsgx.bsg import Params, extract
@@ -17,7 +17,7 @@ from bsgx.oracle import (
     verify_st,
     verify_tv_property,
 )
-from bsgx.relation_lemma import Relation, extract_tv
+from bsgx.relation_lemma import extract_tv
 
 F = Fraction
 Z = GroupSpec((0,))
@@ -140,7 +140,7 @@ def test_verify_extraction_object_entrypoint():
 def test_verify_tv_skips_above_the_guard():
     base = gen_ap(61)
     n = len(base)
-    r = Relation.from_index_pairs(base, [(i, j) for i in range(n) for j in range(n)])
+    r = relation_from_index_pairs(base, [(i, j) for i in range(n) for j in range(n)])
     w = extract_tv(r, F(1, 2))
     res = verify_tv_property(r, w, F(1, 2))
     assert res.ok  # skipped does not fail

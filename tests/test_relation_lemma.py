@@ -9,6 +9,7 @@ from conftest import (
     difference_relation,
     neighborhoods,
     relation_from_element_pairs,
+    relation_from_index_pairs,
 )
 
 import bsgx.relation_lemma as relation_lemma
@@ -19,7 +20,7 @@ from bsgx.errors import InvariantViolation
 from bsgx.generators import SplitMix64, gen_ap, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, sub
 from bsgx.oracle import verify_tv_property
-from bsgx.relation_lemma import Relation, extract_tv
+from bsgx.relation_lemma import Relation, drop_thin, extract_tv, thin_pairs_per_slice
 
 F = Fraction
 Z = GroupSpec((0,))
@@ -36,7 +37,7 @@ def complete_relation(base):
 
 def test_constructors_agree():
     base = zset(0, 1, 2)
-    r1 = Relation.from_index_pairs(base, [(1, 0), (2, 1)])
+    r1 = relation_from_index_pairs(base, [(1, 0), (2, 1)])
     r2 = relation_from_element_pairs(base, [((1,), (0,)), ((2,), (1,))])
     r3 = difference_relation(base, [(1,)])
     assert (r1.matrix == r2.matrix).all()
@@ -49,7 +50,7 @@ def test_constructors_agree():
 def test_bad_constructor_input():
     base = zset(0, 1)
     with pytest.raises(ValueError):
-        Relation.from_index_pairs(base, [(0, 2)])
+        relation_from_index_pairs(base, [(0, 2)])
     with pytest.raises(ValueError):
         Relation(base, np.ones((2, 3), dtype=bool))
     with pytest.raises(ValueError):
@@ -145,7 +146,7 @@ def test_extract_tv_nesting_and_floor():
         pairs = set()
         while len(pairs) < target:
             pairs.add((rng.below(n), rng.below(n)))
-        r = Relation.from_index_pairs(base, pairs)
+        r = relation_from_index_pairs(base, pairs)
         xi = F(1 + rng.below(9), 10)
         rng.below(3)  # an unused draw, kept so the later trials stay the same
         w = extract_tv(r, xi)
@@ -167,7 +168,7 @@ def test_extract_tv_center_maximizes_its_score(cells, monkeypatch):
     base = gen_ap(n)
     pairs = [(i, j) for i in range(20) for j in range(n)]
     pairs += [(i, rng.below(6)) for i in range(20, n) for _ in range(2)]
-    r = Relation.from_index_pairs(base, pairs)
+    r = relation_from_index_pairs(base, pairs)
     if cells is not None:
         monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
     xi = F(1)
@@ -187,7 +188,7 @@ def test_tv_witness_verified_synthetic():
     # a relation with visibly uneven degrees still yields a certified subset
     base = zset(*range(20))
     pairs = [(i, j) for i in range(20) for j in range(20) if (i * j) % 7 < 3]
-    r = Relation.from_index_pairs(base, pairs)
+    r = relation_from_index_pairs(base, pairs)
     assert F(1, 5) < r.delta < 1
     w = extract_tv(r, F(1, 3))
     res = verify_tv_property(r, w, F(1, 3))
@@ -218,6 +219,40 @@ def test_extract_tv_asks_the_guard_and_agrees_in_float64(monkeypatch):
 
     monkeypatch.setattr(relation_lemma, "exact_float", spy)
     w32 = extract_tv(r, F(1, 4))
-    assert asked == [n, n * n]
+    # the relation's float copy, then thin_pairs_per_slice's GEMM and sum
+    assert asked == [n, n, n * n]
     monkeypatch.setattr(relation_lemma, "exact_float", lambda bound: np.float64)
     assert extract_tv(r, F(1, 4)) == w32
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_thin_pair_helpers_match_their_definitions(cells, monkeypatch):
+    if cells is not None:
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+    rng = SplitMix64(77)
+    for trial in range(8):
+        n = 1 + rng.below(40)
+        k = 1 + rng.below(12)
+        # sparse thin matrices leave whole row blocks without a thin pair
+        thin_per_mille = (0, 20, 300, 1000)[trial % 4]
+        members = np.array([[rng.below(2) for _ in range(k)] for _ in range(n)], dtype=bool)
+        thin = np.array(
+            [[rng.below(1000) < thin_per_mille for _ in range(n)] for _ in range(n)], dtype=bool
+        )
+        counts = thin_pairs_per_slice(members, thin)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [
+            sum(
+                1
+                for i in range(n)
+                for j in range(n)
+                if members[i, t] and thin[i, j] and members[j, t]
+            )
+            for t in range(k)
+        ]
+        for t in range(k):
+            rows = np.flatnonzero(members[:, t])
+            kept = [
+                i for i in rows.tolist() if 4 * sum(thin[i, j] for j in rows.tolist()) <= len(rows)
+            ]
+            assert drop_thin(rows, thin).tolist() == kept
