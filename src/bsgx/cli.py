@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 a verification check failed; 2 unreadable input or
 bad parameters; 3 invalid eps; 4 a certified inequality failed internally
 (which would mean an implementation bug, since the extraction is proven to
-succeed on every input).
+succeed on every input); 5 no verification check failed but some were
+skipped as too expensive, so the report is not verified.
 
 All outputs are deterministic for fixed inputs and flags: reports carry no
 timestamps unless --timestamps is given.
@@ -31,6 +32,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BAD_EPS = 3
 EXIT_INTERNAL = 4
+EXIT_VERIFY_SKIPPED = 5
+_VERIFY_EXIT = {"pass": EXIT_OK, "fail": EXIT_VERIFY_FAILED, "skipped": EXIT_VERIFY_SKIPPED}
 
 
 class _CliError(Exception):
@@ -122,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError, ZeroDivisionError, AsetFormatError) as exc:
         raise _CliError(EXIT_USAGE, f"report does not match the set: {exc}") from exc
     sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n")
-    return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
+    return _VERIFY_EXIT[result.status]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="include a generation timestamp in the report")
     p_extract.set_defaults(func=cmd_extract)
 
-    p_verify = sub.add_parser("verify", help="brute-force check a report against its input set")
+    p_verify = sub.add_parser("verify", help="recount every claim of a report from its input set")
     p_verify.add_argument("set_file")
     p_verify.add_argument("report_file")
     p_verify.set_defaults(func=cmd_verify)

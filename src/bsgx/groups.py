@@ -55,36 +55,45 @@ class GroupSpec:
         return all(m == 0 or 0 <= c < m for c, m in zip(a, self.moduli))
 
 
-def _require_conforming(spec: GroupSpec, a: Element) -> None:
-    if len(a) != spec.dim:
-        raise ValueError(
-            f"element has {len(a)} coordinates, group has {spec.dim}"
-        )
+def _arity_message(dim: int, *elements: Element) -> str:
+    bad = next(len(a) for a in elements if len(a) != dim)
+    return f"element has {bad} coordinates, group has {dim}"
 
 
 def add(spec: GroupSpec, a: Element, b: Element) -> Element:
     """Componentwise sum with canonical residues on cyclic coordinates."""
-    _require_conforming(spec, a)
-    _require_conforming(spec, b)
+    moduli = spec.moduli
+    dim = len(moduli)
+    if len(a) != dim or len(b) != dim:
+        raise ValueError(_arity_message(dim, a, b))
+    if dim == 1:
+        m = moduli[0]
+        return (a[0] + b[0] if m == 0 else (a[0] + b[0]) % m,)
     return tuple(
         x + y if m == 0 else (x + y) % m
-        for x, y, m in zip(a, b, spec.moduli)
+        for x, y, m in zip(a, b, moduli)
     )
 
 
 def sub(spec: GroupSpec, a: Element, b: Element) -> Element:
     """Componentwise difference with canonical residues on cyclic coordinates."""
-    _require_conforming(spec, a)
-    _require_conforming(spec, b)
+    moduli = spec.moduli
+    dim = len(moduli)
+    if len(a) != dim or len(b) != dim:
+        raise ValueError(_arity_message(dim, a, b))
+    if dim == 1:
+        m = moduli[0]
+        return (a[0] - b[0] if m == 0 else (a[0] - b[0]) % m,)
     return tuple(
         x - y if m == 0 else (x - y) % m
-        for x, y, m in zip(a, b, spec.moduli)
+        for x, y, m in zip(a, b, moduli)
     )
 
 
 def neg(spec: GroupSpec, a: Element) -> Element:
     """Componentwise negation with canonical residues on cyclic coordinates."""
-    _require_conforming(spec, a)
+    if len(a) != spec.dim:
+        raise ValueError(_arity_message(spec.dim, a))
     return tuple(-x if m == 0 else (-x) % m for x, m in zip(a, spec.moduli))
 
 

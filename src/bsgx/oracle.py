@@ -1,35 +1,55 @@
-"""Brute-force verification of every certified quantity.
+"""Independent verification of every certified quantity.
 
-Everything here recomputes from the raw sets with plain Python dictionaries
-and Fractions, sharing no caches, codecs, or numpy arrays with the main
-path.  Energy is recounted through sums a + b rather than differences, the
-difference set is rebuilt element by element, and the weight-selection and
-path-count checks re-evaluate both sides of every inequality from their
-definitions.
+The counting here shares no code with the main path: no codec, no rep
+table, no matrix product.  Energy is recounted through sums a + b rather
+than differences; r(d) for every difference of A, and |A' - A'|, come from
+separate histograms of the differences a - b.  A histogram writes each
+coordinate of every ordered pair as a fixed-width int64 column, folds the
+columns into one mixed-radix int64 key, and counts equal keys with
+np.bincount, or with a sort and its run breaks when the radix is larger
+than the pair count.  Before that, each coordinate is mapped into the
+smallest group that holds it (a free one shifted by its minimum, and both
+kinds divided by the gcd of their values), so a scaled copy of a set counts
+like the set.  A column whose radix still needs 64 bits (a reduced modulus
+above 2^63, a free span of 2^62 or more) is computed on Python ints and
+replaced by the ranks of its values, and a key whose radix would overflow
+is ranked the same way.  The weight-selection and path-count checks
+re-evaluate both sides of every inequality from their definitions.
 
-Checks that would be too expensive report a distinct "skipped" status; a
-skipped check never counts as a pass.
+One pass costs a cell per ordered pair of its set plus one per difference
+looked up in it.  A pass above _BUDGET_CELLS = 2^25 cells is not run, which
+admits sets of up to 5792 elements.  At its peak a pass holds about 24 bytes
+per cell (measured: 24 on a set whose differences are all distinct, 22 on
+axis:997,3), more where a column falls back to Python ints.  Every check
+that needs a pass over budget reports a distinct "skipped" status with the
+pass's size, and a skipped check never counts as a pass.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .bsg import ExtractionReport
-from .groups import AdditiveSet, Element, add, parse_set, sub
+from .groups import AdditiveSet, GroupSpec, add, parse_set, sub
 from .numeric_lemma import PrefixSelection, WeightVector
 from .relation_lemma import Relation, TvWitness
 
 _BRUTEFORCE_CAP = 200
 _TV_CAP = 60
+_BUDGET_CELLS = 1 << 25
+_KEY_LIMIT = 1 << 63  # every column value and every key stays below this
+_KNOWN_VERSIONS = ("0.1.0",)
 
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verified relation: what was claimed, what brute force found."""
+    """One verified relation: what was claimed, what the recount found."""
 
     name: str
     claimed: str
@@ -43,7 +63,17 @@ class VerificationResult:
 
     @property
     def ok(self) -> bool:
+        """No check failed; a skipped check does not fail, nor does it pass."""
         return all(c.status != "fail" for c in self.checks)
+
+    @property
+    def status(self) -> str:
+        """"fail" if any check failed, else "skipped" if any was skipped, else "pass"."""
+        statuses = {c.status for c in self.checks}
+        for status in ("fail", "skipped"):
+            if status in statuses:
+                return status
+        return "pass"
 
     @property
     def failed(self) -> Tuple[CheckRecord, ...]:
@@ -52,6 +82,7 @@ class VerificationResult:
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
+            "status": self.status,
             "checks": [
                 {
                     "name": c.name,
@@ -82,39 +113,170 @@ def energy_bruteforce(a_set: AdditiveSet) -> int:
 
     Counts through sums: if s has p(s) ordered representations as a + b,
     the quadruple count is the sum of p(s)^2.  This is the transposed
-    counting route from the main path, which works with differences.
+    counting route from the main path, which works with differences, and a
+    plain loop over pairs, independent of the histograms below.
     """
     if len(a_set) > _BRUTEFORCE_CAP:
         raise ValueError(
             f"brute-force energy is limited to {_BRUTEFORCE_CAP} elements, "
             f"got {len(a_set)}"
         )
-    return _energy_by_sums(a_set)
-
-
-def _energy_by_sums(a_set: AdditiveSet) -> int:
-    """Unguarded sum-based energy recount for report verification."""
     spec = a_set.spec
-    sums = Counter()
-    for a in a_set.elements:
-        for b in a_set.elements:
-            sums[add(spec, a, b)] += 1
+    sums = Counter(add(spec, a, b) for a in a_set.elements for b in a_set.elements)
     return sum(c * c for c in sums.values())
 
 
-def _difference_set_size(a_set: AdditiveSet) -> int:
-    spec = a_set.spec
-    diffs = set()
-    for a in a_set.elements:
-        for b in a_set.elements:
-            diffs.add(sub(spec, a, b))
-    return len(diffs)
+# ----- pair histograms ------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OverBudget:
+    """A pass that was not run, and why."""
+
+    reason: str
 
 
-def _rep_count(a_set: AdditiveSet, d: Element) -> int:
-    """r(d) by direct membership: the a in A with a - d also in A."""
-    spec = a_set.spec
-    return sum(1 for a in a_set.elements if sub(spec, a, d) in a_set.as_set)
+@dataclass(frozen=True)
+class _Histogram:
+    counts: np.ndarray        # how many pairs give each distinct value
+    query_counts: np.ndarray  # how many pairs give each looked-up value
+
+    def split(self, energy: int, n: int) -> Tuple[int, int]:
+        """The popular mass and the number of unpopular differences.
+
+        A difference d is popular when r(d)^2 * n >= E; the popular mass is
+        the sum of r(d)^2 over the popular d.
+        """
+        popular = self.counts[self.counts * self.counts * n >= energy]
+        return int(np.dot(popular, popular)), len(self.counts) - len(popular)
+
+
+def _ranks(col: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values of col, and their count."""
+    distinct, ranks = np.unique(col, return_inverse=True)
+    return ranks.astype(np.int64, copy=False), len(distinct)
+
+
+def _column(values: Sequence[int], m: int, op: str, queries: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """One coordinate of x_i + x_j ("sum") or x_i - x_j ("diff") over all pairs.
+
+    The pairs come row-major, then one value per query (a coordinate of a
+    looked-up difference).  Returns int64 values below the returned radix,
+    equal exactly when the coordinates are.  The coordinate is first mapped
+    into the smallest group that holds it: a free one is shifted by its
+    minimum and divided by the gcd of what is left, a cyclic one is divided
+    by the gcd g of m and its values and taken mod m / g.  Both maps are
+    injective and additive, so they keep every equality between sums and
+    between differences.  A query that no pair can reach gets a value of its
+    own.
+    """
+    n = len(values)
+    lo = 0 if m else min(values)
+    g = math.gcd(m, *(v - lo for v in values)) or 1
+    x = [(v - lo) // g for v in values]
+    top = m // g if m else max(x)  # the reduced modulus, or the free span
+    radix = top + 1 if m else 2 * top + 2  # the last value is for queries
+    shift = 0 if m else top
+    wanted = []
+    for d in queries:
+        w = d // g + shift
+        wanted.append(w if d % g == 0 and 0 <= w < radix - 1 else radix - 1)
+    # a coordinate whose radix needs 64 bits is counted on Python ints
+    dtype = np.uint64 if radix <= _KEY_LIMIT else object
+    xs = np.array(x, dtype=dtype)
+    col = np.empty(n * n + len(queries), dtype=dtype)
+    cells = col[: n * n].reshape(n, n)
+    # x_i + (top - x_j) is x_i - x_j + top, which the reduction or the
+    # free span absorbs; on uint64 no sum reaches 2^64
+    np.add(xs[:, None], xs[None, :] if op == "sum" else top - xs[None, :], out=cells)
+    if m:
+        np.subtract(cells, top, out=cells, where=cells >= top)
+    col[n * n:] = wanted
+    if dtype is object:
+        return _ranks(col)
+    return col.view(np.int64), radix
+
+
+def _keys(a_set: AdditiveSet, op: str, queries: Sequence[tuple]) -> Tuple[np.ndarray, int]:
+    """Mixed-radix int64 keys of every pair a_i op a_j, then of the queries."""
+    moduli = a_set.spec.moduli
+
+    def column(k: int) -> Tuple[np.ndarray, int]:
+        return _column([a[k] for a in a_set.elements], moduli[k], op, [d[k] for d in queries])
+
+    key, radix = column(0)
+    for k in range(1, len(moduli)):
+        col, r = column(k)
+        if radix * r > _KEY_LIMIT:
+            key, radix = _ranks(key)
+            if radix * r > _KEY_LIMIT:
+                col, r = _ranks(col)
+        key *= r
+        key += col
+        radix *= r
+        del col  # free it before the next column is built
+    return key, radix
+
+
+def _histogram(
+    a_set: AdditiveSet, op: str, what: str, queries: Sequence[tuple] = ()
+) -> Union[_Histogram, _OverBudget]:
+    """Count the pairs of a_set by the value of a_i op a_j, and look up the queries."""
+    pairs = len(a_set) ** 2
+    cells = pairs + len(queries)
+    if cells > _BUDGET_CELLS:
+        return _OverBudget(
+            f"skipped (over budget): {what} needs {cells} cells > {_BUDGET_CELLS}"
+        )
+    key, radix = _keys(a_set, op, queries)
+    values, wanted = key[:pairs], key[pairs:]
+    if radix <= pairs:
+        counts = np.bincount(values, minlength=radix)
+        return _Histogram(counts[counts > 0], counts[wanted])
+    values.sort()
+    found = np.searchsorted(values, wanted, "right") - np.searchsorted(values, wanted, "left")
+    breaks = np.concatenate(([True], values[1:] != values[:-1]))
+    del key, values, wanted  # free the keys before the run starts are built
+    starts = np.flatnonzero(breaks)
+    del breaks
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = pairs - starts[-1]
+    return _Histogram(counts, found)
+
+
+def _energy(a_set: AdditiveSet) -> Union[int, _OverBudget]:
+    sums = _histogram(a_set, "sum", "E (sums of A)")
+    if isinstance(sums, _OverBudget):
+        return sums
+    return int(np.dot(sums.counts, sums.counts))
+
+
+def _difference_set_size(a_set: AdditiveSet) -> Union[int, _OverBudget]:
+    diffs = _histogram(a_set, "diff", "|A'-A'|")
+    if isinstance(diffs, _OverBudget):
+        return diffs
+    return len(diffs.counts)
+
+
+# ----- report checks --------------------------------------------------------
+
+class _Checks:
+    """The check records of one report, in the order they were added."""
+
+    def __init__(self) -> None:
+        self.records: List[CheckRecord] = []
+
+    def add(self, name: str, needs: tuple, evaluate: Callable) -> None:
+        """Record evaluate(*needs) -> (claimed, actual, ok).
+
+        When one of the needed values is a pass that was over budget, the
+        check is recorded as skipped instead, with that pass's size.
+        """
+        over = next((v for v in needs if isinstance(v, _OverBudget)), None)
+        if over is not None:
+            self.records.append(_skip(name, over.reason))
+        else:
+            self.records.append(_check(name, *evaluate(*needs)))
 
 
 def _frac(text: str) -> Fraction:
@@ -122,208 +284,259 @@ def _frac(text: str) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
+def _text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _parse_in(spec: GroupSpec, text: str, what: str) -> AdditiveSet:
+    a_set = parse_set(text)
+    if a_set.spec != spec:
+        raise ValueError(f"{what} lives in a different group than the input")
+    return a_set
+
+
 def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     """Check a serialized extraction report against the raw input set.
 
-    Recomputes the energy (by sums), K, |A'|, and A' - A' from scratch and
-    confirms the theorem inequalities plus the branch-specific witness
-    facts recorded in the report.
+    Recounts the energy (by sums), r(d) for every difference of A, and
+    |A' - A'| from scratch, and confirms the theorem inequalities, the
+    branch hypothesis and every witness field the report records.  Raises
+    ValueError for an unknown report version or a set from another group.
     """
-    checks: List[CheckRecord] = []
+    if report["version"] not in _KNOWN_VERSIONS:
+        raise ValueError(f"unknown report version {report['version']!r}")
     spec = a_set.spec
     n = len(a_set)
     eps = _frac(report["params"]["eps"])
     case = report["case"]
-
-    e_true = _energy_by_sums(a_set)
-    k_true = Fraction(n**3, e_true)
-    checks.append(
-        _check("input_size_matches", report["input"]["n"], n, report["input"]["n"] == n)
-    )
-    checks.append(
-        _check(
-            "energy_matches",
-            report["input"]["energy"],
-            e_true,
-            report["input"]["energy"] == e_true,
-        )
-    )
-    checks.append(
-        _check(
-            "k_matches",
-            report["input"]["K"],
-            f"{k_true.numerator}/{k_true.denominator}",
-            _frac(report["input"]["K"]) == k_true,
-        )
-    )
-
-    a_prime = parse_set(report["a_prime"])
-    if a_prime.spec != spec:
-        raise ValueError("extracted set lives in a different group than the input")
+    recorded = report["input"]
+    bounds = report["bounds"]
+    achieved = report["achieved"]
+    witness = report["witness"]
+    a_prime = _parse_in(spec, report["a_prime"], "extracted set")
     m = len(a_prime)
-    checks.append(
-        _check(
-            "a_prime_size_matches",
-            report["achieved"]["a_prime_size"],
-            m,
-            report["achieved"]["a_prime_size"] == m,
-        )
+    queries: List[tuple] = []
+    if case == "P":
+        queries = [spec.reduce(tuple(witness["d_star"]))]
+    elif case == "Q":
+        q_prime = _parse_in(spec, witness["q_prime"], "Q'")
+        queries = list(q_prime.elements)
+
+    energy = _energy(a_set)
+    diffs = _histogram(a_set, "diff", "r(d) (differences of A)", queries)
+    diff_size = _difference_set_size(a_prime)
+
+    def k_of(e: int) -> Fraction:
+        return Fraction(n**3, e)
+
+    def size_sq(e: int) -> Fraction:
+        return (1 - eps) ** 2 * Fraction(e, n)
+
+    def diff_bound(e: int) -> Fraction:
+        return 2**33 * eps**-9 * k_of(e) ** 4 * m
+
+    def diff_bound_p(e: int) -> Fraction:
+        return 2**10 * eps**-4 * k_of(e) ** 3 * m
+
+    checks = _Checks()
+    checks.add("input_size_matches", (), lambda: (recorded["n"], n, recorded["n"] == n))
+    checks.add(
+        "energy_matches", (energy,),
+        lambda e: (recorded["energy"], e, recorded["energy"] == e),
+    )
+    checks.add(
+        "k_matches", (energy,),
+        lambda e: (recorded["K"], _text(k_of(e)), _frac(recorded["K"]) == k_of(e)),
+    )
+    checks.add(
+        "a_prime_size_matches", (),
+        lambda: (achieved["a_prime_size"], m, achieved["a_prime_size"] == m),
     )
     subset_ok = all(a in a_set.as_set for a in a_prime.elements)
-    checks.append(_check("a_prime_subset", "A' <= A", subset_ok, subset_ok))
-
-    diff_true = _difference_set_size(a_prime)
-    checks.append(
-        _check(
-            "diff_size_matches",
-            report["achieved"]["diff_size"],
-            diff_true,
-            report["achieved"]["diff_size"] == diff_true,
-        )
+    checks.add("a_prime_subset", (), lambda: ("A' <= A", subset_ok, subset_ok))
+    checks.add(
+        "diff_size_matches", (diff_size,),
+        lambda d: (achieved["diff_size"], d, achieved["diff_size"] == d),
     )
-
-    size_sq_true = (1 - eps) ** 2 * Fraction(e_true, n)
-    checks.append(
-        _check(
-            "size_bound_recorded",
-            report["bounds"]["size_bound_sq"],
-            f"{size_sq_true.numerator}/{size_sq_true.denominator}",
-            _frac(report["bounds"]["size_bound_sq"]) == size_sq_true,
-        )
+    checks.add(
+        "size_bound_recorded", (energy,),
+        lambda e: (
+            bounds["size_bound_sq"], _text(size_sq(e)),
+            _frac(bounds["size_bound_sq"]) == size_sq(e),
+        ),
     )
-    checks.append(
-        _check(
-            "size_lower_bound",
-            f"|A'|^2 * n >= (1-eps)^2 * E",
-            f"{m}^2 * {n} vs {(1 - eps) ** 2 * e_true}",
-            m * m * n >= (1 - eps) ** 2 * e_true,
-        )
+    checks.add(
+        "size_lower_bound", (energy,),
+        lambda e: (
+            "|A'|^2 * n >= (1-eps)^2 * E",
+            f"{m}^2 * {n} vs {(1 - eps) ** 2 * e}",
+            m * m * n >= (1 - eps) ** 2 * e,
+        ),
     )
     # implied by size_lower_bound: multiply it by E / n and use E >= n^2
-    checks.append(
-        _check(
-            "size_lower_bound_cleared",
-            f"|A'|^2 * E >= (1-eps)^2 * n^3",
-            f"{m}^2 * {e_true} vs {(1 - eps) ** 2 * n**3}",
-            m * m * e_true >= (1 - eps) ** 2 * n**3,
-        )
+    checks.add(
+        "size_lower_bound_cleared", (energy,),
+        lambda e: (
+            "|A'|^2 * E >= (1-eps)^2 * n^3",
+            f"{m}^2 * {e} vs {(1 - eps) ** 2 * n**3}",
+            m * m * e >= (1 - eps) ** 2 * n**3,
+        ),
+    )
+    checks.add(
+        "diff_bound_recorded", (energy,),
+        lambda e: (
+            bounds["diff_bound"], _text(diff_bound(e)),
+            _frac(bounds["diff_bound"]) == diff_bound(e),
+        ),
+    )
+    checks.add(
+        "diff_upper_bound", (energy, diff_size),
+        lambda e, d: (
+            "|A'-A'| <= 2^33 * eps^-9 * K^4 * |A'|",
+            f"{d} vs {float(diff_bound(e))!r}",
+            d <= diff_bound(e),
+        ),
     )
 
-    diff_bound_true = 2**33 * eps**-9 * k_true**4 * m
-    checks.append(
-        _check(
-            "diff_bound_recorded",
-            report["bounds"]["diff_bound"],
-            f"{diff_bound_true.numerator}/{diff_bound_true.denominator}",
-            _frac(report["bounds"]["diff_bound"]) == diff_bound_true,
-        )
-    )
-    checks.append(
-        _check(
-            "diff_upper_bound",
-            f"|A'-A'| <= 2^33 * eps^-9 * K^4 * |A'|",
-            f"{diff_true} vs {float(diff_bound_true)!r}",
-            diff_true <= diff_bound_true,
-        )
-    )
-
-    witness = report["witness"]
     if case == "P":
-        diff_bound_p = 2**10 * eps**-4 * k_true**3 * m
-        checks.append(
-            _check(
-                "diff_upper_bound_popular",
-                f"|A'-A'| <= 2^10 * eps^-4 * K^3 * |A'|",
-                f"{diff_true} vs {float(diff_bound_p)!r}",
-                diff_true <= diff_bound_p,
-            )
-        )
-        d_star = spec.reduce(tuple(witness["d_star"]))
-        r_star = _rep_count(a_set, d_star)
-        checks.append(
-            _check(
-                "d_star_popular",
-                "r(d*)^2 * n >= E",
-                f"{r_star}^2 * {n} vs {e_true}",
-                r_star * r_star * n >= e_true,
-            )
-        )
-        checks.append(
-            _check(
-                "a_star_size_matches",
-                witness["a_star_size"],
-                r_star,
-                witness["a_star_size"] == r_star,
-            )
-        )
-        thin_true = (eps * eps * e_true) / (16 * n * n)
-        thin_floor = thin_true.numerator // thin_true.denominator
-        checks.append(
-            _check(
-                "thin_threshold_matches",
-                witness["thin_threshold"],
-                thin_floor,
-                witness["thin_threshold"] == thin_floor,
-            )
-        )
+        _popular_checks(checks, witness, bounds, n, eps, energy, diffs, diff_size, diff_bound_p)
     elif case == "Q":
-        q_prime = parse_set(witness["q_prime"])
-        checks.append(
-            _check(
-                "q_prime_size_matches",
-                witness["q_prime_size"],
-                len(q_prime),
-                witness["q_prime_size"] == len(q_prime)
-                and witness["selected_count"] == len(q_prime),
-            )
-        )
-        unpopular = all(
-            _rep_count(a_set, d) ** 2 * n < e_true for d in q_prime.elements
-        )
-        checks.append(
-            _check("q_prime_unpopular", "r(d)^2 * n < E for d in Q'", unpopular, unpopular)
-        )
-        delta_true = Fraction(
-            sum(_rep_count(a_set, d) for d in q_prime.elements), n * n
-        )
-        checks.append(
-            _check(
-                "delta_matches",
-                witness["delta"],
-                f"{delta_true.numerator}/{delta_true.denominator}",
-                _frac(witness["delta"]) == delta_true,
-            )
-        )
-        checks.append(
-            _check(
-                "delta_floor",
-                "delta >= (1-eps/2) * K^(-1/2)",
-                f"{float(delta_true)!r} vs sqrt({float((1 - eps / 2) ** 2 * Fraction(e_true, n**3))!r})",
-                delta_true * delta_true >= (1 - eps / 2) ** 2 * Fraction(e_true, n**3),
-            )
-        )
-        xi = eps / 2
-        checks.append(
-            _check(
-                "a_prime_size_floor",
-                "|A'| >= delta * (1-xi) * n",
-                f"{m} vs {float(delta_true * (1 - xi) * n)!r}",
-                Fraction(m) >= delta_true * (1 - xi) * n,
-            )
-        )
-        x_star = spec.reduce(tuple(witness["x_star"]))
-        checks.append(
-            _check(
-                "x_star_in_input",
-                "x* in A",
-                x_star in a_set.as_set,
-                x_star in a_set.as_set,
-            )
-        )
+        _unpopular_checks(checks, a_set, witness, q_prime, m, eps, energy, diffs)
     else:
-        checks.append(_check("case_known", "P or Q", case, False))
+        checks.add("case_known", (), lambda: ("P or Q", case, False))
+    return VerificationResult(tuple(checks.records))
 
-    return VerificationResult(tuple(checks))
+
+def _popular_checks(
+    checks: _Checks, witness: dict, bounds: dict, n: int, eps: Fraction,
+    energy, diffs, diff_size, diff_bound_p: Callable[[int], Fraction],
+) -> None:
+    """The popular branch: its hypothesis, d*, A* = A_d* and the thresholds."""
+    checks.add(
+        "diff_bound_p_recorded", (energy,),
+        lambda e: (
+            bounds["diff_bound_p"], _text(diff_bound_p(e)),
+            _frac(bounds["diff_bound_p"]) == diff_bound_p(e),
+        ),
+    )
+    checks.add(
+        "diff_upper_bound_popular", (energy, diff_size),
+        lambda e, d: (
+            "|A'-A'| <= 2^10 * eps^-4 * K^3 * |A'|",
+            f"{d} vs {float(diff_bound_p(e))!r}",
+            d <= diff_bound_p(e),
+        ),
+    )
+
+    def hypothesis(e: int, h: _Histogram):
+        p_mass, _ = h.split(e, n)
+        return "4 * p_mass >= eps * E", f"4 * {p_mass} vs {eps * e}", 4 * p_mass >= eps * e
+
+    checks.add("branch_hypothesis", (energy, diffs), hypothesis)
+
+    def r_star(h: _Histogram) -> int:
+        return int(h.query_counts[0])
+
+    checks.add(
+        "d_star_popular", (energy, diffs),
+        lambda e, h: (
+            "r(d*)^2 * n >= E",
+            f"{r_star(h)}^2 * {n} vs {e}",
+            r_star(h) ** 2 * n >= e,
+        ),
+    )
+    checks.add(
+        "a_star_size_matches", (diffs,),
+        lambda h: (witness["a_star_size"], r_star(h), witness["a_star_size"] == r_star(h)),
+    )
+
+    def thin_floor(e: int) -> int:
+        thin = (eps * eps * e) / (16 * n * n)
+        return thin.numerator // thin.denominator
+
+    checks.add(
+        "thin_threshold_matches", (energy,),
+        lambda e: (
+            witness["thin_threshold"], thin_floor(e),
+            witness["thin_threshold"] == thin_floor(e),
+        ),
+    )
+
+
+def _unpopular_checks(
+    checks: _Checks, a_set: AdditiveSet, witness: dict, q_prime: AdditiveSet,
+    m: int, eps: Fraction, energy, diffs,
+) -> None:
+    """The unpopular branch: its hypothesis, Q', delta, x* and A* = N(x*)."""
+    spec = a_set.spec
+    n = len(a_set)
+
+    def hypothesis(e: int, h: _Histogram):
+        p_mass, _ = h.split(e, n)
+        q_mass = e - p_mass
+        return (
+            "q_mass >= (1 - eps/4) * E",
+            f"{q_mass} vs {(1 - eps / 4) * e}",
+            q_mass >= (1 - eps / 4) * e,
+        )
+
+    checks.add("branch_hypothesis", (energy, diffs), hypothesis)
+
+    def q_size(e: int, h: _Histogram):
+        size = h.split(e, n)[1]
+        return witness["q_size"], size, witness["q_size"] == size
+
+    checks.add("q_size_matches", (energy, diffs), q_size)
+    checks.add(
+        "q_prime_size_matches", (),
+        lambda: (
+            witness["q_prime_size"],
+            len(q_prime),
+            witness["q_prime_size"] == len(q_prime)
+            and witness["selected_count"] == len(q_prime),
+        ),
+    )
+
+    def unpopular(e: int, h: _Histogram):
+        ok = bool(np.all(h.query_counts * h.query_counts * n < e))
+        return "r(d)^2 * n < E for d in Q'", ok, ok
+
+    checks.add("q_prime_unpopular", (energy, diffs), unpopular)
+
+    def delta(h: _Histogram) -> Fraction:
+        return Fraction(int(h.query_counts.sum()), n * n)
+
+    checks.add(
+        "delta_matches", (diffs,),
+        lambda h: (witness["delta"], _text(delta(h)), _frac(witness["delta"]) == delta(h)),
+    )
+    checks.add(
+        "delta_floor", (energy, diffs),
+        lambda e, h: (
+            "delta >= (1-eps/2) * K^(-1/2)",
+            f"{float(delta(h))!r} vs sqrt({float((1 - eps / 2) ** 2 * Fraction(e, n**3))!r})",
+            delta(h) ** 2 >= (1 - eps / 2) ** 2 * Fraction(e, n**3),
+        ),
+    )
+    xi = eps / 2
+    checks.add(
+        "a_prime_size_floor", (diffs,),
+        lambda h: (
+            "|A'| >= delta * (1-xi) * n",
+            f"{m} vs {float(delta(h) * (1 - xi) * n)!r}",
+            Fraction(m) >= delta(h) * (1 - xi) * n,
+        ),
+    )
+    x_star = spec.reduce(tuple(witness["x_star"]))
+    in_input = x_star in a_set.as_set
+    checks.add("x_star_in_input", (), lambda: ("x* in A", in_input, in_input))
+    # A* = N(x*) = {a in A : a - x* in Q'}, one lookup per element of A
+    members = q_prime.as_set
+    a_star_size = sum(1 for a in a_set.elements if sub(spec, a, x_star) in members)
+    checks.add(
+        "a_star_size_matches", (),
+        lambda: (witness["a_star_size"], a_star_size, witness["a_star_size"] == a_star_size),
+    )
 
 
 def verify_extraction(a_set: AdditiveSet, report: ExtractionReport) -> VerificationResult:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import bsgx.cli as cli
+import bsgx.oracle as oracle
 from bsgx.cli import main
 from bsgx.errors import InvariantViolation
 from bsgx.groups import parse_set
@@ -88,8 +89,23 @@ def test_verify_round_trip(aset_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     doc = json.loads(out)
-    assert doc["ok"] is True
-    assert all(c["status"] in ("pass", "skipped") for c in doc["checks"])
+    assert doc["ok"] is True and doc["status"] == "pass"
+    assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_verify_over_budget_exits_5(aset_file, tmp_path, monkeypatch, capsys):
+    src = aset_file(A012)
+    report = tmp_path / "r.json"
+    assert main(["extract", src, "--eps", "1/5", "--out", str(report)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", 4)
+    rc = main(["verify", src, str(report)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 5
+    assert doc["status"] == "skipped"
+    statuses = {c["name"]: c["status"] for c in doc["checks"]}
+    assert statuses["energy_matches"] == "skipped"
+    assert "fail" not in statuses.values()
 
 
 def test_verify_tampered_report_exits_1(aset_file, tmp_path, capsys):
@@ -112,6 +128,8 @@ def test_verify_garbage_report_exits_2(aset_file, tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["verify", src, str(bad)]) == 2
     bad.write_text('{"version": "0.1.0"}')
+    assert main(["verify", src, str(bad)]) == 2
+    bad.write_text('{"version": "9.9.9"}')
     assert main(["verify", src, str(bad)]) == 2
     good = tmp_path / "good.json"
     main(["extract", src, "--eps", "1/5", "--out", str(good)])

@@ -19,6 +19,7 @@ from bsgx import AdditiveSet, GroupSpec, Params, _codec, extract, gen_ap, gen_ax
 from bsgx._codec import build_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
+from bsgx.oracle import verify_extraction
 
 COPY_FACTOR = 1 << 53
 
@@ -96,3 +97,10 @@ def test_one_patch_moves_the_whole_pipeline_to_rank_codes(label, eps, both):
     with counting_path(fallback=True):
         assert rep_table(a).codec is None
         assert extract(a, params).to_json() == packed
+
+
+@pytest.mark.parametrize("label,eps,both", list(GOLDEN))
+def test_golden_reports_pass_every_oracle_check(label, eps, both):
+    a, params = build(label, eps, both)
+    res = verify_extraction(a, extract(a, params))
+    assert res.status == "pass", [c.name for c in res.checks if c.status != "pass"]

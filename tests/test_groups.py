@@ -44,11 +44,28 @@ def test_arithmetic_wraps_cyclic_coordinates():
     assert neg(spec, (2, 3)) == (-2, 4)
     # free coordinate never wraps
     assert add(spec, (10**18, 0), (10**18, 0)) == (2 * 10**18, 0)
+    # the one-coordinate path
+    z7 = GroupSpec((7,))
+    assert add(z7, (5,), (4,)) == (2,)
+    assert sub(z7, (1,), (3,)) == (5,)
+    assert add(Z, (-3,), (10**30,)) == (10**30 - 3,)
+    assert sub(Z, (1,), (3,)) == (-2,)
 
 
 def test_arithmetic_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        add(Z, (1, 2), (3, 4))
+    for op in (add, sub):
+        for spec, a, b in (
+            (Z, (1, 2), (3, 4)),
+            (Z, (1,), (3, 4)),
+            (Z, (1, 2), (3,)),
+            (Z, (), ()),
+            (GroupSpec((0, 7)), (1, 2), (3,)),
+            (GroupSpec((0, 7)), (1,), (3, 2)),
+        ):
+            with pytest.raises(ValueError, match="coordinates"):
+                op(spec, a, b)
+    with pytest.raises(ValueError, match="coordinates"):
+        neg(Z, (1, 2))
 
 
 def test_from_elements_canonicalizes():

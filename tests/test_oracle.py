@@ -1,14 +1,16 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import difference_relation, relation_from_index_pairs
 
+import bsgx.oracle as oracle
 from bsgx.additive_stats import energy
 from bsgx.bsg import Params, extract
 from bsgx.generators import SplitMix64, gen_ap, gen_axis, gen_ball, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec
+from bsgx.groups import AdditiveSet, GroupSpec, add, sub
 from bsgx.numeric_lemma import PrefixSelection, ScaledReal, WeightVector
 from bsgx.oracle import (
     energy_bruteforce,
@@ -71,7 +73,8 @@ def test_fresh_reports_verify():
     assert "energy_matches" in names and "diff_size_matches" in names
     # the JSON form of the result keeps the claimed/actual strings
     as_json = res.to_json_dict()
-    assert all(c["status"] in ("pass", "skipped") for c in as_json["checks"])
+    assert as_json["status"] == "pass"
+    assert all(c["status"] == "pass" for c in as_json["checks"])
 
 
 def test_tampered_a_prime_fails_size_check():
@@ -201,3 +204,200 @@ def test_results_serialize():
     res = verify_report_dict(a, doc)
     out = json.dumps(res.to_json_dict())
     assert '"ok": true' in out
+
+
+# ----- the verifier's histograms against their definitions ----------------
+
+COPY = 1 << 53
+
+
+def scaled(a):
+    """The copy of a with every coordinate and modulus multiplied by 2^53."""
+    return AdditiveSet.from_elements(
+        GroupSpec(tuple(m * COPY for m in a.spec.moduli)),
+        (tuple(c * COPY for c in e) for e in a.elements),
+    )
+
+
+def seeded_set(spec, n, draw, seed):
+    rng = SplitMix64(seed)
+    elems = set()
+    while len(elems) < n:
+        elems.add(tuple(draw(rng, m) for m in spec.moduli))
+    return AdditiveSet.from_elements(spec, elems)
+
+
+def small_coordinate(rng, m):
+    return rng.below(m) if m else rng.below(201) - 100
+
+
+def huge_free_coordinate(rng, m):
+    """Free coordinates near +-2^62 and beyond 2^64: the Python-int column."""
+    if m:
+        return rng.below(m)
+    return (rng.below(2) * 2 - 1) * ((1 << (62 + rng.below(4))) + rng.below(1000))
+
+
+def wide_coordinate(rng, m):
+    """A residue of any size, or a free coordinate spanning just under 2^62."""
+    if m:
+        return ((rng.next_u64() << 64) | rng.next_u64()) % m
+    return rng.below(1 << 61) - (1 << 60)
+
+
+def differential_sets():
+    bases = [
+        ("Z", seeded_set(GroupSpec((0,)), 40, small_coordinate, 1)),
+        ("Z_1021", gen_random(45, 1021, 2)),
+        ("ZxZ_13", seeded_set(GroupSpec((0, 13)), 35, small_coordinate, 4)),
+        ("(Z_5)^3", seeded_set(GroupSpec((5, 5, 5)), 30, small_coordinate, 5)),
+    ]
+    sets = []
+    for label, a in bases:
+        sets += [(label, a), (f"{label}*2^53", scaled(a))]
+    sets += [
+        # uint64 columns whose sums come near 2^64
+        ("Z_(2^63-25)", seeded_set(GroupSpec(((1 << 63) - 25,)), 30, wide_coordinate, 8)),
+        ("Z wide", seeded_set(GroupSpec((0,)), 30, wide_coordinate, 9)),
+        # Python-int columns
+        ("Z_(2^64+13)", seeded_set(GroupSpec(((1 << 64) + 13,)), 30, wide_coordinate, 10)),
+        ("Z huge", seeded_set(GroupSpec((0,)), 25, huge_free_coordinate, 6)),
+        ("ZxZ_7 huge", seeded_set(GroupSpec((0, 7)), 25, huge_free_coordinate, 7)),
+        # keys whose radix overflows int64 and gets ranked
+        ("(Z_(2^40+15))^3", seeded_set(GroupSpec(((1 << 40) + 15,) * 3), 25, wide_coordinate, 11)),
+        ("Z_7xZ_(2^63-25)", seeded_set(GroupSpec((7, (1 << 63) - 25)), 25, wide_coordinate, 12)),
+        ("Z single", AdditiveSet.from_elements(GroupSpec((0,)), [(-(1 << 70),)])),
+    ]
+    return sets
+
+
+DIFFERENTIAL_SETS = differential_sets()
+
+
+def pure_counts(a, op):
+    """Counter of a_i op a_j over all ordered pairs, by the group's own arithmetic."""
+    return Counter(op(a.spec, x, y) for x in a.elements for y in a.elements)
+
+
+def probe_differences(a, diffs):
+    """Every other difference of a, then elements of the group that are not differences."""
+    rng = SplitMix64(len(a))
+    present = sorted(diffs)[::2]
+    absent = []
+    for _ in range(10):
+        d = a.spec.reduce(tuple(
+            wide_coordinate(rng, m) if m else rng.below(10**6) - 5 * 10**5 for m in a.spec.moduli
+        ))
+        absent.append(d)
+    # next to a difference: off the gcd lattice of a scaled copy
+    absent += [a.spec.reduce(tuple(c + 1 for c in d)) for d in present[:5]]
+    # just past the free span, and far past it
+    span = [max(e[k] for e in a) - min(e[k] for e in a) for k in range(a.spec.dim)]
+    absent.append(a.spec.reduce(tuple(s + 1 for s in span)))
+    absent.append(a.spec.reduce(tuple(-(s + 1) << 70 for s in span)))
+    return present + absent
+
+
+def check_histograms(a):
+    """The oracle's recounts equal the definitions, or report over budget."""
+    sums = pure_counts(a, add)
+    diffs = pure_counts(a, sub)
+    queries = probe_differences(a, diffs)
+    energy = oracle._energy(a)
+    hist = oracle._histogram(a, "diff", "r(d)", queries)
+    size = oracle._difference_set_size(a)
+    fits = len(a) ** 2 <= oracle._BUDGET_CELLS
+    if fits:
+        assert energy == sum(c * c for c in sums.values())
+        assert size == len(diffs)
+    else:
+        assert "over budget" in energy.reason and "over budget" in size.reason
+    if len(a) ** 2 + len(queries) <= oracle._BUDGET_CELLS:
+        assert sorted(hist.counts.tolist()) == sorted(diffs.values())
+        assert hist.query_counts.tolist() == [diffs.get(d, 0) for d in queries]
+    else:
+        assert f"{len(a) ** 2 + len(queries)} cells" in hist.reason
+    return fits
+
+
+@pytest.mark.parametrize("label, a", DIFFERENTIAL_SETS, ids=[s[0] for s in DIFFERENTIAL_SETS])
+def test_histograms_match_their_definitions(label, a):
+    assert check_histograms(a)
+
+
+def test_histograms_skip_over_the_budget(monkeypatch):
+    sizes = sorted(len(a) for _, a in DIFFERENTIAL_SETS)
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", sizes[len(sizes) // 2] ** 2)
+    fits = [check_histograms(a) for _, a in DIFFERENTIAL_SETS]
+    assert any(fits) and not all(fits)
+    smallest = min((a for _, a in DIFFERENTIAL_SETS), key=len)
+    largest = max((a for _, a in DIFFERENTIAL_SETS), key=len)
+    assert check_histograms(smallest) and not check_histograms(largest)
+
+
+@pytest.mark.parametrize("label, a", DIFFERENTIAL_SETS, ids=[s[0] for s in DIFFERENTIAL_SETS])
+def test_reports_on_every_column_kind_pass_every_check(label, a):
+    for eps in (F(1, 10), F(1, 4), F(2, 5)):
+        res = verify_report_dict(a, fresh_report(a, eps))
+        assert res.status == "pass", (eps, [c.name for c in res.checks if c.status != "pass"])
+
+
+# ----- budget, version and the fields each check covers --------------------
+
+def test_over_budget_checks_are_skipped_not_passed(monkeypatch):
+    a = gen_random(48, 97, 21)
+    doc = fresh_report(a, F(1, 4))
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", 4)
+    res = verify_report_dict(a, doc)
+    skipped = [c for c in res.checks if c.status == "skipped"]
+    assert res.status == "skipped" and not res.failed
+    assert {c.name for c in skipped} >= {"energy_matches", "diff_size_matches", "delta_matches"}
+    assert all("cells > 4" in c.claimed for c in skipped)
+    # checks that need no pass still run
+    assert {"input_size_matches", "a_prime_subset", "a_star_size_matches"} <= {
+        c.name for c in res.checks if c.status == "pass"
+    }
+    # a failure still wins over a skip
+    doc["input"]["n"] += 1
+    assert verify_report_dict(a, doc).status == "fail"
+
+
+def test_unknown_version_is_rejected():
+    a = zset(0, 1, 2)
+    doc = fresh_report(a, F(1, 5))
+    doc["version"] = "9.9.9"
+    with pytest.raises(ValueError, match="version"):
+        verify_report_dict(a, doc)
+
+
+def _bump(value):
+    """value + 1, for an int or a "p/q" string."""
+    if isinstance(value, int):
+        return value + 1
+    bumped = F(value) + 1
+    return f"{bumped.numerator}/{bumped.denominator}"
+
+
+# (eps, branch, path into the report, tampered value or None to bump, check)
+TAMPERED_FIELDS = [
+    ("1/10", "P", ("params", "eps"), "1/4", "branch_hypothesis"),
+    ("1/4", "Q", ("params", "eps"), "1/1000", "branch_hypothesis"),
+    ("1/4", "Q", ("witness", "q_size"), None, "q_size_matches"),
+    ("1/4", "Q", ("witness", "a_star_size"), None, "a_star_size_matches"),
+    ("1/10", "P", ("bounds", "diff_bound_p"), None, "diff_bound_p_recorded"),
+    ("1/10", "P", ("witness", "a_star_size"), None, "a_star_size_matches"),
+]
+
+
+@pytest.mark.parametrize("eps, case, path, value, check", TAMPERED_FIELDS)
+def test_tampered_field_fails_its_check(eps, case, path, value, check):
+    a = gen_random(48, 97, 21)
+    doc = fresh_report(a, F(eps))
+    assert doc["case"] == case
+    assert verify_report_dict(a, doc).status == "pass"
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _bump(parent[path[-1]]) if value is None else value
+    res = verify_report_dict(a, doc)
+    assert check in {c.name for c in res.failed}, [c.name for c in res.failed]
