@@ -5,23 +5,26 @@ table, no matrix product.  Energy is recounted through sums a + b rather
 than differences; r(d) for every difference of A, and |A' - A'|, come from
 separate histograms of the differences a - b.  A histogram writes each
 coordinate of every ordered pair as a fixed-width int64 column, folds the
-columns into one mixed-radix int64 key, and counts equal keys with
-np.bincount, or with a sort and its run breaks when the radix is larger
-than the pair count.  Before that, each coordinate is mapped into the
-smallest group that holds it (a free one shifted by its minimum, and both
-kinds divided by the gcd of their values), so a scaled copy of a set counts
-like the set.  A column whose radix still needs 64 bits (a reduced modulus
-above 2^63, a free span of 2^62 or more) is computed on Python ints and
-replaced by the ranks of its values, and a key whose radix would overflow
-is ranked the same way.  The weight-selection and path-count checks
-re-evaluate both sides of every inequality from their definitions.
+columns into one mixed-radix int64 key, sorts the keys and counts the runs
+of equal ones.  Before that, each coordinate is mapped into the smallest
+group that holds it (a free one shifted by its minimum, and both kinds
+divided by the gcd of their values), so a scaled copy of a set counts like
+the set.  A column whose radix still needs 64 bits (a reduced modulus above
+2^63, a free span of 2^62 or more) is computed on Python ints and replaced
+by the ranks of its values, and a key whose radix would overflow is ranked
+the same way.  The weight-selection and path-count checks re-evaluate both
+sides of every inequality from their definitions.
 
 One pass costs a cell per ordered pair of its set plus one per difference
-looked up in it.  A pass above _BUDGET_CELLS = 2^25 cells is not run, which
-admits sets of up to 5792 elements.  At its peak a pass holds about 24 bytes
-per cell (measured: 24 on a set whose differences are all distinct, 22 on
-axis:997,3), more where a column falls back to Python ints.  Every check
-that needs a pass over budget reports a distinct "skipped" status with the
+looked up in it, and _RANKED_CELL_COST = 5 cells for each of those when its
+key is ranked.  A pass above _BUDGET_CELLS = 2^25 cells is not run, which
+admits sets of up to 5792 elements, or 2590 when the key is ranked.  At its
+peak a pass holds about 24 bytes per cell (measured: 24 on a set whose
+differences are all distinct, 22 on axis:997,3).  A ranked pass held 66
+bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above 2^62, whose
+column is on Python ints and runs about 40 times slower per cell; the
+charge of 5 keeps both within the budget's memory bound.  Every check that
+needs a pass over budget reports a distinct "skipped" status with the
 pass's size, and a skipped check never counts as a pass.
 """
 
@@ -43,6 +46,7 @@ from .relation_lemma import Relation, TvWitness
 _BRUTEFORCE_CAP = 200
 _TV_CAP = 60
 _BUDGET_CELLS = 1 << 25
+_RANKED_CELL_COST = 5  # budget cells charged per cell of a pass whose key is ranked
 _KEY_LIMIT = 1 << 63  # every column value and every key stays below this
 _KNOWN_VERSIONS = ("0.1.0",)
 
@@ -156,39 +160,57 @@ def _ranks(col: np.ndarray) -> Tuple[np.ndarray, int]:
     return ranks.astype(np.int64, copy=False), len(distinct)
 
 
-def _column(values: Sequence[int], m: int, op: str, queries: Sequence[int]) -> Tuple[np.ndarray, int]:
+@dataclass(frozen=True)
+class _Coordinate:
+    """One coordinate of a set, mapped into the smallest group that holds it.
+
+    A free coordinate is shifted by its minimum and divided by the gcd g of
+    what is left; a cyclic one is divided by the gcd g of m and its values
+    and taken mod m / g.  Both maps are injective and additive, so they keep
+    every equality between sums and between differences.
+    """
+
+    x: List[int]  # the reduced values
+    g: int
+    top: int      # the reduced modulus, or the free span
+    cyclic: bool
+
+    @classmethod
+    def of(cls, values: Sequence[int], m: int) -> "_Coordinate":
+        lo = 0 if m else min(values)
+        g = math.gcd(m, *(v - lo for v in values)) or 1
+        x = [(v - lo) // g for v in values]
+        return cls(x, g, m // g if m else max(x), bool(m))
+
+    @property
+    def radix(self) -> int:
+        """One past the largest column value; a free one's last is for queries."""
+        return self.top + 1 if self.cyclic else 2 * self.top + 2
+
+
+def _column(c: _Coordinate, op: str, queries: Sequence[int]) -> Tuple[np.ndarray, int]:
     """One coordinate of x_i + x_j ("sum") or x_i - x_j ("diff") over all pairs.
 
     The pairs come row-major, then one value per query (a coordinate of a
     looked-up difference).  Returns int64 values below the returned radix,
-    equal exactly when the coordinates are.  The coordinate is first mapped
-    into the smallest group that holds it: a free one is shifted by its
-    minimum and divided by the gcd of what is left, a cyclic one is divided
-    by the gcd g of m and its values and taken mod m / g.  Both maps are
-    injective and additive, so they keep every equality between sums and
-    between differences.  A query that no pair can reach gets a value of its
-    own.
+    equal exactly when the coordinates are.  A query that no pair can reach
+    gets a value of its own.
     """
-    n = len(values)
-    lo = 0 if m else min(values)
-    g = math.gcd(m, *(v - lo for v in values)) or 1
-    x = [(v - lo) // g for v in values]
-    top = m // g if m else max(x)  # the reduced modulus, or the free span
-    radix = top + 1 if m else 2 * top + 2  # the last value is for queries
-    shift = 0 if m else top
+    n, top, radix = len(c.x), c.top, c.radix
+    shift = 0 if c.cyclic else top
     wanted = []
     for d in queries:
-        w = d // g + shift
-        wanted.append(w if d % g == 0 and 0 <= w < radix - 1 else radix - 1)
+        w = d // c.g + shift
+        wanted.append(w if d % c.g == 0 and 0 <= w < radix - 1 else radix - 1)
     # a coordinate whose radix needs 64 bits is counted on Python ints
     dtype = np.uint64 if radix <= _KEY_LIMIT else object
-    xs = np.array(x, dtype=dtype)
+    xs = np.array(c.x, dtype=dtype)
     col = np.empty(n * n + len(queries), dtype=dtype)
     cells = col[: n * n].reshape(n, n)
     # x_i + (top - x_j) is x_i - x_j + top, which the reduction or the
     # free span absorbs; on uint64 no sum reaches 2^64
     np.add(xs[:, None], xs[None, :] if op == "sum" else top - xs[None, :], out=cells)
-    if m:
+    if c.cyclic:
         np.subtract(cells, top, out=cells, where=cells >= top)
     col[n * n:] = wanted
     if dtype is object:
@@ -196,16 +218,11 @@ def _column(values: Sequence[int], m: int, op: str, queries: Sequence[int]) -> T
     return col.view(np.int64), radix
 
 
-def _keys(a_set: AdditiveSet, op: str, queries: Sequence[tuple]) -> Tuple[np.ndarray, int]:
+def _keys(coords: Sequence[_Coordinate], op: str, queries: Sequence[tuple]) -> np.ndarray:
     """Mixed-radix int64 keys of every pair a_i op a_j, then of the queries."""
-    moduli = a_set.spec.moduli
-
-    def column(k: int) -> Tuple[np.ndarray, int]:
-        return _column([a[k] for a in a_set.elements], moduli[k], op, [d[k] for d in queries])
-
-    key, radix = column(0)
-    for k in range(1, len(moduli)):
-        col, r = column(k)
+    key, radix = _column(coords[0], op, [d[0] for d in queries])
+    for k in range(1, len(coords)):
+        col, r = _column(coords[k], op, [d[k] for d in queries])
         if radix * r > _KEY_LIMIT:
             key, radix = _ranks(key)
             if radix * r > _KEY_LIMIT:
@@ -214,24 +231,28 @@ def _keys(a_set: AdditiveSet, op: str, queries: Sequence[tuple]) -> Tuple[np.nda
         key += col
         radix *= r
         del col  # free it before the next column is built
-    return key, radix
+    return key
 
 
 def _histogram(
     a_set: AdditiveSet, op: str, what: str, queries: Sequence[tuple] = ()
 ) -> Union[_Histogram, _OverBudget]:
     """Count the pairs of a_set by the value of a_i op a_j, and look up the queries."""
+    coords = [
+        _Coordinate.of([a[k] for a in a_set.elements], m)
+        for k, m in enumerate(a_set.spec.moduli)
+    ]
     pairs = len(a_set) ** 2
     cells = pairs + len(queries)
+    # the key is ranked exactly when the radix product passes the limit
+    if math.prod(c.radix for c in coords) > _KEY_LIMIT:
+        cells *= _RANKED_CELL_COST
     if cells > _BUDGET_CELLS:
         return _OverBudget(
             f"skipped (over budget): {what} needs {cells} cells > {_BUDGET_CELLS}"
         )
-    key, radix = _keys(a_set, op, queries)
+    key = _keys(coords, op, queries)
     values, wanted = key[:pairs], key[pairs:]
-    if radix <= pairs:
-        counts = np.bincount(values, minlength=radix)
-        return _Histogram(counts[counts > 0], counts[wanted])
     values.sort()
     found = np.searchsorted(values, wanted, "right") - np.searchsorted(values, wanted, "left")
     breaks = np.concatenate(([True], values[1:] != values[:-1]))

@@ -1,6 +1,8 @@
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ import bsgx.oracle as oracle
 from bsgx.additive_stats import energy
 from bsgx.bsg import Params, extract
 from bsgx.generators import SplitMix64, gen_ap, gen_axis, gen_ball, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec, add, sub
+from bsgx.groups import AdditiveSet, GroupSpec, add, parse_set, sub
 from bsgx.numeric_lemma import PrefixSelection, ScaledReal, WeightVector
 from bsgx.oracle import (
     energy_bruteforce,
@@ -272,6 +274,8 @@ def differential_sets():
 
 
 DIFFERENTIAL_SETS = differential_sets()
+# the sets whose pass ranks its key: a Python-int column, or a radix past 2^63
+RANKED = {"Z_(2^64+13)", "Z huge", "ZxZ_7 huge", "(Z_(2^40+15))^3", "Z_7xZ_(2^63-25)"}
 
 
 def pure_counts(a, op):
@@ -298,41 +302,56 @@ def probe_differences(a, diffs):
     return present + absent
 
 
-def check_histograms(a):
-    """The oracle's recounts equal the definitions, or report over budget."""
+def check_histograms(a, ranked=False):
+    """The oracle's recounts equal the definitions, or report over budget.
+
+    A pass costs a cell per pair and per query, five times that when ranked.
+    """
+    cost = oracle._RANKED_CELL_COST if ranked else 1
     sums = pure_counts(a, add)
     diffs = pure_counts(a, sub)
     queries = probe_differences(a, diffs)
     energy = oracle._energy(a)
     hist = oracle._histogram(a, "diff", "r(d)", queries)
     size = oracle._difference_set_size(a)
-    fits = len(a) ** 2 <= oracle._BUDGET_CELLS
+    fits = len(a) ** 2 * cost <= oracle._BUDGET_CELLS
     if fits:
         assert energy == sum(c * c for c in sums.values())
         assert size == len(diffs)
     else:
         assert "over budget" in energy.reason and "over budget" in size.reason
-    if len(a) ** 2 + len(queries) <= oracle._BUDGET_CELLS:
+    cells = (len(a) ** 2 + len(queries)) * cost
+    if cells <= oracle._BUDGET_CELLS:
         assert sorted(hist.counts.tolist()) == sorted(diffs.values())
         assert hist.query_counts.tolist() == [diffs.get(d, 0) for d in queries]
     else:
-        assert f"{len(a) ** 2 + len(queries)} cells" in hist.reason
+        assert f"{cells} cells" in hist.reason
     return fits
 
 
 @pytest.mark.parametrize("label, a", DIFFERENTIAL_SETS, ids=[s[0] for s in DIFFERENTIAL_SETS])
 def test_histograms_match_their_definitions(label, a):
-    assert check_histograms(a)
+    assert check_histograms(a, label in RANKED)
 
 
 def test_histograms_skip_over_the_budget(monkeypatch):
     sizes = sorted(len(a) for _, a in DIFFERENTIAL_SETS)
     monkeypatch.setattr(oracle, "_BUDGET_CELLS", sizes[len(sizes) // 2] ** 2)
-    fits = [check_histograms(a) for _, a in DIFFERENTIAL_SETS]
+    fits = [check_histograms(a, label in RANKED) for label, a in DIFFERENTIAL_SETS]
     assert any(fits) and not all(fits)
     smallest = min((a for _, a in DIFFERENTIAL_SETS), key=len)
     largest = max((a for _, a in DIFFERENTIAL_SETS), key=len)
     assert check_histograms(smallest) and not check_histograms(largest)
+
+
+def test_a_ranked_pass_is_charged_more(monkeypatch):
+    n = 25
+    plain = seeded_set(GroupSpec((0,)), n, wide_coordinate, 13)
+    ranked = seeded_set(GroupSpec((0,)), n, huge_free_coordinate, 13)
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", n * n * (oracle._RANKED_CELL_COST - 1))
+    assert check_histograms(plain) and not check_histograms(ranked, ranked=True)
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", n * n * oracle._RANKED_CELL_COST)
+    assert check_histograms(ranked, ranked=True)
 
 
 @pytest.mark.parametrize("label, a", DIFFERENTIAL_SETS, ids=[s[0] for s in DIFFERENTIAL_SETS])
@@ -343,6 +362,31 @@ def test_reports_on_every_column_kind_pass_every_check(label, a):
 
 
 # ----- budget, version and the fields each check covers --------------------
+
+def test_every_toy_certify_job_passes_every_check():
+    """The benchmark's certify jobs fit the budget, so none of their checks is skipped.
+
+    VerificationResult.ok does not fail a skipped check, and the benchmark
+    reads ok; this keeps a skip from passing there unseen, at toy scale.
+    """
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import VARIANTS, WORKLOADS, instance
+    finally:
+        sys.path.pop(0)
+    certify = WORKLOADS["certify"]
+    jobs = [
+        job
+        for slot in range(certify.slots)
+        for variant in range(VARIANTS)
+        for job in instance(certify, slot, variant, "toy")
+    ]
+    assert len(jobs) == 96 and all(job.verify for job in jobs)
+    for job in jobs:
+        a = parse_set(job.aset)
+        res = verify_report_dict(a, fresh_report(a, job.eps))
+        assert res.status == "pass", (job.label, [c.name for c in res.checks if c.status != "pass"])
+
 
 def test_over_budget_checks_are_skipped_not_passed(monkeypatch):
     a = gen_random(48, 97, 21)
