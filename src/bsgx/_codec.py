@@ -1,33 +1,34 @@
-"""Pack bounded-coordinate elements into int64 codes for bulk counting.
+"""Pack the pairwise differences of a set into mixed-radix codes for bulk counting.
 
-Each element (or pairwise difference) is mapped to a single int64 by a
-mixed-radix positional code that is monotone with respect to lexicographic
-order on coordinate tuples, so sorting codes sorts elements.  One shared
-radix vector covers both the base set and all of its pairwise differences:
-cyclic coordinates use [0, m) and free coordinates use the hull of the
-coordinate range and its difference range.  When the combined range product
-cannot fit safely below 2**62, build_codec returns None, and the rep table
-codes each difference by its rank among the sorted differences instead.
-build_codec is called only there, so that is the one place the choice is
-made; every later stage runs the same numpy path on either kind of code.
+Each difference gets one integer code, monotone in lexicographic order on
+coordinate tuples, so sorting codes sorts differences.  Cyclic coordinates
+use the digit range [0, m), free ones the hull of the coordinate range and
+its difference range.  build_codec codes the raw coordinates, or returns
+None when their range product cannot fit safely below 2**62.
+reduced_codec codes a Freiman-isomorphic copy instead: a free coordinate is
+shifted by its minimum, and every coordinate, and a cyclic modulus m, is
+divided by the gcd g of its values (Z_m becomes Z_(m/g)).  Both maps keep
+differences and their order, so the counts are those of the original set,
+and decode multiplies the digits back by g.  Reduced codes are int64 when
+the reduced ranges pass the same caps, else Python ints in object arrays.
 
 Every n x n scan in the package walks its rows in blocks of about
-BLOCK_CELLS cells (row_chunks), so the int64 code buffers, the boolean
-matrices built from them and the float blocks of the GEMMs stay a few tens
-of MB whatever the set size.
+BLOCK_CELLS cells (row_chunks), so the code buffers, the boolean matrices
+built from them and the float blocks of the GEMMs stay a few tens of MB
+whatever the set size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import AdditiveSet, GroupSpec
+from .groups import AdditiveSet
 
-# caps chosen so every intermediate in encode() and diff_codes() stays
-# strictly inside int64
+# caps chosen so every intermediate in diff_codes() stays strictly inside int64
 _COORD_CAP = 1 << 61
 _CODE_CAP = 1 << 62
 
@@ -42,31 +43,31 @@ def row_chunks(rows: int, width: int) -> list:
 
 @dataclass
 class Codec:
-    """Mixed-radix lexicographic code for one set and its differences."""
+    """Mixed-radix lexicographic code for the differences of one set.
 
-    spec: GroupSpec
+    Digit j decodes to scales[j] times itself; the arrays are int64, or
+    object arrays of Python ints when the codes do not fit int64.
+    """
+
+    moduli: tuple
     lows: np.ndarray
     radices: np.ndarray
     strides: np.ndarray
-    coords: np.ndarray
-
-    def encode(self, mat: np.ndarray) -> np.ndarray:
-        """Codes of canonical coordinate rows (last axis is the coordinate)."""
-        return (mat - self.lows) @ self.strides
+    scales: tuple
 
     def diff_codes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Codes of left[i] - right[j], shape (len(left), len(right)).
 
-        Built one coordinate at a time in a single int64 buffer.  Both inputs
-        are canonical, so a cyclic difference lies in (-m, m) and one added m
-        where it is negative reduces it; a free difference lies in
-        [lows[j], lows[j] + radices[j]).  Each shifted digit is below its
-        radix and the running code below the radix product, which is at most
-        _CODE_CAP.
+        Built one coordinate at a time in a single buffer of the inputs'
+        dtype.  Both inputs are canonical, so a cyclic difference lies in
+        (-m, m) and one added m where it is negative reduces it; a free
+        difference lies in [lows[j], lows[j] + radices[j]).  Each shifted
+        digit is below its radix and the running code below the radix
+        product, which is at most _CODE_CAP when the dtype is int64.
         """
-        codes = np.empty((len(left), len(right)), dtype=np.int64)
-        digit = np.empty_like(codes) if self.spec.dim > 1 else codes
-        for j, m in enumerate(self.spec.moduli):
+        codes = np.empty((len(left), len(right)), dtype=left.dtype)
+        digit = np.empty_like(codes) if len(self.moduli) > 1 else codes
+        for j, m in enumerate(self.moduli):
             out = codes if j == 0 else digit
             np.subtract(left[:, j, None], right[None, :, j], out=out)
             if m:
@@ -80,47 +81,61 @@ class Codec:
         return codes
 
     def decode(self, codes: np.ndarray) -> list:
-        """Invert encode(): int64 codes back to element tuples."""
-        rows = []
-        digits = np.empty((len(codes), self.spec.dim), dtype=np.int64)
-        for j in range(self.spec.dim):
+        """The differences with the given codes, as element tuples."""
+        digits = np.empty((len(codes), len(self.moduli)), dtype=codes.dtype)
+        for j in range(len(self.moduli)):
             digits[:, j] = (codes // self.strides[j]) % self.radices[j]
         digits += self.lows
-        for row in digits:
-            rows.append(tuple(int(c) for c in row))
-        return rows
+        # Python ints from here on: a scale may exceed int64
+        return [tuple(c * g for c, g in zip(row, self.scales)) for row in digits.tolist()]
 
 
-def build_codec(a_set: AdditiveSet) -> Optional[Codec]:
-    """Build a codec for a_set, or None when int64 cannot hold the codes."""
-    spec = a_set.spec
+def _radix_codec(moduli: Sequence[int], cols: list, scales: list) -> Codec:
+    """The codec of the coordinate columns cols, int64 when its codes fit."""
     lows = []
     radices = []
-    for j, m in enumerate(spec.moduli):
-        col = [e[j] for e in a_set.elements]
-        mn, mx = min(col), max(col)
+    widest = 0
+    for m, col in zip(moduli, cols):
         if m:
             lo, hi = 0, m - 1
         else:
+            mn, mx = min(col), max(col)
             lo = min(mn, mn - mx)
             hi = max(mx, mx - mn)
-        if max(abs(lo), abs(hi)) > _COORD_CAP:
-            return None
+        widest = max(widest, abs(lo), abs(hi))
         lows.append(lo)
         radices.append(hi - lo + 1)
-    product = 1
-    for r in radices:
-        product *= r
-        if product > _CODE_CAP:
-            return None
-    strides = [1] * spec.dim
-    for j in range(spec.dim - 2, -1, -1):
+    strides = [1] * len(radices)
+    for j in range(len(radices) - 2, -1, -1):
         strides[j] = strides[j + 1] * radices[j + 1]
-    coords = np.array(a_set.elements, dtype=np.int64)
+    packs = widest <= _COORD_CAP and strides[0] * radices[0] <= _CODE_CAP
+    dtype = np.int64 if packs else object
     return Codec(
-        spec=spec,
-        lows=np.array(lows, dtype=np.int64),
-        radices=np.array(radices, dtype=np.int64),
-        strides=np.array(strides, dtype=np.int64),
-        coords=coords,
+        moduli=tuple(moduli),
+        lows=np.array(lows, dtype=dtype),
+        radices=np.array(radices, dtype=dtype),
+        strides=np.array(strides, dtype=dtype),
+        scales=tuple(scales),
     )
+
+
+def build_codec(a_set: AdditiveSet) -> Optional[Codec]:
+    """The codec of a_set's raw coordinates, or None when int64 cannot hold its codes."""
+    codec = _radix_codec(a_set.spec.moduli, list(zip(*a_set.elements)), [1] * a_set.spec.dim)
+    return codec if codec.strides.dtype == np.int64 else None
+
+
+def reduced_codec(a_set: AdditiveSet) -> Tuple[Codec, np.ndarray]:
+    """The codec of a_set's reduced copy and its coordinate rows, one per element."""
+    moduli = []
+    cols = []
+    scales = []
+    for m, col in zip(a_set.spec.moduli, zip(*a_set.elements)):
+        shift = 0 if m else min(col)
+        # gcd(0, ...) ignores the 0, and a constant free coordinate has g = 0
+        g = math.gcd(m, *(c - shift for c in col)) or 1
+        moduli.append(m // g)
+        cols.append([(c - shift) // g for c in col])
+        scales.append(g)
+    codec = _radix_codec(moduli, cols, scales)
+    return codec, np.array(list(zip(*cols)), dtype=codec.strides.dtype)

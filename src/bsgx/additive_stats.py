@@ -6,81 +6,65 @@ From it we read off the energy E(A) = sum of r(d)^2 and the doubling
 parameter K = |A|^3 / E(A) as an exact rational.
 
 The table is also the one difference index of the package: every difference
-has an int64 code, codes ascend in lexicographic difference order, and
-pair_codes gives the codes of a row block of the n x n difference matrix.
-build_codec alone picks the code: a mixed-radix code when the coordinates
-pack into int64, else the rank of d among the sorted distinct differences.
-Everything downstream (partition, membership matrices, relation build) runs
-the same numpy path on these codes.  Counting is O(|A|^2); all values are
-integers well inside int64, so the counts are exact and independent of
-chunking.
+has a mixed-radix code (see _codec), codes ascend in lexicographic
+difference order, and pair_codes gives the codes of a row block of the
+n x n difference matrix.  The codes are those of the raw coordinates when
+they pack into int64, else those of the gcd-reduced copy, int64 or Python
+ints; everything downstream (partition, membership matrices, relation
+build) runs the same numpy path on either.  Counting is O(|A|^2) and exact,
+and the counts are independent of chunking.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ._codec import Codec, build_codec, row_chunks
-from .groups import AdditiveSet, Element, sub
+from ._codec import Codec, build_codec, reduced_codec, row_chunks
+from .groups import AdditiveSet, Element
 
 _DECODE_CHUNK = 1 << 16
 
 
 class RepTable:
-    """Counts r(d) over all d in A - A, keyed by ascending int64 codes.
+    """Counts r(d) over all d in A - A, keyed by ascending codes.
 
-    With a codec (codec is not None) the codes are its mixed-radix codes;
-    without one the code of d is its rank among the sorted differences,
-    which diffs lists in order.
+    coder codes the differences of coords, whose rows are a_set's elements
+    or their reduced copies; codes is int64, or an object array of Python
+    ints when even the reduced coordinates do not pack.  codec is coder when
+    the raw coordinates packed into int64 and None otherwise; it only
+    records which route ran.
     """
 
     def __init__(
         self,
         a_set: AdditiveSet,
         codec: Optional[Codec],
+        coder: Codec,
+        coords: np.ndarray,
         codes: np.ndarray,
         counts: np.ndarray,
-        diffs: Optional[list] = None,
     ) -> None:
         self.a_set = a_set
         self.codec = codec
+        self.coder = coder
+        self.coords = coords
         self.codes = codes
         self.counts = counts
-        self._diffs = diffs
 
     def __len__(self) -> int:
         return len(self.codes)
 
-    @cached_property
-    def _rank(self) -> dict:
-        return {d: i for i, d in enumerate(self._diffs)}
-
     def pair_codes(self, lo: int, hi: int) -> np.ndarray:
         """Codes of a_i - a_j for lo <= i < hi and every j, shape (hi - lo, n)."""
-        if self.codec is not None:
-            coords = self.codec.coords
-            return self.codec.diff_codes(coords[lo:hi], coords)
-        spec = self.a_set.spec
-        elems = self.a_set.elements
-        rank = self._rank
-        block = np.empty((hi - lo, len(elems)), dtype=np.int64)
-        for row, a in zip(block, elems[lo:hi]):
-            row[:] = np.fromiter(
-                (rank[sub(spec, a, b)] for b in elems), dtype=np.int64, count=len(elems)
-            )
-        return block
+        return self.coder.diff_codes(self.coords[lo:hi], self.coords)
 
     def decode(self, codes: np.ndarray) -> list:
         """The differences with the given codes, as element tuples."""
-        if self.codec is not None:
-            return self.codec.decode(codes)
-        return [self._diffs[c] for c in codes.tolist()]
+        return self.coder.decode(codes)
 
     def items(self) -> Iterator[Tuple[Element, int]]:
         """(difference, count) pairs in lexicographic difference order."""
@@ -125,22 +109,17 @@ def rep_table(a_set: AdditiveSet) -> RepTable:
     """Count every ordered pairwise difference of a_set."""
     codec = build_codec(a_set)
     if codec is None:
-        spec = a_set.spec
-        elems = a_set.elements
-        tally = Counter(sub(spec, a, b) for a in elems for b in elems)
-        diffs = sorted(tally)
-        counts = np.fromiter((tally[d] for d in diffs), dtype=np.int64, count=len(diffs))
-        codes = np.arange(len(diffs), dtype=np.int64)
-        return RepTable(a_set, None, codes, counts, diffs)
-
+        coder, coords = reduced_codec(a_set)
+    else:
+        coder, coords = codec, np.array(a_set.elements, dtype=np.int64)
     n = len(a_set)
     parts = []
     for lo, hi in row_chunks(n, n):
-        block = codec.diff_codes(codec.coords[lo:hi], codec.coords).ravel()
+        block = coder.diff_codes(coords[lo:hi], coords).ravel()
         parts.append(np.unique(block, return_counts=True))
         del block  # free it before the next block is built
     codes, counts = _merge_code_counts(parts)
-    return RepTable(a_set, codec, codes, counts)
+    return RepTable(a_set, codec, coder, coords, codes, counts)
 
 
 def energy(a_set: AdditiveSet) -> EnergyReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -64,11 +65,15 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _write_text(path: Optional[str], text: str) -> None:
+    """Write text to path, or to stdout when path is None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
@@ -179,15 +184,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "family", "params", "n", "E", "K", "case",
         "a_prime_size", "diff_size", "size_bound_ok", "diff_bound_ok", "ratio",
     ]
-    if args.csv and args.csv != "-":
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(args.csv, text.getvalue())
     return EXIT_OK
 
 

@@ -32,10 +32,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @contextmanager
-def counting_path(fallback: bool):
-    """While the block runs, rep_table takes the rank-coded fallback if asked."""
+def counting_path(reduced: bool):
+    """While the block runs, rep_table codes the gcd-reduced copy if asked.
+
+    With build_codec patched to None every input takes the route of sets
+    whose raw coordinates do not pack: its codes are int64 for these small
+    test sets, so the codes differ from the raw ones while every report byte
+    must stay the same.
+    """
     with pytest.MonkeyPatch.context() as mp:
-        if fallback:
+        if reduced:
             mp.setattr(additive_stats, "build_codec", lambda a_set: None)
         yield
 
@@ -48,8 +54,8 @@ def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relati
     """
     rep = additive_stats.rep_table(base)
     wanted = {base.spec.reduce(m) for m in members}
-    codes = [c for c, (d, _) in zip(rep.codes.tolist(), rep.items()) if d in wanted]
-    return Relation.from_difference_set(rep, np.array(codes, dtype=np.int64))
+    keep = np.array([d in wanted for d, _ in rep.items()], dtype=np.bool_)
+    return Relation.from_difference_set(rep, rep.codes[keep])
 
 
 def relation_from_index_pairs(base: AdditiveSet, pairs: Iterable[Tuple[int, int]]) -> Relation:

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import translate
+from conftest import counting_path, translate
 
-from bsgx import _codec
 from bsgx.additive_stats import difference_set, energy, rep_table
 from bsgx.generators import gen_ap, gen_axis, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, neg, sub
@@ -79,25 +78,23 @@ def test_rep_invariants_on_a_structured_set():
     assert table[a.spec.zero()] == n
 
 
-def test_dict_fallback_agrees_with_fast_path(monkeypatch):
+def test_dict_fallback_agrees_with_fast_path():
+    # the reduced route, forced here, counts what the raw route counts
     sets = [
         gen_random(25, 64, 5),
         gen_axis(5, 3),
         AdditiveSet.from_elements(GroupSpec((0, 6)), [(i, i * i) for i in range(9)]),
     ]
-    fast = [energy(a) for a in sets]
-    monkeypatch.setattr(_codec, "build_codec", lambda a: None)
-    import bsgx.additive_stats as stats
-
-    monkeypatch.setattr(stats, "build_codec", lambda a: None)
-    slow = [energy(a) for a in sets]
-    assert fast == slow
+    raw = [energy(a) for a in sets]
+    with counting_path(reduced=True):
+        assert [energy(a) for a in sets] == raw
 
 
 def test_huge_free_coordinates_fall_back():
-    # coordinates beyond the packing cap force the dict path implicitly
+    # coordinates beyond the packing cap, with gcd 1, take Python-int codes
     big = 1 << 62
     a = AdditiveSet.from_elements(Z, [(0,), (big,), (2 * big,), (3 * big + 1,)])
+    assert rep_table(a).codes.dtype == object
     r = energy(a)
     # {0, b, 2b, 3b+1}: r(b) = 2 (two adjacent pairs), ten other nonzero
     # differences occur once, so E = 16 + 2*4 + 8 and |A-A| = 11

@@ -220,12 +220,12 @@ def test_branch_q_report_bytes_do_not_depend_on_chunking(monkeypatch):
     assert extract(a, params).to_json() == whole
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_membership_matrices_match_their_definitions(fallback, monkeypatch):
+@pytest.mark.parametrize("reduced", [False, True])
+def test_membership_matrices_match_their_definitions(reduced, monkeypatch):
     a = gen_ball(2, 9)  # nine popular differences
-    with counting_path(fallback):
+    with counting_path(reduced):
         pq = partition_pq(a)
-    assert (pq.rep.codec is None) == fallback
+    assert (pq.rep.codec is None) == reduced
     monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
     x_mat, m_mat = _membership_matrices(pq, 6)
     table = dict(pq.rep.items())

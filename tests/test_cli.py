@@ -229,3 +229,22 @@ def test_bench_rejects_bad_family(capsys):
     assert main(["bench", "--families", "nope:3", "--eps", "1/4"]) == 2
     assert main(["bench", "--families", "ap:5", "--eps", "1/2"]) == 3
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "{src}", "--eps", "1/5", "--out", "{out}"],
+        ["gen", "ap", "--n", "5", "--out", "{out}"],
+        ["bench", "--families", "ap:5", "--eps", "1/4", "--csv", "{out}"],
+    ],
+    ids=["extract", "gen", "bench"],
+)
+def test_unwritable_output_exits_2(argv, aset_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    rc = main([t.format(src=aset_file(A012), out=out) for t in argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}: " in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()

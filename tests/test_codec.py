@@ -1,3 +1,6 @@
+from collections import Counter
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,9 +8,18 @@ from hypothesis import strategies as st
 
 from conftest import counting_path
 
+from bsgx import _codec, gen_random
 from bsgx._codec import _CODE_CAP, _COORD_CAP, build_codec
 from bsgx.additive_stats import rep_table
+from bsgx.bsg import extract_p, extract_q, partition_pq
 from bsgx.groups import AdditiveSet, GroupSpec, sub
+from bsgx.oracle import verify_extraction
+
+
+def expected_code(codec, d):
+    """The mixed-radix code of difference d, digit by digit from codec's fields."""
+    digits = zip(d, codec.scales, codec.lows.tolist(), codec.strides.tolist())
+    return sum((c // g - lo) * s for c, g, lo, s in digits)
 
 
 @st.composite
@@ -44,23 +56,19 @@ def packable_sets(draw):
 def test_diff_codes_match_encoded_differences(a):
     codec = build_codec(a)
     assume(codec is not None)
-    lows, strides = codec.lows.tolist(), codec.strides.tolist()
+    assert codec.scales == (1,) * a.spec.dim
     elems = a.elements
-
-    def code(d):
-        return sum((c - lo) * s for c, lo, s in zip(d, lows, strides))
-
-    diffs = [sub(a.spec, x, y) for x in elems for y in elems]
-    want = [code(d) for d in diffs]
+    want = [expected_code(codec, sub(a.spec, x, y)) for x in elems for y in elems]
     assert all(0 <= c < _CODE_CAP for c in want)
-    assert codec.encode(np.array(diffs, dtype=np.int64)).tolist() == want
-    got = codec.diff_codes(codec.coords, codec.coords)
+    coords = np.array(elems, dtype=np.int64)
+    got = codec.diff_codes(coords, coords)
+    assert got.dtype == np.int64
     assert got.shape == (len(a), len(a))
     assert got.ravel().tolist() == want
     # the row and column blocks the chunked scans pass
     k = len(a) // 2
-    assert codec.diff_codes(codec.coords[k:], codec.coords).tolist() == got[k:].tolist()
-    assert codec.diff_codes(codec.coords, codec.coords[:k]).tolist() == got[:, :k].tolist()
+    assert codec.diff_codes(coords[k:], coords).tolist() == got[k:].tolist()
+    assert codec.diff_codes(coords, coords[:k]).tolist() == got[:, :k].tolist()
 
 
 def test_near_cap_sets_are_packed():
@@ -72,21 +80,34 @@ def test_near_cap_sets_are_packed():
         )
         codec = build_codec(a)
         assert codec is not None
-        assert codec.diff_codes(codec.coords, codec.coords).tolist() == [
-            [codec.encode(np.array(sub(a.spec, x, y))).item() for y in a.elements]
+        coords = np.array(a.elements, dtype=np.int64)
+        assert codec.diff_codes(coords, coords).tolist() == [
+            [expected_code(codec, sub(a.spec, x, y)) for y in a.elements]
             for x in a.elements
         ]
 
 
-@pytest.mark.parametrize("fallback", [False, True])
+def test_raw_caps_decide_build_codec():
+    # free and cyclic coordinate bounds just inside or past _COORD_CAP, and
+    # a radix product just inside or past _CODE_CAP
+    def packs(moduli, elem):
+        return build_codec(AdditiveSet.from_elements(GroupSpec(moduli), [elem])) is not None
+
+    assert packs((0,), (_COORD_CAP,)) and not packs((0,), (_COORD_CAP + 1,))
+    assert packs((0,), (-_COORD_CAP,)) and not packs((0,), (-_COORD_CAP - 1,))
+    assert packs((_COORD_CAP + 1,), (0,)) and not packs((_COORD_CAP + 2,), (0,))
+    assert packs((1 << 31, 1 << 31), (0, 0)) and not packs((1 << 31, (1 << 31) + 1), (0, 0))
+
+
+@pytest.mark.parametrize("reduced", [False, True])
 @given(a=packable_sets(), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_pair_codes_decode_to_differences(fallback, a, data):
-    # the rank codes of the fallback and the codec's codes index alike
-    with counting_path(fallback):
+def test_pair_codes_decode_to_differences(reduced, a, data):
+    # the raw and the reduced coordinates' codes index alike
+    with counting_path(reduced):
         rep = rep_table(a)
-    assume(fallback or rep.codec is not None)
-    assert (rep.codec is None) == fallback
+    assume(reduced or rep.codec is not None)
+    assert (rep.codec is None) == reduced
     codes = rep.codes.tolist()
     assert codes == sorted(set(codes))
     diffs = [d for d, _ in rep.items()]
@@ -98,3 +119,76 @@ def test_pair_codes_decode_to_differences(fallback, a, data):
     assert block.shape == (hi - lo, n)
     want = [sub(a.spec, x, y) for x in a.elements[lo:hi] for y in a.elements]
     assert rep.decode(block.ravel()) == want
+
+
+# Sets whose raw coordinates do not pack, so rep_table codes their reduced
+# copies; the flag says whether even those need Python-int codes.  Most are
+# built on the integers of one random subset of [0, 521), whose popular mass
+# is low enough that both branch hypotheses hold at one eps.
+M = (1 << 64) + 13
+BASE = [x for (x,) in gen_random(80, 521, 2).elements]
+
+
+def _set(moduli, elems):
+    return AdditiveSet.from_elements(GroupSpec(moduli), elems)
+
+
+REDUCED = {
+    # shifted and scaled, all free values negative; reduces to int64
+    "shifted-scaled": (
+        lambda: _set((0, 521 << 60), [(3 * (x << 40) - (1 << 70) - 5, x << 60) for x in BASE]),
+        False,
+    ),
+    # free span at least 2^63 with gcd 1
+    "span-2^63": (lambda: _set((0,), [(x << 63,) for x in BASE] + [(1,)]), True),
+    # a unit multiple of BASE in Z_(2^64+13), so isomorphic to BASE
+    "Z_(2^64+13)": (lambda: _set((M,), [(((1 << 40) + 7) * x % M,) for x in BASE]), True),
+    # small coordinates whose radix product passes 2^62
+    "dim-3": (lambda: _set((0, 0, 0), [(x, x + (int(x >= 480) << 45), -x) for x in BASE]), True),
+    # scaled by 2^64+13: int64 codes, but g does not fit int64
+    "scale-M": (lambda: _set((0, 521 * M), [(x * M - (1 << 80), x * M) for x in BASE]), False),
+    "n=1": (lambda: _set((0, M), [(1 << 70, 5)]), True),
+    # constant free and cyclic coordinates; the cyclic one reduces to Z_1
+    "constant": (lambda: _set((0, 0, 1 << 64), [(x << 62, 7, 0) for x in BASE]), False),
+}
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+@pytest.mark.parametrize("label", list(REDUCED))
+def test_reduced_route_matches_the_definition(label, cells, monkeypatch):
+    build, wide = REDUCED[label]
+    a = build()
+    if cells is not None:
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+    rep = rep_table(a)
+    assert build_codec(a) is None and rep.codec is None
+    assert rep.codes.dtype == (object if wide else np.int64)
+    elems = a.elements
+    tally = Counter(sub(a.spec, x, y) for x in elems for y in elems)
+    diffs = sorted(tally)
+    assert rep.decode(rep.codes) == diffs
+    assert rep.counts.tolist() == [tally[d] for d in diffs]
+    assert rep.codes.tolist() == [expected_code(rep.coder, d) for d in diffs]
+    n = len(a)
+    for lo, hi in ((0, n), (n // 3, n // 2)):
+        want = [sub(a.spec, x, y) for x in elems[lo:hi] for y in elems]
+        assert rep.decode(rep.pair_codes(lo, hi).ravel()) == want
+
+
+@pytest.mark.parametrize("label", list(REDUCED))
+def test_reduced_route_runs_both_branches(label, monkeypatch):
+    a = REDUCED[label][0]()
+    pq = partition_pq(a)
+    # at eps = 4 * p_mass / E both branch hypotheses hold
+    knife = F(4 * pq.p_mass, pq.energy)
+    if knife < F(1, 2):
+        runs = [(extract_p, knife), (extract_q, knife)]
+    else:
+        assert label == "n=1"
+        runs = [(extract_p, F(1, 4))]
+    for branch, eps in runs:
+        report = branch(a, pq, eps)
+        assert verify_extraction(a, report).status == "pass"
+        with monkeypatch.context() as mp:
+            mp.setattr(_codec, "BLOCK_CELLS", 64)
+            assert branch(a, partition_pq(a), eps).to_json() == report.to_json()

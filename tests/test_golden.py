@@ -1,11 +1,14 @@
 """Golden reports: SHA-256 of the extract JSON for fixed (set, eps) pairs.
 
-The digests were taken before the codec and fallback counting paths were
-merged into one difference index, so any refactor that moves a report byte
-fails here.  Labels ending in *2^53 are isomorphic copies with coordinates
-and moduli multiplied by 2^53, whose differences are too wide for int64
-codes and so take the rank-coded fallback.  A "knife" eps is 4 * p_mass / E,
-where both branch hypotheses hold with equality.
+The digests were taken before the raw and the reduced counting routes were
+merged into one code, so any refactor that moves a report byte fails here.
+Labels ending in *2^53 are isomorphic copies with coordinates and moduli
+multiplied by 2^53, whose raw differences are too wide for int64 codes, so
+rep_table codes their gcd-reduced copies.  Labels ending in *2^64+1 are
+copies multiplied by 2^64 with the element 1 added, and the last base set
+lies in Z_(2^64+13); neither can be reduced, so their codes are Python ints.
+A "knife" eps is 4 * p_mass / E, where both branch hypotheses hold with
+equality.
 """
 
 import hashlib
@@ -21,31 +24,38 @@ from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
 from bsgx.oracle import verify_extraction
 
-COPY_FACTOR = 1 << 53
-
 _BASES = {
     "ap:40,3,7": lambda: gen_ap(40, 3, 7),
     "ball:3,4": lambda: gen_ball(3, 4),
+    "ball:2,9": lambda: gen_ball(2, 9),
     "axis:23,3": lambda: gen_axis(23, 3),
     "random:80,521,2": lambda: gen_random(80, 521, 2),
     "random:63,127,7": lambda: gen_random(63, 127, 7),
+    "random:60,2^64,5 in Z_(2^64+13)": lambda: AdditiveSet.from_elements(
+        GroupSpec(((1 << 64) + 13,)), gen_random(60, 1 << 64, 5).elements
+    ),
 }
 
 
-def scaled(a: AdditiveSet) -> AdditiveSet:
-    """The copy of a with every coordinate and modulus multiplied by 2^53."""
+def scaled(a: AdditiveSet, factor: int, extra: tuple = ()) -> AdditiveSet:
+    """The copy of a with every coordinate and modulus multiplied by factor, plus extra."""
     return AdditiveSet.from_elements(
-        GroupSpec(tuple(m * COPY_FACTOR for m in a.spec.moduli)),
-        (tuple(c * COPY_FACTOR for c in e) for e in a.elements),
+        GroupSpec(tuple(m * factor for m in a.spec.moduli)),
+        [tuple(c * factor for c in e) for e in a.elements] + list(extra),
     )
+
+
+COPIES = {
+    "": lambda a: a,
+    "2^53": lambda a: scaled(a, 1 << 53),
+    "2^64+1": lambda a: scaled(a, 1 << 64, ((1,) + (0,) * (a.spec.dim - 1),)),
+}
 
 
 def build(label: str, eps: str, both: bool):
     """The input set and parameters of one golden case."""
     base, _, copy = label.partition("*")
-    a = _BASES[base]()
-    if copy:
-        a = scaled(a)
+    a = COPIES[copy](_BASES[base]())
     if eps == "knife":
         pq = partition_pq(a)
         eps_val = F(4 * pq.p_mass, pq.energy)
@@ -65,6 +75,9 @@ GOLDEN = {
     ("random:80,521,2", "knife", True): "1ddae9157cb22e62243d22bee822fde14698481b2ac5633ac6c58bdc5be25f6e",
     ("random:80,521,2*2^53", "knife", True): "3e0898031363f5732e8ba0b5b5982029313dd2cc45d5fb40d1fcf1eb4cb409a8",
     ("random:63,127,7", "knife", True): "2e2ac60d4f8adb8efbc0ecbf2794a22461fbc202dcb56e2dae57fc2ee26c4581",
+    ("ball:2,9*2^64+1", "1/4", False): "006791ac8c20d155782c9edfb8259d582a4dc0dac67e716d4c91c917eac81020",
+    ("random:80,521,2*2^64+1", "knife", True): "b5b97c6bb8f25fce851e3d368f8d98102ded54aa1a85f3dbeec3be09199fe761",
+    ("random:60,2^64,5 in Z_(2^64+13)", "1/4", False): "f47e83235902fbbec9446f28f5217b08ec9aa57d66ad8fe0e88056333c6c7f8b",
 }
 
 
@@ -80,7 +93,9 @@ GOLDEN_CASES = [
 @pytest.mark.parametrize("label,eps,both,cells", GOLDEN_CASES)
 def test_golden_report_bytes(label, eps, both, cells, monkeypatch):
     a, params = build(label, eps, both)
-    assert (build_codec(a) is None) == label.endswith("*2^53")
+    wide = label.endswith(("*2^64+1", "Z_(2^64+13)"))
+    assert (build_codec(a) is None) == ("*" in label or wide)
+    assert (rep_table(a).codes.dtype == object) == wide
     if cells is not None:
         monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
     out = extract(a, params).to_json().encode()
@@ -92,9 +107,10 @@ def test_golden_report_bytes(label, eps, both, cells, monkeypatch):
     [("ap:40,3,7", "1/4", False), ("axis:23,3", "2/5", False), ("random:63,127,7", "knife", True)],
 )
 def test_one_patch_moves_the_whole_pipeline_to_rank_codes(label, eps, both):
+    # with build_codec patched out, rep_table codes the reduced copy: same bytes
     a, params = build(label, eps, both)
     packed = extract(a, params).to_json()
-    with counting_path(fallback=True):
+    with counting_path(reduced=True):
         assert rep_table(a).codec is None
         assert extract(a, params).to_json() == packed
 

@@ -76,12 +76,12 @@ def test_difference_set_relation_reduces_members():
 
 
 def test_difference_set_relation_brute_force():
-    for fallback in (False, True):
+    for reduced in (False, True):
         rng = SplitMix64(31)
         for _ in range(10):
             base = gen_random(1 + rng.below(30), 53, rng.next_u64())
             members = [(rng.below(53),) for _ in range(rng.below(8))]
-            with counting_path(fallback):
+            with counting_path(reduced):
                 r = difference_relation(base, members)
             mset = {base.spec.reduce(m) for m in members}
             for i, a in enumerate(base.elements):
@@ -89,10 +89,10 @@ def test_difference_set_relation_brute_force():
                     assert r.matrix[i, j] == (sub(base.spec, a, b) in mset)
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_relation_from_all_or_no_codes(fallback):
+@pytest.mark.parametrize("reduced", [False, True])
+def test_relation_from_all_or_no_codes(reduced):
     base = gen_random(20, 53, 5)
-    with counting_path(fallback):
+    with counting_path(reduced):
         rep = rep_table(base)
     assert Relation.from_difference_set(rep, rep.codes).matrix.all()
     assert not Relation.from_difference_set(rep, rep.codes[:0]).matrix.any()
