@@ -47,7 +47,6 @@ from .groups import (
 )
 from .numeric_lemma import (
     PrefixSelection,
-    ScaledReal,
     WeightVector,
     select_index_set,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "QWitness",
     "Relation",
     "RepTable",
-    "ScaledReal",
     "SplitMix64",
     "TvWitness",
     "VerificationResult",

@@ -3,14 +3,16 @@
 Each difference gets one integer code, monotone in lexicographic order on
 coordinate tuples, so sorting codes sorts differences.  Cyclic coordinates
 use the digit range [0, m), free ones the hull of the coordinate range and
-its difference range.  build_codec codes the raw coordinates, or returns
-None when their range product cannot fit safely below 2**62.
-reduced_codec codes a Freiman-isomorphic copy instead: a free coordinate is
-shifted by its minimum, and every coordinate, and a cyclic modulus m, is
-divided by the gcd g of its values (Z_m becomes Z_(m/g)).  Both maps keep
-differences and their order, so the counts are those of the original set,
-and decode multiplies the digits back by g.  Reduced codes are int64 when
-the reduced ranges pass the same caps, else Python ints in object arrays.
+its difference range.  reduced_codec codes a Freiman-isomorphic copy of the
+set: a free coordinate is shifted by its minimum, and every coordinate, and
+a cyclic modulus m, is divided by the gcd g of its values (Z_m becomes
+Z_(m/g)).  Both maps keep differences and their order, so the counts are
+those of the original set, and decode multiplies the digits back by g.  The
+codes are int64 when the reduced ranges fit safely below 2**62, else Python
+ints in object arrays.  Reduction only shrinks ranges, so every set whose
+raw coordinates pack also gets int64 codes.  build_codec codes the raw
+coordinates, or returns None when they do not pack; nothing counts with it,
+it only marks sets whose raw coordinates are too wide.
 
 Every n x n scan in the package walks its rows in blocks of about
 BLOCK_CELLS cells (row_chunks), so the code buffers, the boolean matrices

@@ -8,11 +8,10 @@ parameter K = |A|^3 / E(A) as an exact rational.
 The table is also the one difference index of the package: every difference
 has a mixed-radix code (see _codec), codes ascend in lexicographic
 difference order, and pair_codes gives the codes of a row block of the
-n x n difference matrix.  The codes are those of the raw coordinates when
-they pack into int64, else those of the gcd-reduced copy, int64 or Python
-ints; everything downstream (partition, membership matrices, relation
-build) runs the same numpy path on either.  Counting is O(|A|^2) and exact,
-and the counts are independent of chunking.
+n x n difference matrix.  The codes are always those of the gcd-reduced
+copy, int64 or Python ints; everything downstream (partition, membership
+matrices, relation build) runs the same numpy path on either.  Counting is
+O(|A|^2) and exact, and the counts are independent of chunking.
 """
 
 from __future__ import annotations
@@ -32,24 +31,20 @@ _DECODE_CHUNK = 1 << 16
 class RepTable:
     """Counts r(d) over all d in A - A, keyed by ascending codes.
 
-    coder codes the differences of coords, whose rows are a_set's elements
-    or their reduced copies; codes is int64, or an object array of Python
-    ints when even the reduced coordinates do not pack.  codec is coder when
-    the raw coordinates packed into int64 and None otherwise; it only
-    records which route ran.
+    coder codes the differences of coords, the reduced copies of a_set's
+    elements; codes is int64, or an object array of Python ints when even
+    the reduced coordinates do not pack.
     """
 
     def __init__(
         self,
         a_set: AdditiveSet,
-        codec: Optional[Codec],
         coder: Codec,
         coords: np.ndarray,
         codes: np.ndarray,
         counts: np.ndarray,
     ) -> None:
         self.a_set = a_set
-        self.codec = codec
         self.coder = coder
         self.coords = coords
         self.codes = codes
@@ -57,6 +52,15 @@ class RepTable:
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    @property
+    def codec(self) -> Optional[Codec]:
+        """coder when a_set's raw coordinates pack into int64, else None.
+
+        The route marker perfbench's tracer reads; nothing in the package
+        reads it, and the codes do not depend on it.
+        """
+        return self.coder if build_codec(self.a_set) is not None else None
 
     def pair_codes(self, lo: int, hi: int) -> np.ndarray:
         """Codes of a_i - a_j for lo <= i < hi and every j, shape (hi - lo, n)."""
@@ -107,11 +111,7 @@ def _merge_code_counts(parts: list) -> Tuple[np.ndarray, np.ndarray]:
 
 def rep_table(a_set: AdditiveSet) -> RepTable:
     """Count every ordered pairwise difference of a_set."""
-    codec = build_codec(a_set)
-    if codec is None:
-        coder, coords = reduced_codec(a_set)
-    else:
-        coder, coords = codec, np.array(a_set.elements, dtype=np.int64)
+    coder, coords = reduced_codec(a_set)
     n = len(a_set)
     parts = []
     for lo, hi in row_chunks(n, n):
@@ -119,7 +119,7 @@ def rep_table(a_set: AdditiveSet) -> RepTable:
         parts.append(np.unique(block, return_counts=True))
         del block  # free it before the next block is built
     codes, counts = _merge_code_counts(parts)
-    return RepTable(a_set, codec, coder, coords, codes, counts)
+    return RepTable(a_set, coder, coords, codes, counts)
 
 
 def energy(a_set: AdditiveSet) -> EnergyReport:

@@ -109,12 +109,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
         f"a_prime={report.a_prime_size} diff={report.diff_size} "
         f"size_ratio={size_ratio:.6g} diff_ratio={diff_ratio:.6g}\n"
     )
-    if args.out:
-        _write_text(args.out, text)
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(text)
-        sys.stderr.write(summary)
+    _write_text(args.out, text)
+    # the summary goes to stderr whenever the report occupies stdout
+    (sys.stderr if args.out in (None, "-") else sys.stdout).write(summary)
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Select a prefix of the largest weights whose sum is provably big.
 
 Input is a vector of weights x_i in [0, 1], each of the form c_i * sqrt(rho)
-with rational c_i >= 0 and one shared rational rho > 0.  Writing S for the
+with an integer c_i >= 0 and one shared rational rho > 0.  Writing S for the
 sum of the x_i and T for the sum of the x_i^2, the selection returns an index
 set I (a prefix of the weights sorted descending) whose sum W satisfies
 
@@ -13,15 +13,15 @@ forms: the mass branch squares once to remove sqrt(rho), the cutoff test for
 the scan window divides out sqrt(rho), and in the size branch the rho powers
 cancel identically, so the whole selection is exact.
 
-The selection runs one integer path.  Weights are unchanged by
-(c, rho) -> (L * c, rho / L^2), so multiplying every coefficient by the
-common denominator L of the Fraction ones makes them all integers.  Those
-sit in one numpy array, int64 when len * max^2 (which bounds every sum the
-selection forms) fits, else an object array of Python ints; the sort, the
-window ends and the prefix sums are numpy passes over it either way, and
-only the size-branch scan compares Python ints one prefix at a time.  The
-only caller passes the representation counts as an int64 array, which
-WeightVector checks without boxing its millions of entries.
+The coefficients are one numpy array of integers: the caller passes the
+representation counts r(d) over the radicand n / E as int64, and
+WeightVector checks them without boxing their millions of entries.  Weights
+given as rationals c / L take this form after (c, rho) -> (L * c, rho / L^2),
+in an object array of Python ints when L * c passes int64.  The selection
+runs on int64 when len * max^2 (which bounds every sum it forms) fits, else
+on an object array of Python ints; the sort, the window ends and the prefix
+sums are numpy passes either way, and only the size-branch scan compares
+Python ints one prefix at a time.
 """
 
 from __future__ import annotations
@@ -29,59 +29,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .errors import InvariantViolation
 
-Coeff = Union[int, Fraction]
-
 _INT64_LIMIT = 1 << 63
-
-
-@dataclass(frozen=True)
-class ScaledReal:
-    """The nonnegative real coeff * sqrt(rho) with rational coeff and rho."""
-
-    coeff: Fraction
-    rho: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.coeff < 0:
-            raise ValueError(f"coefficient must be >= 0, got {self.coeff}")
-        if self.rho <= 0:
-            raise ValueError(f"radicand must be > 0, got {self.rho}")
 
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Weights x_i = coeff_i * sqrt(rho), each in [0, 1], not all zero.
+    """Weights x_i = coeffs[i] * sqrt(rho), each in [0, 1], not all zero.
 
-    coeffs is a tuple of ints and Fractions, or a 1-d numpy integer array
-    that is kept as it is.
+    coeffs is a 1-d numpy array of integers, kept as it is: an int or uint
+    dtype, or object dtype holding Python ints past int64.
     """
 
     rho: Fraction
-    coeffs: Union[Tuple[Coeff, ...], np.ndarray]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", Fraction(self.rho))
         coeffs = self.coeffs
-        if isinstance(coeffs, np.ndarray):
-            if coeffs.ndim != 1 or coeffs.dtype.kind not in "iu":
-                raise ValueError("coefficient array must be 1-d integer")
-        else:
-            coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
-            object.__setattr__(self, "coeffs", coeffs)
+        # a tuple or list has no ndim, so only numpy arrays get past this
+        if getattr(coeffs, "ndim", None) != 1 or not (
+            coeffs.dtype.kind in "iu"
+            or coeffs.dtype == object and all(type(c) is int for c in coeffs.tolist())
+        ):
+            raise ValueError("coefficients must be a 1-d array of integers")
         if self.rho <= 0:
             raise ValueError(f"radicand must be > 0, got {self.rho}")
         if not len(coeffs):
             raise ValueError("weight vector must be nonempty")
-        top = int(coeffs.max()) if isinstance(coeffs, np.ndarray) else max(coeffs)
-        low = int(coeffs.min()) if isinstance(coeffs, np.ndarray) else min(coeffs)
+        top = int(coeffs.max())
+        low = int(coeffs.min())
         if low < 0:
             raise ValueError(f"weights must be >= 0, got coefficient {low}")
         if top == 0:
@@ -100,6 +82,8 @@ class PrefixSelection:
     order is the full permutation (an int64 array of 0-based original
     indices) sorting weights descending with ties kept in original order;
     index_set lists the first chosen_i of those indices, sorted ascending;
+    certified_coeff is the sum of their coefficients, so the certified sum
+    is W = certified_coeff * sqrt(rho) on the weight vector's rho;
     window_lo and window_hi are the bounds of the prefix lengths the scan was
     allowed to consider.
     """
@@ -107,22 +91,17 @@ class PrefixSelection:
     order: np.ndarray
     chosen_i: int
     index_set: Tuple[int, ...]
-    certified_sum: ScaledReal
+    certified_coeff: int
     window_lo: int
     window_hi: int
 
 
-def _integer_coeffs(xs: WeightVector) -> Tuple[np.ndarray, int]:
-    """(L * c as an int64 or object array, L) with L clearing every denominator."""
-    if isinstance(xs.coeffs, np.ndarray):
-        ints, scale, top = xs.coeffs, 1, int(xs.coeffs.max())
-    else:
-        scale = math.lcm(*(c.denominator for c in xs.coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in xs.coeffs]
-        top = max(ints)
+def _integer_coeffs(xs: WeightVector) -> np.ndarray:
+    """The coefficients as int64, or as Python ints when int64 sums could overflow."""
+    top = int(xs.coeffs.max())
     # every sum formed below is at most len * top^2
-    dtype = np.int64 if len(ints) * top * top < _INT64_LIMIT else object
-    return np.asarray(ints, dtype=dtype), scale
+    dtype = np.int64 if len(xs) * top * top < _INT64_LIMIT else object
+    return xs.coeffs.astype(dtype, copy=False)
 
 
 def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
@@ -140,8 +119,8 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     a, b = alpha.numerator, alpha.denominator
 
-    coeffs, scale = _integer_coeffs(xs)
-    rho = xs.rho / (scale * scale)
+    coeffs = _integer_coeffs(xs)
+    rho = xs.rho
     keys = -coeffs
     if keys.dtype != object:
         # numpy's stable sort is a radix sort on keys of 16 bits or fewer
@@ -183,7 +162,7 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
                 order=order,
                 chosen_i=i,
                 index_set=tuple(np.sort(order[:i]).tolist()),
-                certified_sum=ScaledReal(Fraction(p, scale), xs.rho),
+                certified_coeff=p,
                 window_lo=k,
                 window_hi=ell,
             )

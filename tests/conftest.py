@@ -4,20 +4,22 @@ test_acceptance.py appends one line per top-level check to ACCEPTANCE_LINES;
 the hook below prints the whole block after the test summary, so the
 pass/fail lines are visible in a plain ``pytest -v`` run (no -s needed).
 
-The helpers below build relations from elements rather than rep-table codes
-and recount neighbourhoods by their definitions; the library needs none of
-them.  Test modules import them with ``from conftest import ...``.
+The helpers below build relations from elements rather than rep-table codes,
+recount neighbourhoods by their definitions and write rational weights as
+integer arrays; the library needs none of them.  Test modules import them
+with ``from conftest import ...``.
 """
 
-from contextlib import contextmanager
+import math
+from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
-import pytest
 
 import bsgx.additive_stats as additive_stats
 from bsgx._gemm import exact_float
 from bsgx.groups import AdditiveSet, Element, add
+from bsgx.numeric_lemma import WeightVector
 from bsgx.relation_lemma import Relation
 
 ACCEPTANCE_LINES = []
@@ -29,21 +31,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance summary")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
-
-
-@contextmanager
-def counting_path(reduced: bool):
-    """While the block runs, rep_table codes the gcd-reduced copy if asked.
-
-    With build_codec patched to None every input takes the route of sets
-    whose raw coordinates do not pack: its codes are int64 for these small
-    test sets, so the codes differ from the raw ones while every report byte
-    must stay the same.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        if reduced:
-            mp.setattr(additive_stats, "build_codec", lambda a_set: None)
-        yield
 
 
 def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relation:
@@ -102,3 +89,16 @@ def translate(a_set: AdditiveSet, t: Element) -> AdditiveSet:
     """The translate A + t (a bijection, so no dedup is needed)."""
     shifted = sorted(add(a_set.spec, a, t) for a in a_set.elements)
     return AdditiveSet(a_set.spec, tuple(shifted))
+
+
+def weight_vector(rho, coeffs: Iterable) -> WeightVector:
+    """The weights c * sqrt(rho) for rational c, as WeightVector's integer array.
+
+    The weights are unchanged by (c, rho) -> (L * c, rho / L^2), where L is
+    the common denominator of the c; the array is int64 when L * c fits.
+    """
+    fracs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in fracs))
+    ints = [c.numerator * (scale // c.denominator) for c in fracs]
+    dtype = np.int64 if max(ints) < 1 << 63 else object
+    return WeightVector(rho=Fraction(rho) / (scale * scale), coeffs=np.array(ints, dtype=dtype))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Tuple
 
-from conftest import ACCEPTANCE_LINES, difference_relation, relation_from_index_pairs
+from conftest import ACCEPTANCE_LINES, difference_relation, relation_from_index_pairs, weight_vector
 
 from bsgx.bsg import ExtractionReport, Params, extract
 from bsgx.cli import main as cli_main
@@ -33,7 +33,7 @@ from bsgx.generators import (
     sample_subset,
 )
 from bsgx.groups import AdditiveSet, GroupSpec
-from bsgx.numeric_lemma import WeightVector, select_index_set
+from bsgx.numeric_lemma import select_index_set
 from bsgx.oracle import (
     energy_bruteforce,
     verify_extraction,
@@ -318,7 +318,8 @@ def seeded_weight_vector(seed):
         rho = F(1, 1) / (top * top * (1 + rng.below(1000)))
     else:
         rho = F(1 + rng.below(50), 50) / (top * top)      # within (0, 1/top^2]
-    return WeightVector(rho=rho, coeffs=coeffs)
+    # Fraction coefficients are cleared to the integer array selection takes
+    return weight_vector(rho, coeffs)
 
 
 def test_prefix_selection_certificates():

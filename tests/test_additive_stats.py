@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counting_path, translate
+from conftest import translate
 
 from bsgx.additive_stats import difference_set, energy, rep_table
-from bsgx.generators import gen_ap, gen_axis, gen_random
+from bsgx.generators import gen_ap, gen_axis
 from bsgx.groups import AdditiveSet, GroupSpec, neg, sub
 
 Z = GroupSpec((0,))
@@ -76,18 +76,6 @@ def test_rep_invariants_on_a_structured_set():
         assert table[neg(a.spec, d)] == c  # r(d) = r(-d)
     assert sum(table.values()) == n * n
     assert table[a.spec.zero()] == n
-
-
-def test_dict_fallback_agrees_with_fast_path():
-    # the reduced route, forced here, counts what the raw route counts
-    sets = [
-        gen_random(25, 64, 5),
-        gen_axis(5, 3),
-        AdditiveSet.from_elements(GroupSpec((0, 6)), [(i, i * i) for i in range(9)]),
-    ]
-    raw = [energy(a) for a in sets]
-    with counting_path(reduced=True):
-        assert [energy(a) for a in sets] == raw
 
 
 def test_huge_free_coordinates_fall_back():

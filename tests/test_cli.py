@@ -60,6 +60,17 @@ def test_extract_to_file_prints_summary(aset_file, tmp_path, capsys):
     assert json.loads(out.read_text())["case"] == "P"
 
 
+def test_extract_out_dash_writes_only_the_report(aset_file, capsys):
+    path = aset_file(A012)
+    assert main(["extract", path, "--eps", "1/5"]) == 0
+    plain = capsys.readouterr()
+    assert main(["extract", path, "--eps", "1/5", "--out", "-"]) == 0
+    dashed = capsys.readouterr()
+    assert json.loads(dashed.out)["case"] == "P"
+    assert dashed.out == plain.out
+    assert dashed.err == plain.err and "case=P" in dashed.err
+
+
 @pytest.mark.parametrize("eps", ["1/2", "0", "3/5", "-1/4", "abc", "0.5"])
 def test_extract_rejects_bad_eps(aset_file, eps, capsys):
     # --eps=value keeps argparse from treating a leading '-' as a flag

@@ -3,13 +3,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counting_path
-
 from bsgx import _codec, gen_random
-from bsgx._codec import _CODE_CAP, _COORD_CAP, build_codec
+from bsgx._codec import _CODE_CAP, _COORD_CAP, build_codec, reduced_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import extract_p, extract_q, partition_pq
 from bsgx.groups import AdditiveSet, GroupSpec, sub
@@ -24,11 +22,13 @@ def expected_code(codec, d):
 
 @st.composite
 def packable_sets(draw):
-    """Mixed free/cyclic sets of dims 1-4 that the codec can still pack.
+    """Mixed free/cyclic sets of dims 1-4 whose raw coordinates still pack.
 
     One free coordinate may sit next to +-_COORD_CAP (exactly so in dim 1,
     shifted down by 8 bits per further coordinate so the radix product stays
     under _CODE_CAP); other free coordinates are small and may be negative.
+    The reduced copy shifts the big coordinate to a span of at most 4096, so
+    test_near_cap_sets_are_packed tests the caps on reduced coordinates.
     """
     dim = draw(st.integers(min_value=1, max_value=4))
     moduli = tuple(draw(st.sampled_from([0, 0, 2, 7, 101])) for _ in range(dim))
@@ -54,13 +54,13 @@ def packable_sets(draw):
 @given(packable_sets())
 @settings(max_examples=300, deadline=None)
 def test_diff_codes_match_encoded_differences(a):
-    codec = build_codec(a)
-    assume(codec is not None)
-    assert codec.scales == (1,) * a.spec.dim
+    # raw coordinates that pack reduce to int64 codes as well
+    assert build_codec(a) is not None
+    codec, coords = reduced_codec(a)
+    assert coords.dtype == np.int64
     elems = a.elements
     want = [expected_code(codec, sub(a.spec, x, y)) for x in elems for y in elems]
     assert all(0 <= c < _CODE_CAP for c in want)
-    coords = np.array(elems, dtype=np.int64)
     got = codec.diff_codes(coords, coords)
     assert got.dtype == np.int64
     assert got.shape == (len(a), len(a))
@@ -72,19 +72,28 @@ def test_diff_codes_match_encoded_differences(a):
 
 
 def test_near_cap_sets_are_packed():
-    # the strategy's extreme case really reaches the codec, in both signs
-    for sign in (1, -1):
-        base = sign * (_COORD_CAP - 4096)
-        a = AdditiveSet.from_elements(
-            GroupSpec((0,)), [(base - 2048,), (base,), (base + 2048,)]
-        )
-        codec = build_codec(a)
-        assert codec is not None
-        coords = np.array(a.elements, dtype=np.int64)
+    # reduced spans and radix products at _COORD_CAP and _CODE_CAP get int64
+    # codes, one past them Python ints; both code every difference alike
+    def check(moduli, elems, packs):
+        a = AdditiveSet.from_elements(GroupSpec(moduli), elems)
+        codec, coords = reduced_codec(a)
+        assert (coords.dtype == np.int64) == packs, (moduli, elems)
         assert codec.diff_codes(coords, coords).tolist() == [
             [expected_code(codec, sub(a.spec, x, y)) for y in a.elements]
             for x in a.elements
         ]
+
+    for sign in (1, -1):
+        # a free span s (gcd 1, shifted far from 0) has radix 2s + 1 <= _CODE_CAP
+        base = sign << 70
+        for span, packs in (((_CODE_CAP >> 1) - 1, True), (_CODE_CAP >> 1, False)):
+            check((0,), [(base,), (base + 1,), (base + span,)], packs)
+    # a cyclic modulus m (gcd 1 by the element 1) has largest digit m - 1
+    check((_COORD_CAP + 1,), [(0,), (1,)], True)
+    check((_COORD_CAP + 2,), [(0,), (1,)], False)
+    # two cyclic radices multiply to exactly _CODE_CAP, then one past it
+    check((1 << 31, 1 << 31), [(0, 0), (1, 1)], True)
+    check((1 << 31, (1 << 31) + 1), [(0, 0), (1, 1)], False)
 
 
 def test_raw_caps_decide_build_codec():
@@ -99,15 +108,11 @@ def test_raw_caps_decide_build_codec():
     assert packs((1 << 31, 1 << 31), (0, 0)) and not packs((1 << 31, (1 << 31) + 1), (0, 0))
 
 
-@pytest.mark.parametrize("reduced", [False, True])
 @given(a=packable_sets(), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_pair_codes_decode_to_differences(reduced, a, data):
-    # the raw and the reduced coordinates' codes index alike
-    with counting_path(reduced):
-        rep = rep_table(a)
-    assume(reduced or rep.codec is not None)
-    assert (rep.codec is None) == reduced
+def test_pair_codes_decode_to_differences(a, data):
+    rep = rep_table(a)
+    assert rep.codec is rep.coder  # the route marker: raw coordinates pack
     codes = rep.codes.tolist()
     assert codes == sorted(set(codes))
     diffs = [d for d, _ in rep.items()]

@@ -1,28 +1,36 @@
 """Golden reports: SHA-256 of the extract JSON for fixed (set, eps) pairs.
 
-The digests were taken before the raw and the reduced counting routes were
-merged into one code, so any refactor that moves a report byte fails here.
+The digests were taken when sets whose raw coordinates pack into int64 were
+still counted on raw-coordinate codes; rep_table now codes the gcd-reduced
+copy of every set, so any refactor that moves a report byte fails here.
 Labels ending in *2^53 are isomorphic copies with coordinates and moduli
-multiplied by 2^53, whose raw differences are too wide for int64 codes, so
-rep_table codes their gcd-reduced copies.  Labels ending in *2^64+1 are
-copies multiplied by 2^64 with the element 1 added, and the last base set
-lies in Z_(2^64+13); neither can be reduced, so their codes are Python ints.
-A "knife" eps is 4 * p_mass / E, where both branch hypotheses hold with
-equality.
+multiplied by 2^53, whose raw differences are too wide for int64 codes
+(build_codec returns None) while their reduced copies pack.  Labels ending
+in *2^64+1 are copies multiplied by 2^64 with the element 1 added, and the
+last base set lies in Z_(2^64+13); neither can be reduced, so their codes
+are Python ints.  A "knife" eps is 4 * p_mass / E, where both branch
+hypotheses hold with equality.
+
+The last test re-extracts every toy-scale job of the benchmark in
+perfbench/ and checks it against the digests pinned there.
 """
 
 import hashlib
+import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-
-from conftest import counting_path
 
 from bsgx import AdditiveSet, GroupSpec, Params, _codec, extract, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx._codec import build_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
-from bsgx.oracle import verify_extraction
+from bsgx.groups import parse_set
+from bsgx.oracle import verify_extraction, verify_report_dict
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 _BASES = {
     "ap:40,3,7": lambda: gen_ap(40, 3, 7),
@@ -102,21 +110,41 @@ def test_golden_report_bytes(label, eps, both, cells, monkeypatch):
     assert hashlib.sha256(out).hexdigest() == GOLDEN[(label, eps, both)]
 
 
-@pytest.mark.parametrize(
-    "label,eps,both",
-    [("ap:40,3,7", "1/4", False), ("axis:23,3", "2/5", False), ("random:63,127,7", "knife", True)],
-)
-def test_one_patch_moves_the_whole_pipeline_to_rank_codes(label, eps, both):
-    # with build_codec patched out, rep_table codes the reduced copy: same bytes
-    a, params = build(label, eps, both)
-    packed = extract(a, params).to_json()
-    with counting_path(reduced=True):
-        assert rep_table(a).codec is None
-        assert extract(a, params).to_json() == packed
-
-
 @pytest.mark.parametrize("label,eps,both", list(GOLDEN))
 def test_golden_reports_pass_every_oracle_check(label, eps, both):
     a, params = build(label, eps, both)
     res = verify_extraction(a, extract(a, params))
     assert res.status == "pass", [c.name for c in res.checks if c.status != "pass"]
+
+
+def test_every_toy_benchmark_report_matches_its_pin():
+    """Every toy-scale benchmark job: pinned bytes, branch and route marker.
+
+    The certify jobs also pass every oracle check.  VerificationResult.ok
+    does not fail a skipped check, and the benchmark reads ok; requiring
+    "pass" here keeps a skip from passing there unseen.
+    """
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import VARIANTS, WORKLOADS, instance
+    finally:
+        sys.path.pop(0)
+    pinned = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+    jobs = [
+        job
+        for workload in WORKLOADS.values()
+        for slot in range(workload.slots)
+        for variant in range(VARIANTS)
+        for job in instance(workload, slot, variant, "toy")
+    ]
+    assert len(jobs) == 240 and sum(job.verify for job in jobs) == 96
+    for job in jobs:
+        a = parse_set(job.aset)
+        out = extract(a, Params(eps=job.eps)).to_json()
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[job.label], job.label
+        doc = json.loads(out)
+        assert doc["case"] == job.case, job.label
+        assert (build_codec(a) is not None) == job.codec, job.label
+        if job.verify:
+            res = verify_report_dict(a, doc)
+            assert res.status == "pass", (job.label, [c.name for c in res.checks if c.status != "pass"])

@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import weight_vector
+
 from bsgx.generators import SplitMix64
 from bsgx.numeric_lemma import (
     PrefixSelection,
-    ScaledReal,
     WeightVector,
     _integer_coeffs,
     select_index_set,
@@ -16,9 +17,13 @@ from bsgx.oracle import verify_st
 F = Fraction
 
 
-def square(x: ScaledReal) -> Fraction:
-    """The square coeff^2 * rho of coeff * sqrt(rho)."""
-    return x.coeff * x.coeff * x.rho
+def arr(*coeffs):
+    return np.array(coeffs, dtype=np.int64)
+
+
+def w_squared(xs: WeightVector, sel: PrefixSelection) -> Fraction:
+    """The square certified_coeff^2 * rho of the certified sum W."""
+    return sel.certified_coeff**2 * xs.rho
 
 
 def fields(sel: PrefixSelection) -> tuple:
@@ -26,77 +31,65 @@ def fields(sel: PrefixSelection) -> tuple:
     return (sel.order.tolist(), sel.chosen_i, sel.index_set, sel.window_lo, sel.window_hi)
 
 
-class TestScaledReal:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScaledReal(F(-1), F(1, 2))
-        with pytest.raises(ValueError):
-            ScaledReal(F(1), F(0))
-
-
 class TestWeightVector:
     def test_validation(self):
+        # only numpy arrays of integers are coefficients
+        for bad in ((2,), [2], np.array([F(1, 2)], dtype=object), np.array([2.0], dtype=object)):
+            with pytest.raises(ValueError):
+                WeightVector(rho=F(1, 4), coeffs=bad)
         with pytest.raises(ValueError):
-            WeightVector(rho=F(1, 4), coeffs=())
-        with pytest.raises(ValueError):
-            WeightVector(rho=F(1, 4), coeffs=(0, 0))
-        with pytest.raises(ValueError):
-            WeightVector(rho=F(1, 4), coeffs=(-1, 2))
-        with pytest.raises(ValueError):
-            WeightVector(rho=F(1, 4), coeffs=(3,))  # 3*sqrt(1/4) > 1
-        with pytest.raises(ValueError):
-            WeightVector(rho=F(0), coeffs=(1,))
-        # boundary value exactly 1 is fine
-        WeightVector(rho=F(1, 4), coeffs=(2,))
+            WeightVector(rho=F(0), coeffs=arr(1))
+        # boundary value exactly 1 is fine, also as Python ints past int64
+        WeightVector(rho=F(1, 4), coeffs=arr(2))
+        WeightVector(rho=F(1, 1 << 128), coeffs=np.array([1 << 64], dtype=object))
 
 
 def test_single_weight():
-    w = WeightVector(rho=F(1), coeffs=(1,))
+    w = WeightVector(rho=F(1), coeffs=arr(1))
     sel = select_index_set(w, F(1, 2))
     assert sel.index_set == (0,)
     assert sel.chosen_i == 1
-    assert sel.certified_sum.coeff == 1
+    assert sel.certified_coeff == 1
     assert verify_st(w, F(1, 2), sel).ok
 
 
 def test_four_equal_weights_picks_a_pair():
     # S = 4, T = 4, alpha = 1/2: the mass test forces at least two weights,
     # and the first window length already satisfies the size branch.
-    w = WeightVector(rho=F(1), coeffs=(1, 1, 1, 1))
+    w = WeightVector(rho=F(1), coeffs=arr(1, 1, 1, 1))
     sel = select_index_set(w, F(1, 2))
     assert sel.chosen_i == 2
     assert sel.index_set == (0, 1)  # stable: ties keep original order
     assert sel.window_lo == 2 and sel.window_hi == 4
-    assert square(sel.certified_sum) == 4  # sum is 2 = 2*sqrt(1)
+    assert w_squared(w, sel) == 4  # sum is 2 = 2*sqrt(1)
     assert verify_st(w, F(1, 2), sel).ok
 
 
 def test_same_values_different_scaling_agree():
-    # identical real weights represented with two different radicands
-    a = WeightVector(rho=F(1), coeffs=(F(1, 2), F(1, 3), F(1, 4), F(1, 5)))
-    b = WeightVector(rho=F(1, 3600), coeffs=(30, 20, 15, 12))
+    # identical real weights 1/2, 1/3, 1/4, 1/5 over two different radicands
+    a = WeightVector(rho=F(1, 3600), coeffs=arr(30, 20, 15, 12))
+    b = WeightVector(rho=F(1, 3600 * 49), coeffs=arr(210, 140, 105, 84))
     for alpha in (F(1, 2), F(3, 4), F(39, 40)):
         sa = select_index_set(a, alpha)
         sb = select_index_set(b, alpha)
         assert sa.index_set == sb.index_set
         assert sa.order.tolist() == sb.order.tolist()
-        assert square(sa.certified_sum) == square(sb.certified_sum)
+        assert sb.certified_coeff == 7 * sa.certified_coeff
+        assert w_squared(a, sa) == w_squared(b, sb)
 
 
 def test_alpha_out_of_range():
-    w = WeightVector(rho=F(1), coeffs=(1,))
+    w = WeightVector(rho=F(1), coeffs=arr(1))
     for alpha in (F(0), F(1), F(-1, 2), F(5, 4)):
         with pytest.raises(ValueError):
             select_index_set(w, alpha)
 
 
 def test_adversarial_near_threshold_vector():
-    # x_i = c * (1 - 1/i): slowly growing weights with lots of near-ties;
-    # the i=1 entry is an honest zero weight.
+    # x_i = 1 - 1/i: slowly growing weights with lots of near-ties; the i=1
+    # entry is an honest zero weight.
     n = 40
-    c = F(1)
-    coeffs = tuple(c * (1 - F(1, i)) for i in range(1, n + 1))
-    w = WeightVector(rho=F(1), coeffs=coeffs)
+    w = weight_vector(F(1), (1 - F(1, i) for i in range(1, n + 1)))
     for alpha in (F(1, 2), F(3, 4), F(39, 40)):
         sel = select_index_set(w, alpha)
         res = verify_st(w, alpha, sel)
@@ -104,7 +97,7 @@ def test_adversarial_near_threshold_vector():
 
 
 def test_selection_is_a_descending_prefix():
-    w = WeightVector(rho=F(1, 100), coeffs=(3, 7, 7, 1, 0, 9))
+    w = WeightVector(rho=F(1, 100), coeffs=arr(3, 7, 7, 1, 0, 9))
     sel = select_index_set(w, F(2, 3))
     # order must sort values descending, stable on ties
     assert sel.order.tolist() == [5, 1, 2, 0, 3, 4]
@@ -113,30 +106,14 @@ def test_selection_is_a_descending_prefix():
     assert verify_st(w, F(2, 3), sel).ok
 
 
-def test_int_and_fraction_coefficients_agree():
-    rng = SplitMix64(404)
-    for _ in range(25):
-        n = 1 + rng.below(30)
-        ints = tuple(rng.below(1000) for _ in range(n))
-        if max(ints) == 0:
-            ints = ints[:-1] + (1,)
-        rho = F(1, max(ints) ** 2 * (1 + rng.below(9)))
-        wi = WeightVector(rho=rho, coeffs=ints)
-        wf = WeightVector(rho=rho, coeffs=tuple(F(c) for c in ints))
-        for alpha in (F(1, 2), F(39, 40)):
-            si = select_index_set(wi, alpha)
-            sf = select_index_set(wf, alpha)
-            assert fields(si) == fields(sf) and si.certified_sum == sf.certified_sum
-
-
 def test_seeded_random_vectors_pass_the_oracle():
     rng = SplitMix64(77)
     for trial in range(50):
         n = 1 + rng.below(50)
-        coeffs = tuple(rng.below(10**6) for _ in range(n))
-        if max(coeffs) == 0:
-            coeffs = (1,) + coeffs[1:]
-        rho = F(1, max(coeffs) ** 2)
+        coeffs = arr(*(rng.below(10**6) for _ in range(n)))
+        if coeffs.max() == 0:
+            coeffs[0] = 1
+        rho = F(1, int(coeffs.max()) ** 2)
         w = WeightVector(rho=rho, coeffs=coeffs)
         alpha = F(1 + rng.below(38), 40)
         sel = select_index_set(w, alpha)
@@ -146,12 +123,12 @@ def test_seeded_random_vectors_pass_the_oracle():
 
 
 def _three_forms(ints, rho, scale):
-    """The same weights as an int64 array, an int tuple, and Fractions c / L
-    with radicand rho * L^2, whose denominators the selection clears."""
+    """The same weights as an int64 array, and as an int tuple and Fractions
+    c / L with radicand rho * L^2, both written as arrays by weight_vector."""
     return (
         WeightVector(rho=rho, coeffs=np.array(ints, dtype=np.int64)),
-        WeightVector(rho=rho, coeffs=tuple(ints)),
-        WeightVector(rho=rho * scale * scale, coeffs=tuple(F(c, scale) for c in ints)),
+        weight_vector(rho, tuple(ints)),
+        weight_vector(rho * scale * scale, (F(c, scale) for c in ints)),
     )
 
 
@@ -169,8 +146,8 @@ def test_array_tuple_and_fraction_coefficients_agree():
         w_arr, w_int, w_frac = _three_forms(ints, rho, scale)
         sel_arr, sel_int, sel_frac = (select_index_set(w, alpha) for w in (w_arr, w_int, w_frac))
         assert fields(sel_arr) == fields(sel_int) == fields(sel_frac), trial
-        assert sel_arr.certified_sum == sel_int.certified_sum
-        assert square(sel_frac.certified_sum) == square(sel_int.certified_sum)
+        assert sel_arr.certified_coeff == sel_int.certified_coeff
+        assert w_squared(w_frac, sel_frac) == w_squared(w_int, sel_int)
         for w, sel in ((w_arr, sel_arr), (w_int, sel_int), (w_frac, sel_frac)):
             res = verify_st(w, alpha, sel)
             assert res.ok, (trial, [c for c in res.checks if c.status == "fail"])
@@ -183,13 +160,13 @@ def test_selection_past_int64_takes_the_object_path():
     rho = F(1, 1 << 62)
     w_arr, w_int, w_frac = _three_forms(ints, rho, 7)
     for w in (w_arr, w_int, w_frac):
-        assert _integer_coeffs(w)[0].dtype == object
+        assert _integer_coeffs(w).dtype == object
     small = WeightVector(rho=rho, coeffs=np.array(ints[:1], dtype=np.int64))
-    assert _integer_coeffs(small)[0].dtype == np.int64
+    assert _integer_coeffs(small).dtype == np.int64
     alpha = F(3, 4)
     sel = select_index_set(w_arr, alpha)
     sel_int = select_index_set(w_int, alpha)
-    assert fields(sel_int) == fields(sel) and sel_int.certified_sum == sel.certified_sum
+    assert fields(sel_int) == fields(sel) and sel_int.certified_coeff == sel.certified_coeff
     assert select_index_set(w_frac, alpha).index_set == sel.index_set
     assert sel.order.tolist() == [0, 1, 3, 2]
     for w in (w_arr, w_int, w_frac):
