@@ -18,7 +18,7 @@ import numpy as np
 
 import bsgx.additive_stats as additive_stats
 from bsgx._gemm import exact_float
-from bsgx.groups import AdditiveSet, Element, add
+from bsgx.groups import AdditiveSet, Element, GroupSpec, add
 from bsgx.numeric_lemma import WeightVector
 from bsgx.relation_lemma import Relation
 
@@ -89,6 +89,18 @@ def translate(a_set: AdditiveSet, t: Element) -> AdditiveSet:
     """The translate A + t (a bijection, so no dedup is needed)."""
     shifted = sorted(add(a_set.spec, a, t) for a in a_set.elements)
     return AdditiveSet(a_set.spec, tuple(shifted))
+
+
+def widen(a_set: AdditiveSet, wide: bool) -> AdditiveSet:
+    """a_set, or with wide a copy with one more free coordinate fixed at 2^70.
+
+    The copy is isomorphic to a_set, but its raw coordinates pass
+    ``_codec._COORD_CAP``, so ``build_codec`` returns None for it.
+    """
+    if not wide:
+        return a_set
+    spec = GroupSpec(a_set.spec.moduli + (0,))
+    return AdditiveSet(spec, tuple(e + (1 << 70,) for e in a_set.elements))
 
 
 def weight_vector(rho, coeffs: Iterable) -> WeightVector:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import widen
+
 from bsgx import _codec
 from bsgx.bsg import (
     ExtractionReport,
@@ -218,9 +220,11 @@ def test_branch_q_report_bytes_do_not_depend_on_chunking(monkeypatch):
     assert extract(a, params).to_json() == whole
 
 
-def test_membership_matrices_match_their_definitions(monkeypatch):
-    a = gen_ball(2, 9)  # nine popular differences
+@pytest.mark.parametrize("wide", [False, True])
+def test_membership_matrices_match_their_definitions(wide, monkeypatch):
+    a = widen(gen_ball(2, 9), wide)  # nine popular differences
     pq = partition_pq(a)
+    assert (pq.rep.codec is None) == wide
     monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
     x_mat, m_mat = _membership_matrices(pq, 6)
     table = dict(pq.rep.items())

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import widen
+
 from bsgx import _codec, gen_random
 from bsgx._codec import _CODE_CAP, _COORD_CAP, build_codec, reduced_codec
 from bsgx.additive_stats import rep_table
@@ -108,11 +110,14 @@ def test_raw_caps_decide_build_codec():
     assert packs((1 << 31, 1 << 31), (0, 0)) and not packs((1 << 31, (1 << 31) + 1), (0, 0))
 
 
+@pytest.mark.parametrize("wide", [False, True])
 @given(a=packable_sets(), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_pair_codes_decode_to_differences(a, data):
+def test_pair_codes_decode_to_differences(wide, a, data):
+    a = widen(a, wide)
     rep = rep_table(a)
-    assert rep.codec is rep.coder  # the route marker: raw coordinates pack
+    # the route marker: None when the raw coordinates do not pack
+    assert rep.codec is (None if wide else rep.coder)
     codes = rep.codes.tolist()
     assert codes == sorted(set(codes))
     diffs = [d for d, _ in rep.items()]

@@ -9,6 +9,7 @@ from conftest import (
     neighborhoods,
     relation_from_element_pairs,
     relation_from_index_pairs,
+    widen,
 )
 
 import bsgx.relation_lemma as relation_lemma
@@ -86,9 +87,11 @@ def test_difference_set_relation_brute_force():
                 assert r.matrix[i, j] == (sub(base.spec, a, b) in mset)
 
 
-def test_relation_from_all_or_no_codes():
-    base = gen_random(20, 53, 5)
+@pytest.mark.parametrize("wide", [False, True])
+def test_relation_from_all_or_no_codes(wide):
+    base = widen(gen_random(20, 53, 5), wide)
     rep = rep_table(base)
+    assert (rep.codec is None) == wide
     assert Relation.from_difference_set(rep, rep.codes).matrix.all()
     assert not Relation.from_difference_set(rep, rep.codes[:0]).matrix.any()
 
