@@ -1,31 +1,34 @@
 """Independent verification of every certified quantity.
 
 The counting here shares no code with the main path: no codec, no rep
-table, no matrix product.  Energy is recounted through sums a + b rather
-than differences; r(d) for every difference of A, and |A' - A'|, come from
-separate histograms of the differences a - b.  A histogram writes each
-coordinate of every ordered pair as a fixed-width int64 column, folds the
-columns into one mixed-radix int64 key, sorts the keys and counts the runs
-of equal ones.  Before that, each coordinate is mapped into the smallest
-group that holds it (a free one shifted by its minimum, and both kinds
-divided by the gcd of their values), so a scaled copy of a set counts like
-the set.  A column whose radix still needs 64 bits (a reduced modulus above
-2^63, a free span of 2^62 or more) is computed on Python ints and replaced
-by the ranks of its values, and a key whose radix would overflow is ranked
-the same way.  The weight-selection and path-count checks re-evaluate both
-sides of every inequality from their definitions.
+table, and none of its float32 GEMMs or row chunking.  Energy is recounted
+through sums a + b rather than differences; r(d) for every difference of A,
+and |A' - A'|, come from separate histograms of the differences a - b.  A
+histogram writes each coordinate of every ordered pair as a fixed-width
+int64 column, folds the columns into one mixed-radix int64 key, sorts the
+keys and counts the runs of equal ones.  Before that, each coordinate is
+mapped into the smallest group that holds it (a free one shifted by its
+minimum, and both kinds divided by the gcd of their values), so a scaled
+copy of a set counts like the set.  A column whose radix still needs 64
+bits (a reduced modulus above 2^63, a free span of 2^62 or more) is
+computed on Python ints and replaced by the ranks of its values, and a key
+whose radix would overflow is ranked the same way.  The weight-selection
+checks re-evaluate both sides of every inequality on Python ints, and the
+path-count checks on exact int64 matrix products, whose entries stay below
+n^3.
 
 One pass costs a cell per ordered pair of its set plus one per difference
 looked up in it, and _RANKED_CELL_COST = 5 cells for each of those when its
-key is ranked.  A pass above _BUDGET_CELLS = 2^25 cells is not run, which
-admits sets of up to 5792 elements, or 2590 when the key is ranked.  At its
-peak a pass holds about 24 bytes per cell (measured: 24 on a set whose
-differences are all distinct, 22 on axis:997,3).  A ranked pass held 66
-bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above 2^62, whose
-column is on Python ints and runs about 40 times slower per cell; the
-charge of 5 keeps both within the budget's memory bound.  Every check that
-needs a pass over budget reports a distinct "skipped" status with the
-pass's size, and a skipped check never counts as a pass.
+key is ranked.  The path counts cost |A*| * n^2 + |A'|^2 * n cells, one per
+multiply-add of their two products.  A pass above _BUDGET_CELLS = 2^25 cells
+is not run, which admits sets of up to 5792 elements, or 2590 when the key
+is ranked.  At its peak a pass holds about 24 bytes per cell (measured: 24
+on a set whose differences are all distinct, 22 on axis:997,3).  A ranked
+pass held 66 bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above
+2^62, whose column is on Python ints and runs about 40 times slower per
+cell; the charge of 5 keeps both within the budget's memory bound.  Every
+check that needs a pass over budget reports a distinct "skipped" status
+with the pass's size, and a skipped check never counts as a pass.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,7 +48,6 @@ from .numeric_lemma import PrefixSelection, WeightVector
 from .relation_lemma import Relation, TvWitness
 
 _BRUTEFORCE_CAP = 200
-_TV_CAP = 60
 _BUDGET_CELLS = 1 << 25
 _RANKED_CELL_COST = 5  # budget cells charged per cell of a pass whose key is ranked
 _KEY_LIMIT = 1 << 63  # every column value and every key stays below this
@@ -99,19 +102,6 @@ class VerificationResult:
         }
 
 
-def _check(name: str, claimed, actual, ok: bool) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        claimed=str(claimed),
-        actual=str(actual),
-        status="pass" if ok else "fail",
-    )
-
-
-def _skip(name: str, why: str) -> CheckRecord:
-    return CheckRecord(name=name, claimed=why, actual="", status="skipped")
-
-
 def energy_bruteforce(a_set: AdditiveSet) -> int:
     """Count quadruples (a1, a2, a3, a4) with a1 + a2 = a3 + a4 directly.
 
@@ -137,6 +127,13 @@ class _OverBudget:
     """A pass that was not run, and why."""
 
     reason: str
+
+
+def _budget(cells: int, what: str) -> Optional[_OverBudget]:
+    """None when a pass of this many cells fits the budget, else why it does not run."""
+    if cells > _BUDGET_CELLS:
+        return _OverBudget(f"skipped (over budget): {what} needs {cells} cells > {_BUDGET_CELLS}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -247,10 +244,9 @@ def _histogram(
     # the key is ranked exactly when the radix product passes the limit
     if math.prod(c.radix for c in coords) > _KEY_LIMIT:
         cells *= _RANKED_CELL_COST
-    if cells > _BUDGET_CELLS:
-        return _OverBudget(
-            f"skipped (over budget): {what} needs {cells} cells > {_BUDGET_CELLS}"
-        )
+    over = _budget(cells, what)
+    if over is not None:
+        return over
     key = _keys(coords, op, queries)
     values, wanted = key[:pairs], key[pairs:]
     values.sort()
@@ -282,12 +278,12 @@ def _difference_set_size(a_set: AdditiveSet) -> Union[int, _OverBudget]:
 # ----- report checks --------------------------------------------------------
 
 class _Checks:
-    """The check records of one report, in the order they were added."""
+    """The check records of one verification, in the order they were added."""
 
     def __init__(self) -> None:
         self.records: List[CheckRecord] = []
 
-    def add(self, name: str, needs: tuple, evaluate: Callable) -> None:
+    def add(self, name: str, needs: Sequence, evaluate: Callable) -> None:
         """Record evaluate(*needs) -> (claimed, actual, ok).
 
         When one of the needed values is a pass that was over budget, the
@@ -295,9 +291,14 @@ class _Checks:
         """
         over = next((v for v in needs if isinstance(v, _OverBudget)), None)
         if over is not None:
-            self.records.append(_skip(name, over.reason))
+            record = CheckRecord(name, over.reason, "", "skipped")
         else:
-            self.records.append(_check(name, *evaluate(*needs)))
+            claimed, actual, ok = evaluate(*needs)
+            record = CheckRecord(name, str(claimed), str(actual), "pass" if ok else "fail")
+        self.records.append(record)
+
+    def result(self) -> VerificationResult:
+        return VerificationResult(tuple(self.records))
 
 
 def _frac(text: str) -> Fraction:
@@ -425,7 +426,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
         _unpopular_checks(checks, a_set, witness, q_prime, m, eps, energy, diffs)
     else:
         checks.add("case_known", (), lambda: ("P or Q", case, False))
-    return VerificationResult(tuple(checks.records))
+    return checks.result()
 
 
 def _popular_checks(
@@ -568,77 +569,65 @@ def verify_extraction(a_set: AdditiveSet, report: ExtractionReport) -> Verificat
 def verify_tv_property(
     relation: Relation, witness: TvWitness, xi: Fraction
 ) -> VerificationResult:
-    """Recount three-step paths for every pair of the extracted subset.
+    """Recount the thin pairs of A* and the three-step paths of every pair of A'.
 
-    The count of triples (x, b, y) with (a1, x), (b, x), (b, y), (a2, y)
-    all in R equals sum over b of |K(a1, b)| * |K(b, a2)| where K(u, v) is
-    the set of common right-neighbors of u and v; each pair must reach
-    2^-7 * delta^4 * xi^4 * |A|^2 * |A'| with delta = |R| / |A|^2.
+    With C = R R^T, C[u, v] counts the common right-neighbors of u and v, and
+    the triples (x, b, y) with (a1, x), (b, x), (b, y), (a2, y) all in R
+    number sum over b of C[a1, b] * C[b, a2], which is (C_A' C_A'^T)[a1, a2]
+    for the rows C_A' of C at A'; each pair must reach
+    2^-7 * delta^4 * xi^4 * |A|^2 * |A'| with delta = |R| / |A|^2.  C is
+    symmetric and A' <= A*, so only its rows at A* are formed (at A* and A'
+    together for a witness that breaks the nesting); an element outside A has
+    a zero row.  Both products are exact on int64 and charged
+    |A*| * n^2 + |A'|^2 * n cells; over budget, the two checks that need
+    them are skipped and the others still run.
     """
     xi = Fraction(xi)
     base = relation.base
     n = len(base)
-    checks: List[CheckRecord] = []
-    if n > _TV_CAP:
-        return VerificationResult(
-            (_skip("triple_paths", f"skipped (too large): |A| = {n} > {_TV_CAP}"),)
-        )
-
-    pairs = relation.pairs
-    delta_true = Fraction(len(pairs), n * n)
-    checks.append(
-        _check(
-            "delta_matches",
-            witness.delta,
-            delta_true,
-            witness.delta == delta_true,
-        )
-    )
-
-    nesting = all(
-        a in witness.a_star.as_set for a in witness.a_prime.elements
-    ) and all(a in base.as_set for a in witness.a_star.elements)
-    checks.append(_check("witness_nesting", "A' <= A* <= A", nesting, nesting))
-
-    checks.append(
-        _check(
-            "a_prime_size_floor",
-            "|A'| >= delta * (1-xi) * n",
-            f"{len(witness.a_prime)} vs {float(delta_true * (1 - xi) * n)!r}",
-            Fraction(len(witness.a_prime)) >= delta_true * (1 - xi) * n,
-        )
-    )
-
-    # common right-neighbor counts over all of A^2, from the raw pair set
+    m = len(witness.a_prime)
+    delta = relation.delta
     index = {a: i for i, a in enumerate(base.elements)}
-    neighbors: List[set] = [set() for _ in range(n)]
-    for i, j in pairs:
-        # x is a common right-neighbor of a and a' when (a, x) and (a', x)
-        # are both in R, so collect right-partners per left element
-        neighbors[i].add(j)
-    common = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            common[i][j] = len(neighbors[i] & neighbors[j])
+    star = [index.get(a, n) for a in witness.a_star.elements]
+    prime = [index.get(a, n) for a in witness.a_prime.elements]
+    nesting = n not in star and witness.a_prime.as_set <= witness.a_star.as_set
+    rows, at = np.unique(np.array(star + prime, dtype=np.int64), return_inverse=True)
 
-    bound = delta_true**4 * xi**4 * n * n * len(witness.a_prime) / 128
-    min_count: Optional[int] = None
-    for a1 in witness.a_prime.elements:
-        i1 = index[a1]
-        for a2 in witness.a_prime.elements:
-            i2 = index[a2]
-            count = sum(common[i1][b] * common[b][i2] for b in range(n))
-            if min_count is None or count < min_count:
-                min_count = count
-    checks.append(
-        _check(
-            "triple_paths",
-            f"every pair >= {float(bound)!r}",
-            f"min = {min_count}",
-            Fraction(min_count) >= bound,
-        )
+    def products() -> Tuple[int, Optional[int]]:
+        # the int64 copy of R, with a zero row n for elements outside A
+        r = np.zeros((n + 1, n), dtype=np.int64)
+        r[:n] = relation.matrix
+        common = r[rows] @ r.T
+        thin = delta * delta * xi * xi * n / 8
+        omega = common[np.ix_(at[: len(star)], star)] <= thin.numerator // thin.denominator
+        c_prime = common[at[len(star):]]
+        return int(omega.sum()), int((c_prime @ c_prime.T).min()) if m else None
+
+    # the int64 copy of R is charged as one row of C when no row is formed
+    cells = max(len(rows), 1) * n * n + m * m * n
+    counts = _budget(cells, "the path count (|A*| * n^2 + |A'|^2 * n)") or products()
+
+    checks = _Checks()
+    checks.add("delta_matches", (), lambda: (witness.delta, delta, witness.delta == delta))
+    checks.add("witness_nesting", (), lambda: ("A' <= A* <= A", nesting, nesting))
+    checks.add(
+        "a_prime_size_floor", (),
+        lambda: (
+            "|A'| >= delta * (1-xi) * n",
+            f"{m} vs {float(delta * (1 - xi) * n)!r}",
+            Fraction(m) >= delta * (1 - xi) * n,
+        ),
     )
-    return VerificationResult(tuple(checks))
+    checks.add(
+        "thin_pairs_in_a_star", (counts,),
+        lambda p: (witness.omega_card_in_astar, p[0], witness.omega_card_in_astar == p[0]),
+    )
+    bound = delta**4 * xi**4 * n * n * m / 128
+    checks.add(
+        "triple_paths", (counts,),
+        lambda p: (f"every pair >= {float(bound)!r}", f"min = {p[1]}", not m or p[1] >= bound),
+    )
+    return checks.result()
 
 
 def verify_st(
@@ -646,124 +635,72 @@ def verify_st(
 ) -> VerificationResult:
     """Re-derive the weight selection facts with independent arithmetic.
 
-    Rebuilds the stable descending order, recomputes S and T from their
-    definitions, re-checks both branches of the certified maximum for the
-    chosen prefix, and exhaustively scans the whole window [k, l] to
-    confirm a valid prefix exists.
+    Rebuilds the stable descending order with Python's sort, recomputes S
+    and T from their definitions on Python ints (only rho and alpha are
+    Fractions), re-checks both branches of the certified maximum for the
+    chosen prefix, and scans the whole window [k, l] to confirm a valid
+    prefix exists.  An index outside the weights adds nothing to W, and
+    index_set_matches fails on it.
     """
     alpha = Fraction(alpha)
-    checks: List[CheckRecord] = []
     n = len(xs)
     rho = xs.rho
-    coeffs = [Fraction(c) for c in xs.coeffs.tolist()]
-
-    order_true = sorted(range(n), key=lambda i: (-coeffs[i], i))
-    checks.append(
-        _check(
-            "order_matches",
-            "stable descending permutation",
-            list(sel.order) == order_true,
-            list(sel.order) == order_true,
-        )
-    )
+    coeffs = xs.coeffs.tolist()
+    # sorted is stable, and reverse=True keeps equal keys in index order
+    order_true = sorted(range(n), key=coeffs.__getitem__, reverse=True)
     chosen = sel.chosen_i
-    checks.append(
-        _check(
-            "index_set_matches",
-            "first chosen_i of the order, sorted",
-            sorted(order_true[:chosen]) == list(sel.index_set),
-            sorted(order_true[:chosen]) == list(sel.index_set),
-        )
-    )
-
-    w_coeff = sum((coeffs[i] for i in sel.index_set), Fraction(0))
-    checks.append(
-        _check(
-            "sum_matches",
-            sel.certified_coeff,
-            w_coeff,
-            sel.certified_coeff == w_coeff,
-        )
-    )
-
-    s_coeff = sum(coeffs, Fraction(0))
-    t_val = sum((c * c for c in coeffs), Fraction(0)) * rho
-
-    # mass branch: W >= alpha * T, squared once to clear sqrt(rho)
-    mass_ok = w_coeff * w_coeff * rho >= alpha * alpha * t_val * t_val
-    checks.append(
-        _check(
-            "mass_branch",
-            "W >= alpha * T",
-            f"W^2 = {float(w_coeff * w_coeff * rho)!r} vs {float(alpha * alpha * t_val * t_val)!r}",
-            mass_ok,
-        )
-    )
-
-    # size branch: W^6 >= (1-alpha)^5 * i^4 * T^4 / (2^10 * S^2)
-    def size_branch(prefix_coeff: Fraction, length: int) -> bool:
-        lhs = prefix_coeff**6 * rho**3
-        rhs = (1 - alpha) ** 5 * length**4 * t_val**4 / (1024 * s_coeff**2 * rho)
-        return lhs >= rhs
-
-    size_ok = size_branch(w_coeff, chosen)
-    checks.append(
-        _check(
-            "size_branch",
-            "W^6 >= (1-alpha)^5 * |I|^4 * T^4 / (2^10 * S^2)",
-            size_ok,
-            size_ok,
-        )
-    )
-
-    # window: k = first prefix reaching alpha * T, l = last weight above
-    # (1 - alpha) * T / (2 * S); confirm a valid prefix exists inside
+    w_coeff = sum(coeffs[i] for i in sel.index_set if 0 <= i < n)
+    s_coeff = sum(coeffs)
+    t_val = sum(c * c for c in coeffs) * rho
     c_desc = [coeffs[i] for i in order_true]
-    prefix_sums = []
-    run = Fraction(0)
-    for c in c_desc:
-        run += c
-        prefix_sums.append(run)
-    k_true = None
-    for i in range(1, n + 1):
-        p = prefix_sums[i - 1]
-        if p * p * rho >= alpha * alpha * t_val * t_val:
-            k_true = i
-            break
-    ell_true = 0
-    for i in range(1, n + 1):
-        # x_(i) >= (1-alpha) * T / (2 * S), multiplied out by 2 * S > 0
-        if 2 * c_desc[i - 1] * s_coeff * rho >= (1 - alpha) * t_val:
-            ell_true = i
-    checks.append(
-        _check(
-            "window_matches",
-            f"[{sel.window_lo}, {sel.window_hi}]",
-            f"[{k_true}, {ell_true}]",
+    prefix = list(accumulate(c_desc))
+    mass_floor = alpha * alpha * t_val * t_val
+
+    def mass(p: int) -> bool:
+        # W >= alpha * T, squared once to clear sqrt(rho)
+        return p * p * rho >= mass_floor
+
+    def size(p: int, length: int) -> bool:
+        # W^6 >= (1-alpha)^5 * i^4 * T^4 / (2^10 * S^2)
+        return p**6 * rho**3 >= (1 - alpha) ** 5 * length**4 * t_val**4 / (1024 * s_coeff**2 * rho)
+
+    # window: k = first prefix reaching alpha * T, l = last weight at least
+    # (1 - alpha) * T / (2 * S), multiplied out by 2 * S > 0
+    k_true = next((i for i, p in enumerate(prefix, 1) if mass(p)), None)
+    ell_true = max(
+        (i for i, c in enumerate(c_desc, 1) if 2 * c * s_coeff * rho >= (1 - alpha) * t_val),
+        default=0,
+    )
+    any_valid = k_true is not None and any(
+        mass(prefix[i - 1]) and size(prefix[i - 1], i) for i in range(k_true, ell_true + 1)
+    )
+    order_ok = list(sel.order) == order_true
+    index_ok = sorted(order_true[:chosen]) == list(sel.index_set)
+    size_ok = size(w_coeff, chosen)
+    records = (
+        ("order_matches", "stable descending permutation", order_ok, order_ok),
+        ("index_set_matches", "first chosen_i of the order, sorted", index_ok, index_ok),
+        ("sum_matches", sel.certified_coeff, w_coeff, sel.certified_coeff == w_coeff),
+        (
+            "mass_branch", "W >= alpha * T",
+            f"W^2 = {float(w_coeff * w_coeff * rho)!r} vs {float(mass_floor)!r}", mass(w_coeff),
+        ),
+        ("size_branch", "W^6 >= (1-alpha)^5 * |I|^4 * T^4 / (2^10 * S^2)", size_ok, size_ok),
+        (
+            "window_matches", f"[{sel.window_lo}, {sel.window_hi}]", f"[{k_true}, {ell_true}]",
             sel.window_lo == k_true and sel.window_hi == ell_true,
-        )
-    )
-    checks.append(
-        _check(
-            "chosen_in_window",
-            f"{k_true} <= chosen <= {ell_true}",
-            chosen,
+        ),
+        (
+            "chosen_in_window", f"{k_true} <= chosen <= {ell_true}", chosen,
             k_true is not None and k_true <= chosen <= ell_true,
-        )
+        ),
+        (
+            "window_has_valid_prefix", "some prefix in [k, l] passes both branches",
+            any_valid, any_valid,
+        ),
     )
-    any_valid = False
-    if k_true is not None:
-        for i in range(k_true, ell_true + 1):
-            p = prefix_sums[i - 1]
-            if p * p * rho >= alpha * alpha * t_val * t_val and size_branch(p, i):
-                any_valid = True
-                break
-    checks.append(
-        _check(
-            "window_has_valid_prefix",
-            "some prefix in [k, l] passes both branches",
-            any_valid,
-            any_valid,
-        )
-    )
-    return VerificationResult(tuple(checks))
+    checks = _Checks()
+    for name, *record in records:
+        # nothing here needs a pass, so each record is its own needs
+        checks.add(name, record, lambda *r: r)
+    return checks.result()

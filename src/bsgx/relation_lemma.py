@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, Tuple
 
 import numpy as np
 
@@ -78,11 +77,6 @@ class Relation:
         n = len(self.base)
         return Fraction(self.size, n * n)
 
-    @cached_property
-    def pairs(self) -> FrozenSet[Tuple[int, int]]:
-        ii, jj = np.nonzero(self.matrix)
-        return frozenset(zip(ii.tolist(), jj.tolist()))
-
 
 def thin_pairs_per_slice(members: np.ndarray, thin: np.ndarray) -> np.ndarray:
     """The thin pairs inside each slice, as an int64 count per slice.
@@ -117,13 +111,17 @@ def drop_thin(rows: np.ndarray, thin: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TvWitness:
-    """The chosen center, its neighborhood, and the filtered subset."""
+    """The chosen center x*, A* = N(x*), the filtered subset A' and their counts.
+
+    omega_card_in_astar counts the ordered thin pairs of A*^2, and delta and
+    xi are the relation's density and the slack the filter ran with; the
+    path floor that A' meets follows from them (oracle.verify_tv_property).
+    """
 
     x_star: Element
     a_star: AdditiveSet
     a_prime: AdditiveSet
     omega_card_in_astar: int
-    triple_lower_bound: Fraction
     delta: Fraction
     xi: Fraction
 
@@ -180,13 +178,11 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
 
     a_star = AdditiveSet(base.spec, tuple(base.elements[i] for i in star_idx))
     a_prime = AdditiveSet(base.spec, tuple(base.elements[i] for i in prime_idx))
-    bound = delta**4 * xi**4 * n * n * len(prime_idx) / 128
     return TvWitness(
         x_star=base.elements[best_j],
         a_star=a_star,
         a_prime=a_prime,
         omega_card_in_astar=int(omega_weight[best_j]),
-        triple_lower_bound=bound,
         delta=delta,
         xi=xi,
     )

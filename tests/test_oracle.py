@@ -1,7 +1,9 @@
+import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import difference_relation, relation_from_index_pairs, weight_vector
@@ -140,33 +142,75 @@ def test_verify_extraction_object_entrypoint():
     assert "diff_upper_bound_popular" in names
 
 
-def test_verify_tv_skips_above_the_guard():
+def test_verify_tv_skips_above_the_guard(monkeypatch):
     base = gen_ap(61)
     n = len(base)
     r = relation_from_index_pairs(base, [(i, j) for i in range(n) for j in range(n)])
     w = extract_tv(r, F(1, 2))
+    # the complete relation keeps every element: |A*| = |A'| = n
+    cells = n**3 + n**2 * n
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", cells - 1)
     res = verify_tv_property(r, w, F(1, 2))
-    assert res.ok  # skipped does not fail
-    assert [c.status for c in res.checks] == ["skipped"]
+    assert res.ok and res.status == "skipped"  # skipped does not fail
+    skipped = [c for c in res.checks if c.status == "skipped"]
+    assert [c.name for c in skipped] == ["thin_pairs_in_a_star", "triple_paths"]
+    assert all(f"needs {cells} cells" in c.claimed for c in skipped)
+    assert {c.status for c in res.checks if c not in skipped} == {"pass"}
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", cells)
+    assert verify_tv_property(r, w, F(1, 2)).status == "pass"
 
 
 def test_verify_tv_catches_a_forged_witness():
     base = gen_ap(15)
     r = difference_relation(base, [(d,) for d in range(-3, 4)])
     w = extract_tv(r, F(1, 2))
-    forged = type(w)(
-        x_star=w.x_star,
-        a_star=w.a_star,
-        a_prime=base,  # claim the whole base set survived the filter
-        omega_card_in_astar=w.omega_card_in_astar,
-        triple_lower_bound=w.triple_lower_bound,
-        delta=w.delta,
-        xi=w.xi,
-    )
+    # claim the whole base set survived the filter
+    forged = dataclasses.replace(w, a_prime=base)
     genuine = verify_tv_property(r, w, F(1, 2))
-    assert genuine.ok
+    assert genuine.status == "pass"
     res = verify_tv_property(r, forged, F(1, 2))
     assert not res.ok
+
+
+def test_verify_tv_fails_an_element_outside_the_base():
+    base = gen_ap(15)
+    r = difference_relation(base, [(d,) for d in range(-3, 4)])
+    w = extract_tv(r, F(1, 2))
+    stray = AdditiveSet(base.spec, w.a_prime.elements + ((1000,),))
+    for forged in (
+        dataclasses.replace(w, a_prime=stray),
+        dataclasses.replace(w, a_star=AdditiveSet(base.spec, w.a_star.elements + ((1000,),)), a_prime=stray),
+    ):
+        res = verify_tv_property(r, forged, F(1, 2))
+        # the stray element has no neighbours, so it is joined by no path
+        assert {"witness_nesting", "triple_paths"} <= {c.name for c in res.failed}
+
+
+def test_verify_tv_matches_a_loop_recount():
+    # 20 rows related to every column and 20 with at most two partners among
+    # the first 6 columns, so that A* holds thin pairs
+    rng = SplitMix64(31)
+    n = 40
+    base = gen_ap(n)
+    pairs = [(i, j) for i in range(20) for j in range(n)]
+    pairs += [(i, rng.below(6)) for i in range(20, n) for _ in range(2)]
+    r = relation_from_index_pairs(base, pairs)
+    xi = F(1)
+    w = extract_tv(r, xi)
+    # common right-neighbours from sets, then paths as sums over b
+    right = [set(np.flatnonzero(row).tolist()) for row in r.matrix]
+    common = [[len(u & v) for v in right] for u in right]
+    at = {a: i for i, a in enumerate(base.elements)}
+    star = [at[a] for a in w.a_star.elements]
+    prime = [at[a] for a in w.a_prime.elements]
+    thin = r.delta**2 * xi**2 * n / 8
+    omega = sum(1 for i in star for j in star if common[i][j] <= thin)
+    low = min(sum(common[i][b] * common[b][j] for b in range(n)) for i in prime for j in prime)
+    res = verify_tv_property(r, w, xi)
+    assert res.status == "pass" and w.omega_card_in_astar == omega > 0
+    assert {c.name: c.actual for c in res.checks}["triple_paths"] == f"min = {low}"
+    forged = dataclasses.replace(w, omega_card_in_astar=omega + 7)
+    assert [c.name for c in verify_tv_property(r, forged, xi).failed] == ["thin_pairs_in_a_star"]
 
 
 def test_verify_st_rejects_wrong_selection():
@@ -196,6 +240,16 @@ def test_verify_st_rejects_wrong_selection():
     )
     res = verify_st(w, F(1, 2), shuffled)
     assert not res.ok
+
+
+def test_verify_st_fails_an_index_outside_the_weights():
+    w = weight_vector(F(1), (1, F(1, 2), F(1, 3), F(1, 4)))
+    from bsgx.numeric_lemma import select_index_set
+
+    good = select_index_set(w, F(1, 2))
+    for index_set in (good.index_set[:-1] + (len(w),), (-1,) + good.index_set[1:]):
+        res = verify_st(w, F(1, 2), dataclasses.replace(good, index_set=index_set))
+        assert {"index_set_matches", "sum_matches"} <= {c.name for c in res.failed}
 
 
 def test_results_serialize():
