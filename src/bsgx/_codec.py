@@ -8,11 +8,11 @@ set: a free coordinate is shifted by its minimum, and every coordinate, and
 a cyclic modulus m, is divided by the gcd g of its values (Z_m becomes
 Z_(m/g)).  Both maps keep differences and their order, so the counts are
 those of the original set, and decode multiplies the digits back by g.  The
-codes are int64 when the reduced ranges fit safely below 2**62, else Python
-ints in object arrays.  Reduction only shrinks ranges, so every set whose
-raw coordinates pack also gets int64 codes.  build_codec codes the raw
-coordinates, or returns None when they do not pack; nothing counts with it,
-it only marks sets whose raw coordinates are too wide.
+codes take the narrowest of int16, int32 and int64 whose caps (_CAPS) hold
+them, else Python ints in object arrays.  Reduction only shrinks ranges, so
+no set gets wider codes than its raw coordinates would.  build_codec codes
+the raw coordinates, or returns None when they do not pack; nothing counts
+with it, it only marks sets whose raw coordinates are too wide.
 
 Every n x n scan in the package walks its rows in blocks of about
 BLOCK_CELLS cells (row_chunks), so the code buffers, the boolean matrices
@@ -30,9 +30,9 @@ import numpy as np
 
 from .groups import AdditiveSet
 
-# caps chosen so every intermediate in diff_codes() stays strictly inside int64
-_COORD_CAP = 1 << 61
-_CODE_CAP = 1 << 62
+# (coordinate bound cap, radix product cap) of each b-bit code dtype, narrowest
+# first: 2**(b-3) and 2**(b-2) keep every intermediate of diff_codes() inside it
+_CAPS = {np.dtype(f"int{b}"): (1 << b - 3, 1 << b - 2) for b in (16, 32, 64)}
 
 BLOCK_CELLS = 1 << 21
 
@@ -47,8 +47,8 @@ def row_chunks(rows: int, width: int) -> list:
 class Codec:
     """Mixed-radix lexicographic code for the differences of one set.
 
-    Digit j decodes to scales[j] times itself; the arrays are int64, or
-    object arrays of Python ints when the codes do not fit int64.
+    Digit j decodes to scales[j] times itself; the arrays have the code
+    dtype, the narrowest in _CAPS that holds the codes, or object.
     """
 
     moduli: tuple
@@ -57,29 +57,29 @@ class Codec:
     strides: np.ndarray
     scales: tuple
 
-    def diff_codes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    def diff_codes(self, left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
         """Codes of left[i] - right[j], shape (len(left), len(right)).
 
-        Built one coordinate at a time in a single buffer of the inputs'
+        Built one coordinate at a time in out, or a new buffer of the inputs'
         dtype.  Both inputs are canonical, so a cyclic difference lies in
         (-m, m) and one added m where it is negative reduces it; a free
         difference lies in [lows[j], lows[j] + radices[j]).  Each shifted
         digit is below its radix and the running code below the radix
-        product, which is at most _CODE_CAP when the dtype is int64.
+        product, which is at most the dtype's cap in _CAPS.
         """
-        codes = np.empty((len(left), len(right)), dtype=left.dtype)
+        codes = np.empty((len(left), len(right)), dtype=left.dtype) if out is None else out
         digit = np.empty_like(codes) if len(self.moduli) > 1 else codes
         for j, m in enumerate(self.moduli):
-            out = codes if j == 0 else digit
-            np.subtract(left[:, j, None], right[None, :, j], out=out)
+            part = codes if j == 0 else digit
+            np.subtract(left[:, j, None], right[None, :, j], out=part)
             if m:
-                np.add(out, m, out=out, where=out < 0)
+                np.add(part, m, out=part, where=part < 0)
             elif self.lows[j]:
-                out -= self.lows[j]
+                part -= self.lows[j]
             if self.strides[j] != 1:
-                out *= self.strides[j]
+                part *= self.strides[j]
             if j:
-                codes += out
+                codes += part
         return codes
 
     def decode(self, codes: np.ndarray) -> list:
@@ -93,7 +93,7 @@ class Codec:
 
 
 def _radix_codec(moduli: Sequence[int], cols: list, scales: list) -> Codec:
-    """The codec of the coordinate columns cols, int64 when its codes fit."""
+    """The codec of the coordinate columns cols, in the narrowest code dtype."""
     lows = []
     radices = []
     widest = 0
@@ -110,8 +110,8 @@ def _radix_codec(moduli: Sequence[int], cols: list, scales: list) -> Codec:
     strides = [1] * len(radices)
     for j in range(len(radices) - 2, -1, -1):
         strides[j] = strides[j + 1] * radices[j + 1]
-    packs = widest <= _COORD_CAP and strides[0] * radices[0] <= _CODE_CAP
-    dtype = np.int64 if packs else object
+    size = strides[0] * radices[0]
+    dtype = next((t for t, (cap, top) in _CAPS.items() if widest <= cap and size <= top), object)
     return Codec(
         moduli=tuple(moduli),
         lows=np.array(lows, dtype=dtype),
@@ -122,9 +122,9 @@ def _radix_codec(moduli: Sequence[int], cols: list, scales: list) -> Codec:
 
 
 def build_codec(a_set: AdditiveSet) -> Optional[Codec]:
-    """The codec of a_set's raw coordinates, or None when int64 cannot hold its codes."""
+    """The codec of a_set's raw coordinates, or None when not even int64 holds its codes."""
     codec = _radix_codec(a_set.spec.moduli, list(zip(*a_set.elements)), [1] * a_set.spec.dim)
-    return codec if codec.strides.dtype == np.int64 else None
+    return codec if codec.strides.dtype != object else None
 
 
 def reduced_codec(a_set: AdditiveSet) -> Tuple[Codec, np.ndarray]:

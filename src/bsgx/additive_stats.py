@@ -9,9 +9,10 @@ The table is also the one difference index of the package: every difference
 has a mixed-radix code (see _codec), codes ascend in lexicographic
 difference order, and pair_codes gives the codes of a row block of the
 n x n difference matrix.  The codes are always those of the gcd-reduced
-copy, int64 or Python ints; everything downstream (partition, membership
-matrices, relation build) runs the same numpy path on either.  Counting is
-O(|A|^2) and exact, and the counts are independent of chunking.
+copy, the narrowest integer dtype that holds them or Python ints; the rest
+of the package runs the same numpy path on any of them.  Counting sorts the
+codes of all n^2 pairs once, in place, and reads r(d) off the run lengths;
+it is exact, and the counts are independent of chunking.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class RepTable:
     """Counts r(d) over all d in A - A, keyed by ascending codes.
 
     coder codes the differences of coords, the reduced copies of a_set's
-    elements; codes is int64, or an object array of Python ints when even
-    the reduced coordinates do not pack.
+    elements; codes has coords' dtype (int16, int32, int64 or object, see
+    _codec) and counts is int64 whatever that dtype.
     """
 
     def __init__(
@@ -55,7 +56,7 @@ class RepTable:
 
     @property
     def codec(self) -> Optional[Codec]:
-        """coder when a_set's raw coordinates pack into int64, else None.
+        """coder when a_set's raw coordinates pack into integer codes, else None.
 
         The route marker perfbench's tracer reads; nothing in the package
         reads it, and the codes do not depend on it.
@@ -90,36 +91,21 @@ class EnergyReport:
     K: Fraction
 
 
-def _merge_code_counts(parts: list) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum the counts of equal codes over the per-chunk (codes, counts) parts.
-
-    Empties parts once they are copied out, so the per-chunk arrays are
-    freed before the sort.
-    """
-    codes = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    parts.clear()
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    counts = counts[order]
-    boundary = np.empty(len(codes), dtype=bool)
-    boundary[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    return codes[starts], np.add.reduceat(counts, starts)
-
-
 def rep_table(a_set: AdditiveSet) -> RepTable:
     """Count every ordered pairwise difference of a_set."""
     coder, coords = reduced_codec(a_set)
     n = len(a_set)
-    parts = []
+    codes = np.empty((n, n), dtype=coords.dtype)
     for lo, hi in row_chunks(n, n):
-        block = coder.diff_codes(coords[lo:hi], coords).ravel()
-        parts.append(np.unique(block, return_counts=True))
-        del block  # free it before the next block is built
-    codes, counts = _merge_code_counts(parts)
-    return RepTable(a_set, coder, coords, codes, counts)
+        coder.diff_codes(coords[lo:hi], coords, out=codes[lo:hi])
+    codes = codes.ravel()
+    codes.sort()
+    # runs of equal codes start where a code differs from the one before it;
+    # edges holds those starts and, last, the end of the final run
+    edges = np.ones(len(codes) + 1, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+    edges = np.flatnonzero(edges)
+    return RepTable(a_set, coder, coords, codes[edges[:-1]], np.diff(edges))
 
 
 def energy(a_set: AdditiveSet) -> EnergyReport:

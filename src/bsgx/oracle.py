@@ -569,18 +569,19 @@ def verify_extraction(a_set: AdditiveSet, report: ExtractionReport) -> Verificat
 def verify_tv_property(
     relation: Relation, witness: TvWitness, xi: Fraction
 ) -> VerificationResult:
-    """Recount the thin pairs of A* and the three-step paths of every pair of A'.
+    """Check x*, xi and A* = N(x*), then recount A*'s thin pairs and A''s paths.
 
-    With C = R R^T, C[u, v] counts the common right-neighbors of u and v, and
-    the triples (x, b, y) with (a1, x), (b, x), (b, y), (a2, y) all in R
-    number sum over b of C[a1, b] * C[b, a2], which is (C_A' C_A'^T)[a1, a2]
-    for the rows C_A' of C at A'; each pair must reach
-    2^-7 * delta^4 * xi^4 * |A|^2 * |A'| with delta = |R| / |A|^2.  C is
-    symmetric and A' <= A*, so only its rows at A* are formed (at A* and A'
-    together for a witness that breaks the nesting); an element outside A has
-    a zero row.  Both products are exact on int64 and charged
-    |A*| * n^2 + |A'|^2 * n cells; over budget, the two checks that need
-    them are skipped and the others still run.
+    x* must lie in A and A* be its neighbourhood; both checks are O(n) and
+    run whatever the budget.  With C = R R^T, C[u, v] counts the common
+    right-neighbors of u and v, and the triples (x, b, y) with (a1, x),
+    (b, x), (b, y), (a2, y) all in R number sum over b of C[a1, b] *
+    C[b, a2], which is (C_A' C_A'^T)[a1, a2] for the rows C_A' of C at A';
+    each pair must reach 2^-7 * delta^4 * xi^4 * |A|^2 * |A'| with
+    delta = |R| / |A|^2.  C is symmetric and A' <= A*, so only its rows at
+    A* are formed (at A* and A' together for a witness that breaks the
+    nesting); an element outside A has a zero row.  Both products are exact
+    on int64 and charged |A*| * n^2 + |A'|^2 * n cells; over budget, the two
+    checks that need them are skipped and the others still run.
     """
     xi = Fraction(xi)
     base = relation.base
@@ -607,8 +608,15 @@ def verify_tv_property(
     cells = max(len(rows), 1) * n * n + m * m * n
     counts = _budget(cells, "the path count (|A*| * n^2 + |A'|^2 * n)") or products()
 
+    center = index.get(witness.x_star)
+    column = () if center is None else np.flatnonzero(relation.matrix[:, center])
+    star_ok = witness.a_star.as_set == {base.elements[i] for i in column}
+
     checks = _Checks()
     checks.add("delta_matches", (), lambda: (witness.delta, delta, witness.delta == delta))
+    checks.add("xi_matches", (), lambda: (witness.xi, xi, witness.xi == xi))
+    checks.add("x_star_in_a", (), lambda: (witness.x_star, center is not None, center is not None))
+    checks.add("a_star_is_neighbourhood", (), lambda: ("A* = N(x*)", star_ok, star_ok))
     checks.add("witness_nesting", (), lambda: ("A' <= A* <= A", nesting, nesting))
     checks.add(
         "a_prime_size_floor", (),

@@ -152,9 +152,12 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
     # thin-pair threshold: common count <= delta^2 * xi^2 * n / 8
     thresh = delta * delta * xi * xi * n / 8
     t_floor = thresh.numerator // thresh.denominator
+    # Omega is symmetric: form each row block on and right of the diagonal,
+    # then mirror it into the column block below
     omega = np.empty((n, n), dtype=np.bool_)
     for lo, hi in row_chunks(n, n):
-        np.less_equal(matrix_f[lo:hi] @ matrix_f.T, t_floor, out=omega[lo:hi])
+        np.less_equal(matrix_f[lo:hi] @ matrix_f[lo:].T, t_floor, out=omega[lo:hi, lo:])
+        omega[hi:, lo:hi] = omega[lo:hi, hi:].T
     omega_weight = thin_pairs_per_slice(matrix_f, omega)
 
     # score xi * deg^2 - 8 * omega, times xi's denominator, in Python ints;

@@ -94,8 +94,8 @@ def translate(a_set: AdditiveSet, t: Element) -> AdditiveSet:
 def widen(a_set: AdditiveSet, wide: bool) -> AdditiveSet:
     """a_set, or with wide a copy with one more free coordinate fixed at 2^70.
 
-    The copy is isomorphic to a_set, but its raw coordinates pass
-    ``_codec._COORD_CAP``, so ``build_codec`` returns None for it.
+    The copy is isomorphic to a_set, but its raw coordinates pass int64's
+    coordinate cap in ``_codec._CAPS``, so ``build_codec`` returns None for it.
     """
     if not wide:
         return a_set

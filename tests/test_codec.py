@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -8,18 +9,30 @@ from hypothesis import strategies as st
 
 from conftest import widen
 
-from bsgx import _codec, gen_random
-from bsgx._codec import _CODE_CAP, _COORD_CAP, build_codec, reduced_codec
+from bsgx import _codec, gen_ap, gen_axis, gen_ball, gen_random
+from bsgx._codec import _CAPS, build_codec, reduced_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import extract_p, extract_q, partition_pq
 from bsgx.groups import AdditiveSet, GroupSpec, sub
 from bsgx.oracle import verify_extraction
+
+_COORD_CAP, _CODE_CAP = _CAPS[np.dtype(np.int64)]
 
 
 def expected_code(codec, d):
     """The mixed-radix code of difference d, digit by digit from codec's fields."""
     digits = zip(d, codec.scales, codec.lows.tolist(), codec.strides.tolist())
     return sum((c // g - lo) * s for c, g, lo, s in digits)
+
+
+def narrowest(codec):
+    """The code dtype the caps give codec: the first b of 16, 32 and 64 with
+    every digit bound at most 2^(b-3) and the radix product at most 2^(b-2)."""
+    bounds = [(lo, lo + r - 1) for lo, r in zip(codec.lows.tolist(), codec.radices.tolist())]
+    widest = max(abs(v) for pair in bounds for v in pair)
+    size = math.prod(codec.radices.tolist())
+    bits = next((b for b in (16, 32, 64) if widest <= 1 << b - 3 and size <= 1 << b - 2), None)
+    return np.dtype(f"int{bits}" if bits else object)
 
 
 @st.composite
@@ -56,15 +69,16 @@ def packable_sets(draw):
 @given(packable_sets())
 @settings(max_examples=300, deadline=None)
 def test_diff_codes_match_encoded_differences(a):
-    # raw coordinates that pack reduce to int64 codes as well
+    # raw coordinates that pack reduce to integer codes as well, in the
+    # narrowest dtype whose caps hold them
     assert build_codec(a) is not None
     codec, coords = reduced_codec(a)
-    assert coords.dtype == np.int64
+    assert coords.dtype == narrowest(codec) != object
     elems = a.elements
     want = [expected_code(codec, sub(a.spec, x, y)) for x in elems for y in elems]
     assert all(0 <= c < _CODE_CAP for c in want)
     got = codec.diff_codes(coords, coords)
-    assert got.dtype == np.int64
+    assert got.dtype == coords.dtype
     assert got.shape == (len(a), len(a))
     assert got.ravel().tolist() == want
     # the row and column blocks the chunked scans pass
@@ -74,28 +88,37 @@ def test_diff_codes_match_encoded_differences(a):
 
 
 def test_near_cap_sets_are_packed():
-    # reduced spans and radix products at _COORD_CAP and _CODE_CAP get int64
-    # codes, one past them Python ints; both code every difference alike
-    def check(moduli, elems, packs):
+    # reduced spans and radix products at a dtype's caps get that dtype's
+    # codes, one past them the next wider one (Python ints past int64); every
+    # dtype codes each difference alike and counts it as a tally of the pairs
+    def check(moduli, elems, dtype):
         a = AdditiveSet.from_elements(GroupSpec(moduli), elems)
         codec, coords = reduced_codec(a)
-        assert (coords.dtype == np.int64) == packs, (moduli, elems)
+        assert coords.dtype == narrowest(codec) == dtype, (moduli, elems)
         assert codec.diff_codes(coords, coords).tolist() == [
             [expected_code(codec, sub(a.spec, x, y)) for y in a.elements]
             for x in a.elements
         ]
+        rep = rep_table(a)
+        tally = Counter(sub(a.spec, x, y) for x in a.elements for y in a.elements)
+        assert rep.decode(rep.codes) == sorted(tally)
+        assert rep.counts.tolist() == [tally[d] for d in sorted(tally)]
 
-    for sign in (1, -1):
-        # a free span s (gcd 1, shifted far from 0) has radix 2s + 1 <= _CODE_CAP
-        base = sign << 70
-        for span, packs in (((_CODE_CAP >> 1) - 1, True), (_CODE_CAP >> 1, False)):
-            check((0,), [(base,), (base + 1,), (base + span,)], packs)
-    # a cyclic modulus m (gcd 1 by the element 1) has largest digit m - 1
-    check((_COORD_CAP + 1,), [(0,), (1,)], True)
-    check((_COORD_CAP + 2,), [(0,), (1,)], False)
-    # two cyclic radices multiply to exactly _CODE_CAP, then one past it
-    check((1 << 31, 1 << 31), [(0, 0), (1, 1)], True)
-    check((1 << 31, (1 << 31) + 1), [(0, 0), (1, 1)], False)
+    ladder = ((16, np.int16, np.int32), (32, np.int32, np.int64), (64, np.int64, object))
+    for bits, inside, past in ladder:
+        coord_cap, code_cap = 1 << bits - 3, 1 << bits - 2
+        for sign in (1, -1):
+            # a free span s (gcd 1, shifted far from 0) has radix 2s + 1 <= code_cap
+            base = sign << 70
+            for span, dtype in (((code_cap >> 1) - 1, inside), (code_cap >> 1, past)):
+                check((0,), [(base,), (base + 1,), (base + span,)], dtype)
+        # a cyclic modulus m (gcd 1 by the element 1) has largest digit m - 1
+        check((coord_cap + 1,), [(0,), (1,)], inside)
+        check((coord_cap + 2,), [(0,), (1,)], past)
+        # two cyclic radices multiply to exactly code_cap, then one past it
+        half = 1 << (bits - 2) // 2
+        check((half, half), [(0, 0), (1, 1)], inside)
+        check((half, half + 1), [(0, 0), (1, 1)], past)
 
 
 def test_raw_caps_decide_build_codec():
@@ -108,6 +131,21 @@ def test_raw_caps_decide_build_codec():
     assert packs((0,), (-_COORD_CAP,)) and not packs((0,), (-_COORD_CAP - 1,))
     assert packs((_COORD_CAP + 1,), (0,)) and not packs((_COORD_CAP + 2,), (0,))
     assert packs((1 << 31, 1 << 31), (0, 0)) and not packs((1 << 31, (1 << 31) + 1), (0, 0))
+
+
+def test_benchmark_families_take_narrow_codes():
+    # APs, 2-d balls and Z_1021 sets, and their 2^53 copies, reduce to int16;
+    # a 3-d ball's radix product 33^3 and (Z_867)^3's pass int16's caps
+    def dtype(a):
+        return reduced_codec(a)[1].dtype
+
+    def scaled(a):
+        spec = GroupSpec(tuple(m << 53 for m in a.spec.moduli))
+        return AdditiveSet.from_elements(spec, [tuple(c << 53 for c in e) for e in a.elements])
+
+    for a in (gen_ap(2300, 5, 3), gen_ball(2, 733), gen_random(500, 1021, 3)):
+        assert dtype(a) == dtype(scaled(a)) == np.int16
+    assert dtype(gen_ball(3, 67)) == dtype(gen_axis(867, 3)) == np.int32
 
 
 @pytest.mark.parametrize("wide", [False, True])
@@ -144,7 +182,7 @@ def _set(moduli, elems):
 
 
 REDUCED = {
-    # shifted and scaled, all free values negative; reduces to int64
+    # shifted and scaled, all free values negative; reduces to int32
     "shifted-scaled": (
         lambda: _set((0, 521 << 60), [(3 * (x << 40) - (1 << 70) - 5, x << 60) for x in BASE]),
         False,
@@ -155,7 +193,7 @@ REDUCED = {
     "Z_(2^64+13)": (lambda: _set((M,), [(((1 << 40) + 7) * x % M,) for x in BASE]), True),
     # small coordinates whose radix product passes 2^62
     "dim-3": (lambda: _set((0, 0, 0), [(x, x + (int(x >= 480) << 45), -x) for x in BASE]), True),
-    # scaled by 2^64+13: int64 codes, but g does not fit int64
+    # scaled by 2^64+13: int32 codes, but g does not fit int64
     "scale-M": (lambda: _set((0, 521 * M), [(x * M - (1 << 80), x * M) for x in BASE]), False),
     "n=1": (lambda: _set((0, M), [(1 << 70, 5)]), True),
     # constant free and cyclic coordinates; the cyclic one reduces to Z_1
@@ -172,7 +210,8 @@ def test_reduced_route_matches_the_definition(label, cells, monkeypatch):
         monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
     rep = rep_table(a)
     assert build_codec(a) is None and rep.codec is None
-    assert rep.codes.dtype == (object if wide else np.int64)
+    assert rep.codes.dtype == narrowest(rep.coder)
+    assert (rep.codes.dtype == object) == wide
     elems = a.elements
     tally = Counter(sub(a.spec, x, y) for x in elems for y in elems)
     diffs = sorted(tally)

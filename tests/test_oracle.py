@@ -172,6 +172,20 @@ def test_verify_tv_catches_a_forged_witness():
     assert not res.ok
 
 
+def test_verify_tv_checks_the_center_and_xi():
+    base = gen_ap(15)
+    r = difference_relation(base, [(d,) for d in range(-3, 4)])
+    w = extract_tv(r, F(1, 2))
+    assert w.x_star == (3,) and w.xi == F(1, 2)
+    forged = dataclasses.replace(w, x_star=(14,), xi=F(1, 3))
+    failed = {c.name for c in verify_tv_property(r, forged, F(1, 2)).failed}
+    # N((14,)) = {11, ..., 14} is not A*
+    assert failed == {"xi_matches", "a_star_is_neighbourhood"}
+    outside = dataclasses.replace(w, x_star=(1000,))
+    failed = {c.name for c in verify_tv_property(r, outside, F(1, 2)).failed}
+    assert failed == {"x_star_in_a", "a_star_is_neighbourhood"}
+
+
 def test_verify_tv_fails_an_element_outside_the_base():
     base = gen_ap(15)
     r = difference_relation(base, [(d,) for d in range(-3, 4)])

@@ -156,17 +156,21 @@ def test_extract_tv_nesting_and_floor():
         assert verify_tv_property(r, w, xi).status == "pass"
 
 
+def thin_core_relation():
+    """A dense core of 20 rows related to every one of 40 columns, and 20
+    sparse rows with at most two partners among the first 6 columns: thin
+    pairs then sit in many row blocks, and the centers among those 6 columns
+    pay for them."""
+    rng = SplitMix64(31)
+    pairs = [(i, j) for i in range(20) for j in range(40)]
+    pairs += [(i, rng.below(6)) for i in range(20, 40) for _ in range(2)]
+    return relation_from_index_pairs(gen_ap(40), pairs)
+
+
 @pytest.mark.parametrize("cells", [None, 64])
 def test_extract_tv_center_maximizes_its_score(cells, monkeypatch):
-    # a dense core of 20 rows related to every column, and 20 sparse rows with
-    # at most two partners among the first 6 columns: thin pairs then sit in
-    # many row blocks, and the centers among those 6 columns pay for them
-    rng = SplitMix64(31)
     n = 40
-    base = gen_ap(n)
-    pairs = [(i, j) for i in range(20) for j in range(n)]
-    pairs += [(i, rng.below(6)) for i in range(20, n) for _ in range(2)]
-    r = relation_from_index_pairs(base, pairs)
+    r = thin_core_relation()
     if cells is not None:
         monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
     xi = F(1)
@@ -180,6 +184,25 @@ def test_extract_tv_center_maximizes_its_score(cells, monkeypatch):
     best = max(score for score, _ in scores)
     assert w.x_star == min(x for score, x in scores if score == best)
     assert w.omega_card_in_astar > 0
+
+
+@pytest.mark.parametrize("cells", [64, 400, 1000])
+def test_extract_tv_is_independent_of_block_size(cells, monkeypatch):
+    # Omega's row blocks are formed on and right of the diagonal and mirrored
+    # below it; one-row blocks, four equal ones and a short last one must
+    # count the thin pairs of A* as the definition does, and give the
+    # witness of the default single block
+    r = thin_core_relation()
+    xi = F(1)
+    monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+    got = extract_tv(r, xi)
+    monkeypatch.undo()
+    thin = r.delta**2 * xi**2 * len(r.base) / 8
+    counts = common_counts(r)
+    star = got.a_star.elements
+    omega = sum(1 for a in star for b in star if counts[(a, b)] <= thin)
+    assert got.omega_card_in_astar == omega > 0
+    assert got == extract_tv(r, xi)
 
 
 def test_tv_witness_verified_synthetic():
