@@ -11,8 +11,9 @@ last base set lies in Z_(2^64+13); neither can be reduced, so their codes
 are Python ints.  A "knife" eps is 4 * p_mass / E, where both branch
 hypotheses hold with equality.
 
-The last test re-extracts every toy-scale job of the benchmark in
-perfbench/ and checks it against the digests pinned there.
+The verify-output digests pin the claimed and actual text of every oracle
+check on these reports.  The last test re-extracts every toy-scale job of
+the benchmark in perfbench/ and checks it against the digests pinned there.
 """
 
 import hashlib
@@ -23,12 +24,15 @@ from pathlib import Path
 
 import pytest
 
+from conftest import difference_relation
+
 from bsgx import AdditiveSet, GroupSpec, Params, _codec, extract, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx._codec import build_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
 from bsgx.groups import parse_set
-from bsgx.oracle import verify_extraction, verify_report_dict
+from bsgx.numeric_lemma import WeightVector
+from bsgx.oracle import verify_extraction, verify_report_dict, verify_st, verify_tv_property
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -115,6 +119,61 @@ def test_golden_reports_pass_every_oracle_check(label, eps, both):
     a, params = build(label, eps, both)
     res = verify_extraction(a, extract(a, params))
     assert res.status == "pass", [c.name for c in res.checks if c.status != "pass"]
+
+
+# SHA-256 of the JSON of verify_report_dict's result on each golden report,
+# then, on branch Q, of verify_tv_property's and verify_st's on its witness
+VERIFY_GOLDEN = {
+    ("ap:40,3,7", "1/4", False): ("cd2d4cd1a09e637543e5e4e740003bd63d399c12c08b19e63fab9fc5fe1d9acd",),
+    ("ap:40,3,7*2^53", "1/4", False): ("cd2d4cd1a09e637543e5e4e740003bd63d399c12c08b19e63fab9fc5fe1d9acd",),
+    ("ball:3,4", "1/10", False): ("f6aa427aad4023ca48edaa31f97ebe0fcf0cdbd8e6ca1a24c0f1c3e3e795277a",),
+    ("axis:23,3", "2/5", False): (
+        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8",
+        "4598479f44c42d1a1e1f5874b0c34a0d2e08f4bde05be8b8fdd77cbde448e109",
+        "1ee38be86e08f71275c4cb5f05d4b6dd6fcdc3fde732035d13d0bd005413eb63",
+    ),
+    ("axis:23,3*2^53", "2/5", False): (
+        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8",
+        "4598479f44c42d1a1e1f5874b0c34a0d2e08f4bde05be8b8fdd77cbde448e109",
+        "1ee38be86e08f71275c4cb5f05d4b6dd6fcdc3fde732035d13d0bd005413eb63",
+    ),
+    ("random:80,521,2", "2/5", False): (
+        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b",
+        "94d3d30c8c25bc3787c69f2c0dd9c60d18a8673a2e88f9c76dee38d1683c5b40",
+        "e4e91e5c6184e301ce3ca02f8d855982f36a7e40237c840413d4558085fa9475",
+    ),
+    ("random:80,521,2*2^53", "2/5", False): (
+        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b",
+        "53643c31245ae8306c048f162cde6ce52612809a6b13ec45417c3ed111d5b6dd",
+        "e4e91e5c6184e301ce3ca02f8d855982f36a7e40237c840413d4558085fa9475",
+    ),
+    ("random:80,521,2", "knife", True): ("fc29f3657d4ec457e0c255a53ec7e00b695fcc1407dbe556e99d5005a9786eeb",),
+    ("random:80,521,2*2^53", "knife", True): ("fc29f3657d4ec457e0c255a53ec7e00b695fcc1407dbe556e99d5005a9786eeb",),
+    ("random:63,127,7", "knife", True): ("50347adca7d19ed49953ebdcf683d69ee4be0e78afa5ca5fcb0cda2bec7e8cd8",),
+    ("ball:2,9*2^64+1", "1/4", False): ("40e87ff7e9dae5ca7476c0fc76a8d1f20cf5270a5f081380e8ed6d76675f2f0f",),
+    ("random:80,521,2*2^64+1", "knife", True): ("49ba9aaaddd9eaa928149ddd983eb0ed816328dc0980566c4537143eaeae0f7d",),
+    ("random:60,2^64,5 in Z_(2^64+13)", "1/4", False): (
+        "e84643138087c24fbf014a723572bc4701d3fbe2e8239cef5685e26613037033",
+    ),
+}
+
+
+@pytest.mark.parametrize("label,eps,both", list(VERIFY_GOLDEN))
+def test_golden_verify_output(label, eps, both):
+    def digest(result) -> str:
+        return hashlib.sha256(json.dumps(result.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+    a, params = build(label, eps, both)
+    report = extract(a, params)
+    digests = [digest(verify_report_dict(a, report.to_json_dict()))]
+    if report.case == "Q":
+        w = report.witness
+        relation = difference_relation(a, w.q_prime.elements)
+        digests.append(digest(verify_tv_property(relation, w.tv, w.tv.xi)))
+        pq = partition_pq(a)
+        weights = WeightVector(rho=F(len(a), pq.energy), coeffs=pq.q_counts)
+        digests.append(digest(verify_st(weights, 1 - report.eps / 4, w.selection)))
+    assert tuple(digests) == VERIFY_GOLDEN[(label, eps, both)]
 
 
 def test_every_toy_benchmark_report_matches_its_pin():
