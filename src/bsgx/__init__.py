@@ -9,7 +9,6 @@ arithmetic.  See the README for the pipeline and the file formats.
 from .additive_stats import (
     EnergyReport,
     RepTable,
-    difference_set,
     energy,
     rep_table,
 )
@@ -53,7 +52,6 @@ from .numeric_lemma import (
 from .oracle import (
     CheckRecord,
     VerificationResult,
-    energy_bruteforce,
     verify_extraction,
     verify_report_dict,
     verify_st,
@@ -86,9 +84,7 @@ __all__ = [
     "WeightVector",
     "add",
     "case_select",
-    "difference_set",
     "energy",
-    "energy_bruteforce",
     "extract",
     "extract_p",
     "extract_q",

@@ -119,9 +119,3 @@ def energy(a_set: AdditiveSet) -> EnergyReport:
         diff_size=len(rep),
         K=Fraction(n**3, e_val),
     )
-
-
-def difference_set(a_set: AdditiveSet) -> AdditiveSet:
-    """The set A - A of all ordered pairwise differences, canonicalized."""
-    elems = tuple(d for d, _ in rep_table(a_set).items())
-    return AdditiveSet(a_set.spec, elems)

@@ -334,19 +334,13 @@ def extract_p(
         raise InvariantViolation("slice size disagrees with its difference count")
     thin_counts = thin_pairs_per_slice(m_mat, x_mat)
 
+    # score eps * m^2 - 4 * thin, times eps's denominator, in Python ints;
+    # the factor n + 1 > m ranks the larger slice first among equal scores,
+    # and argmax keeps the first maximum, the lexicographically smallest d
     p_num, p_den = eps.numerator, eps.denominator
-    best_t = None
-    best_score = None
-    best_m = -1
-    for t in range(len(pq.p_items)):
-        m_t = int(slice_sizes[t])
-        score = p_num * m_t * m_t - 4 * p_den * int(thin_counts[t])
-        if best_score is None or score > best_score or (
-            score == best_score and m_t > best_m
-        ):
-            best_t = t
-            best_score = score
-            best_m = m_t
+    sizes = slice_sizes.astype(object)
+    scores = (p_num * sizes**2 - 4 * p_den * thin_counts.astype(object)) * (n + 1) + sizes
+    best_t = int(np.argmax(scores))
     d_star, r_star = pq.p_items[best_t]
     s_star = int(thin_counts[best_t])
     m_star = int(slice_sizes[best_t])

@@ -66,9 +66,6 @@ def add(spec: GroupSpec, a: Element, b: Element) -> Element:
     dim = len(moduli)
     if len(a) != dim or len(b) != dim:
         raise ValueError(_arity_message(dim, a, b))
-    if dim == 1:
-        m = moduli[0]
-        return (a[0] + b[0] if m == 0 else (a[0] + b[0]) % m,)
     return tuple(
         x + y if m == 0 else (x + y) % m
         for x, y, m in zip(a, b, moduli)
@@ -81,9 +78,6 @@ def sub(spec: GroupSpec, a: Element, b: Element) -> Element:
     dim = len(moduli)
     if len(a) != dim or len(b) != dim:
         raise ValueError(_arity_message(dim, a, b))
-    if dim == 1:
-        m = moduli[0]
-        return (a[0] - b[0] if m == 0 else (a[0] - b[0]) % m,)
     return tuple(
         x - y if m == 0 else (x - y) % m
         for x, y, m in zip(a, b, moduli)

@@ -29,12 +29,16 @@ pass held 66 bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above
 cell; the charge of 5 keeps both within the budget's memory bound.  Every
 check that needs a pass over budget reports a distinct "skipped" status
 with the pass's size, and a skipped check never counts as a pass.
+
+Every check is one call on _Checks: equal(name, claimed, needs, recount)
+for a recorded value that must equal its recount, holds(name, claim, ok)
+for a relation that needs no pass, and add for any other comparison.  A
+fraction or set field of a report that is not a string raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -43,11 +47,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bsg import ExtractionReport
-from .groups import AdditiveSet, GroupSpec, add, parse_set, sub
+from .groups import AdditiveSet, GroupSpec, parse_set, sub
 from .numeric_lemma import PrefixSelection, WeightVector
 from .relation_lemma import Relation, TvWitness
 
-_BRUTEFORCE_CAP = 200
 _BUDGET_CELLS = 1 << 25
 _RANKED_CELL_COST = 5  # budget cells charged per cell of a pass whose key is ranked
 _KEY_LIMIT = 1 << 63  # every column value and every key stays below this
@@ -100,24 +103,6 @@ class VerificationResult:
                 for c in self.checks
             ],
         }
-
-
-def energy_bruteforce(a_set: AdditiveSet) -> int:
-    """Count quadruples (a1, a2, a3, a4) with a1 + a2 = a3 + a4 directly.
-
-    Counts through sums: if s has p(s) ordered representations as a + b,
-    the quadruple count is the sum of p(s)^2.  This is the transposed
-    counting route from the main path, which works with differences, and a
-    plain loop over pairs, independent of the histograms below.
-    """
-    if len(a_set) > _BRUTEFORCE_CAP:
-        raise ValueError(
-            f"brute-force energy is limited to {_BRUTEFORCE_CAP} elements, "
-            f"got {len(a_set)}"
-        )
-    spec = a_set.spec
-    sums = Counter(add(spec, a, b) for a in a_set.elements for b in a_set.elements)
-    return sum(c * c for c in sums.values())
 
 
 # ----- pair histograms ------------------------------------------------------
@@ -297,11 +282,32 @@ class _Checks:
             record = CheckRecord(name, str(claimed), str(actual), "pass" if ok else "fail")
         self.records.append(record)
 
+    def equal(self, name: str, claimed, needs: Sequence, recount: Callable) -> None:
+        """Record that the claimed value equals recount(*needs).
+
+        A Fraction recount is compared with _frac(claimed) and shown as
+        _text, unless the claim is itself a Fraction; any other claim is
+        compared and shown as it is.
+        """
+        def evaluate(*values):
+            actual = recount(*values)
+            if isinstance(actual, Fraction) and not isinstance(claimed, Fraction):
+                return claimed, _text(actual), _frac(claimed) == actual
+            return claimed, actual, claimed == actual
+
+        self.add(name, needs, evaluate)
+
+    def holds(self, name: str, claim, ok: bool) -> None:
+        """Record a relation that needs no pass: the claim, and whether it held."""
+        self.add(name, (), lambda: (claim, ok, ok))
+
     def result(self) -> VerificationResult:
         return VerificationResult(tuple(self.records))
 
 
 def _frac(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"expected a fraction as a string, got {text!r}")
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den) if den else 1)
 
@@ -311,6 +317,8 @@ def _text(value: Fraction) -> str:
 
 
 def _parse_in(spec: GroupSpec, text: str, what: str) -> AdditiveSet:
+    if not isinstance(text, str):
+        raise ValueError(f"{what} is not a string")
     a_set = parse_set(text)
     if a_set.spec != spec:
         raise ValueError(f"{what} lives in a different group than the input")
@@ -361,32 +369,13 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
         return 2**10 * eps**-4 * k_of(e) ** 3 * m
 
     checks = _Checks()
-    checks.add("input_size_matches", (), lambda: (recorded["n"], n, recorded["n"] == n))
-    checks.add(
-        "energy_matches", (energy,),
-        lambda e: (recorded["energy"], e, recorded["energy"] == e),
-    )
-    checks.add(
-        "k_matches", (energy,),
-        lambda e: (recorded["K"], _text(k_of(e)), _frac(recorded["K"]) == k_of(e)),
-    )
-    checks.add(
-        "a_prime_size_matches", (),
-        lambda: (achieved["a_prime_size"], m, achieved["a_prime_size"] == m),
-    )
-    subset_ok = all(a in a_set.as_set for a in a_prime.elements)
-    checks.add("a_prime_subset", (), lambda: ("A' <= A", subset_ok, subset_ok))
-    checks.add(
-        "diff_size_matches", (diff_size,),
-        lambda d: (achieved["diff_size"], d, achieved["diff_size"] == d),
-    )
-    checks.add(
-        "size_bound_recorded", (energy,),
-        lambda e: (
-            bounds["size_bound_sq"], _text(size_sq(e)),
-            _frac(bounds["size_bound_sq"]) == size_sq(e),
-        ),
-    )
+    checks.equal("input_size_matches", recorded["n"], (), lambda: n)
+    checks.equal("energy_matches", recorded["energy"], (energy,), lambda e: e)
+    checks.equal("k_matches", recorded["K"], (energy,), k_of)
+    checks.equal("a_prime_size_matches", achieved["a_prime_size"], (), lambda: m)
+    checks.holds("a_prime_subset", "A' <= A", all(a in a_set.as_set for a in a_prime.elements))
+    checks.equal("diff_size_matches", achieved["diff_size"], (diff_size,), lambda d: d)
+    checks.equal("size_bound_recorded", bounds["size_bound_sq"], (energy,), size_sq)
     checks.add(
         "size_lower_bound", (energy,),
         lambda e: (
@@ -404,13 +393,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
             m * m * e >= (1 - eps) ** 2 * n**3,
         ),
     )
-    checks.add(
-        "diff_bound_recorded", (energy,),
-        lambda e: (
-            bounds["diff_bound"], _text(diff_bound(e)),
-            _frac(bounds["diff_bound"]) == diff_bound(e),
-        ),
-    )
+    checks.equal("diff_bound_recorded", bounds["diff_bound"], (energy,), diff_bound)
     checks.add(
         "diff_upper_bound", (energy, diff_size),
         lambda e, d: (
@@ -434,13 +417,7 @@ def _popular_checks(
     energy, diffs, diff_size, diff_bound_p: Callable[[int], Fraction],
 ) -> None:
     """The popular branch: its hypothesis, d*, A* = A_d* and the thresholds."""
-    checks.add(
-        "diff_bound_p_recorded", (energy,),
-        lambda e: (
-            bounds["diff_bound_p"], _text(diff_bound_p(e)),
-            _frac(bounds["diff_bound_p"]) == diff_bound_p(e),
-        ),
-    )
+    checks.equal("diff_bound_p_recorded", bounds["diff_bound_p"], (energy,), diff_bound_p)
     checks.add(
         "diff_upper_bound_popular", (energy, diff_size),
         lambda e, d: (
@@ -467,22 +444,13 @@ def _popular_checks(
             r_star(h) ** 2 * n >= e,
         ),
     )
-    checks.add(
-        "a_star_size_matches", (diffs,),
-        lambda h: (witness["a_star_size"], r_star(h), witness["a_star_size"] == r_star(h)),
-    )
+    checks.equal("a_star_size_matches", witness["a_star_size"], (diffs,), r_star)
 
     def thin_floor(e: int) -> int:
         thin = (eps * eps * e) / (16 * n * n)
         return thin.numerator // thin.denominator
 
-    checks.add(
-        "thin_threshold_matches", (energy,),
-        lambda e: (
-            witness["thin_threshold"], thin_floor(e),
-            witness["thin_threshold"] == thin_floor(e),
-        ),
-    )
+    checks.equal("thin_threshold_matches", witness["thin_threshold"], (energy,), thin_floor)
 
 
 def _unpopular_checks(
@@ -504,11 +472,9 @@ def _unpopular_checks(
 
     checks.add("branch_hypothesis", (energy, diffs), hypothesis)
 
-    def q_size(e: int, h: _Histogram):
-        size = h.split(e, n)[1]
-        return witness["q_size"], size, witness["q_size"] == size
-
-    checks.add("q_size_matches", (energy, diffs), q_size)
+    checks.equal(
+        "q_size_matches", witness["q_size"], (energy, diffs), lambda e, h: h.split(e, n)[1]
+    )
     checks.add(
         "q_prime_size_matches", (),
         lambda: (
@@ -528,10 +494,7 @@ def _unpopular_checks(
     def delta(h: _Histogram) -> Fraction:
         return Fraction(int(h.query_counts.sum()), n * n)
 
-    checks.add(
-        "delta_matches", (diffs,),
-        lambda h: (witness["delta"], _text(delta(h)), _frac(witness["delta"]) == delta(h)),
-    )
+    checks.equal("delta_matches", witness["delta"], (diffs,), delta)
     checks.add(
         "delta_floor", (energy, diffs),
         lambda e, h: (
@@ -550,15 +513,11 @@ def _unpopular_checks(
         ),
     )
     x_star = spec.reduce(tuple(witness["x_star"]))
-    in_input = x_star in a_set.as_set
-    checks.add("x_star_in_input", (), lambda: ("x* in A", in_input, in_input))
+    checks.holds("x_star_in_input", "x* in A", x_star in a_set.as_set)
     # A* = N(x*) = {a in A : a - x* in Q'}, one lookup per element of A
     members = q_prime.as_set
     a_star_size = sum(1 for a in a_set.elements if sub(spec, a, x_star) in members)
-    checks.add(
-        "a_star_size_matches", (),
-        lambda: (witness["a_star_size"], a_star_size, witness["a_star_size"] == a_star_size),
-    )
+    checks.equal("a_star_size_matches", witness["a_star_size"], (), lambda: a_star_size)
 
 
 def verify_extraction(a_set: AdditiveSet, report: ExtractionReport) -> VerificationResult:
@@ -613,11 +572,11 @@ def verify_tv_property(
     star_ok = witness.a_star.as_set == {base.elements[i] for i in column}
 
     checks = _Checks()
-    checks.add("delta_matches", (), lambda: (witness.delta, delta, witness.delta == delta))
-    checks.add("xi_matches", (), lambda: (witness.xi, xi, witness.xi == xi))
-    checks.add("x_star_in_a", (), lambda: (witness.x_star, center is not None, center is not None))
-    checks.add("a_star_is_neighbourhood", (), lambda: ("A* = N(x*)", star_ok, star_ok))
-    checks.add("witness_nesting", (), lambda: ("A' <= A* <= A", nesting, nesting))
+    checks.equal("delta_matches", witness.delta, (), lambda: delta)
+    checks.equal("xi_matches", witness.xi, (), lambda: xi)
+    checks.holds("x_star_in_a", witness.x_star, center is not None)
+    checks.holds("a_star_is_neighbourhood", "A* = N(x*)", star_ok)
+    checks.holds("witness_nesting", "A' <= A* <= A", nesting)
     checks.add(
         "a_prime_size_floor", (),
         lambda: (
@@ -626,10 +585,7 @@ def verify_tv_property(
             Fraction(m) >= delta * (1 - xi) * n,
         ),
     )
-    checks.add(
-        "thin_pairs_in_a_star", (counts,),
-        lambda p: (witness.omega_card_in_astar, p[0], witness.omega_card_in_astar == p[0]),
-    )
+    checks.equal("thin_pairs_in_a_star", witness.omega_card_in_astar, (counts,), lambda p: p[0])
     bound = delta**4 * xi**4 * n * n * m / 128
     checks.add(
         "triple_paths", (counts,),
@@ -682,33 +638,32 @@ def verify_st(
     any_valid = k_true is not None and any(
         mass(prefix[i - 1]) and size(prefix[i - 1], i) for i in range(k_true, ell_true + 1)
     )
-    order_ok = list(sel.order) == order_true
-    index_ok = sorted(order_true[:chosen]) == list(sel.index_set)
-    size_ok = size(w_coeff, chosen)
-    records = (
-        ("order_matches", "stable descending permutation", order_ok, order_ok),
-        ("index_set_matches", "first chosen_i of the order, sorted", index_ok, index_ok),
-        ("sum_matches", sel.certified_coeff, w_coeff, sel.certified_coeff == w_coeff),
-        (
-            "mass_branch", "W >= alpha * T",
-            f"W^2 = {float(w_coeff * w_coeff * rho)!r} vs {float(mass_floor)!r}", mass(w_coeff),
-        ),
-        ("size_branch", "W^6 >= (1-alpha)^5 * |I|^4 * T^4 / (2^10 * S^2)", size_ok, size_ok),
-        (
-            "window_matches", f"[{sel.window_lo}, {sel.window_hi}]", f"[{k_true}, {ell_true}]",
-            sel.window_lo == k_true and sel.window_hi == ell_true,
-        ),
-        (
-            "chosen_in_window", f"{k_true} <= chosen <= {ell_true}", chosen,
-            k_true is not None and k_true <= chosen <= ell_true,
-        ),
-        (
-            "window_has_valid_prefix", "some prefix in [k, l] passes both branches",
-            any_valid, any_valid,
+    checks = _Checks()
+    checks.holds("order_matches", "stable descending permutation", list(sel.order) == order_true)
+    checks.holds(
+        "index_set_matches", "first chosen_i of the order, sorted",
+        sorted(order_true[:chosen]) == list(sel.index_set),
+    )
+    checks.equal("sum_matches", sel.certified_coeff, (), lambda: w_coeff)
+    checks.add(
+        "mass_branch", (),
+        lambda: (
+            "W >= alpha * T",
+            f"W^2 = {float(w_coeff * w_coeff * rho)!r} vs {float(mass_floor)!r}",
+            mass(w_coeff),
         ),
     )
-    checks = _Checks()
-    for name, *record in records:
-        # nothing here needs a pass, so each record is its own needs
-        checks.add(name, record, lambda *r: r)
+    checks.holds(
+        "size_branch", "W^6 >= (1-alpha)^5 * |I|^4 * T^4 / (2^10 * S^2)", size(w_coeff, chosen)
+    )
+    window = f"[{k_true}, {ell_true}]"
+    checks.equal("window_matches", f"[{sel.window_lo}, {sel.window_hi}]", (), lambda: window)
+    checks.add(
+        "chosen_in_window", (),
+        lambda: (
+            f"{k_true} <= chosen <= {ell_true}", chosen,
+            k_true is not None and k_true <= chosen <= ell_true,
+        ),
+    )
+    checks.holds("window_has_valid_prefix", "some prefix in [k, l] passes both branches", any_valid)
     return checks.result()

@@ -4,13 +4,16 @@ test_acceptance.py appends one line per top-level check to ACCEPTANCE_LINES;
 the hook below prints the whole block after the test summary, so the
 pass/fail lines are visible in a plain ``pytest -v`` run (no -s needed).
 
-The helpers below build relations from elements rather than rep-table codes,
-recount neighbourhoods by their definitions and write rational weights as
-integer arrays; the library needs none of them.  Test modules import them
+The helpers below count energies and difference sets over element pairs,
+build relations from elements rather than rep-table codes, recount
+neighbourhoods by their definitions and write rational weights as integer
+arrays; the library needs none of them.  Test modules import them
 with ``from conftest import ...``.
 """
 
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
@@ -31,6 +34,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance summary")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def pure_pairs(a, op):
+    """op(x, y) for every ordered pair of a, cyclic coordinates reduced, inline."""
+    moduli = a.spec.moduli
+    if all(moduli):
+        return (tuple(map(operator.mod, map(op, x, y), moduli)) for x in a for y in a)
+    return (tuple(c % m if m else c for c, m in zip(map(op, x, y), moduli)) for x in a for y in a)
+
+
+def pure_energy(a):
+    """E(A) as the sum of p(s)^2, where p(s) counts the ordered pairs with a + b = s.
+
+    Counting through sums is the transposed route from the library's, which
+    counts differences; it uses no numpy and no code from bsgx.groups.
+    """
+    sums = Counter(pure_pairs(a, operator.add))
+    return sum(c * c for c in sums.values())
+
+
+def pure_diff_size(a):
+    return len(set(pure_pairs(a, operator.sub)))
 
 
 def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relation:

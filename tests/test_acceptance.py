@@ -12,15 +12,20 @@ library's own numbers must agree with the recomputed ones before any bound
 is checked.
 """
 
-import operator
 import time
-from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Tuple
 
-from conftest import ACCEPTANCE_LINES, difference_relation, relation_from_index_pairs, weight_vector
+from conftest import (
+    ACCEPTANCE_LINES,
+    difference_relation,
+    pure_diff_size,
+    pure_energy,
+    relation_from_index_pairs,
+    weight_vector,
+)
 
 import bsgx.oracle as oracle
 from bsgx.bsg import ExtractionReport, Params, extract
@@ -35,12 +40,7 @@ from bsgx.generators import (
 )
 from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.numeric_lemma import select_index_set
-from bsgx.oracle import (
-    energy_bruteforce,
-    verify_extraction,
-    verify_st,
-    verify_tv_property,
-)
+from bsgx.oracle import verify_extraction, verify_st, verify_tv_property
 from bsgx.relation_lemma import extract_tv
 from bsgx.additive_stats import energy
 
@@ -61,25 +61,6 @@ def verdict(tag, description):
     ACCEPTANCE_LINES.append(
         f"[{tag}] {description}: PASS ({time.time() - t0:.1f}s)"
     )
-
-
-# ----- independent recomputation helpers (no additive_stats, no numpy) -----
-
-def pure_pairs(a, op):
-    """op(x, y) for every ordered pair of a, cyclic coordinates reduced, inline."""
-    moduli = a.spec.moduli
-    if all(moduli):
-        return (tuple(map(operator.mod, map(op, x, y), moduli)) for x in a for y in a)
-    return (tuple(c % m if m else c for c, m in zip(map(op, x, y), moduli)) for x in a for y in a)
-
-
-def pure_energy(a):
-    sums = Counter(pure_pairs(a, operator.add))
-    return sum(c * c for c in sums.values())
-
-
-def pure_diff_size(a):
-    return len(set(pure_pairs(a, operator.sub)))
 
 
 def check_theorem_bounds(n, e, eps, m, diff):
@@ -200,16 +181,16 @@ def test_energy_equals_bruteforce_oracle():
         count = 0
         z7 = GroupSpec((7,))
         for a in exhaustive_subsets(z7, tuple((i,) for i in range(7))):
-            assert energy(a).energy == energy_bruteforce(a), a.elements
+            assert energy(a).energy == pure_energy(a), a.elements
             count += 1
         z33 = GroupSpec((3, 3))
         grid = tuple((i, j) for i in range(3) for j in range(3))
         for a in exhaustive_subsets(z33, grid):
-            assert energy(a).energy == energy_bruteforce(a), a.elements
+            assert energy(a).energy == pure_energy(a), a.elements
             count += 1
         for seed in range(100, 600):
             a = energy_probe_set(seed)
-            assert energy(a).energy == energy_bruteforce(a), seed
+            assert energy(a).energy == pure_energy(a), seed
             count += 1
         assert count == 127 + 511 + 500
 

@@ -151,6 +151,29 @@ def test_verify_garbage_report_exits_2(aset_file, tmp_path, capsys):
         assert main(["verify", src, str(bad)]) == 2, eps
 
 
+def test_verify_malformed_field_exits_2(tmp_path, capsys):
+    # a fraction sent as a JSON number, or a set that is not a string
+    src = str(tmp_path / "r.aset")
+    good = tmp_path / "good.json"
+    gen = ["gen", "random", "--n", "63", "--modulus", "127", "--seed", "7", "--out", src]
+    assert main(gen) == 0
+    assert main(["extract", src, "--eps", "1/4", "--out", str(good)]) == 0
+    assert json.loads(good.read_text())["case"] == "Q"
+    bad = tmp_path / "bad.json"
+    fields = [
+        ("input", "K"), ("bounds", "diff_bound"), ("params", "eps"),
+        ("witness", "delta"), (None, "a_prime"), ("witness", "q_prime"),
+    ]
+    for section, field in fields:
+        doc = json.loads(good.read_text())
+        (doc[section] if section else doc)[field] = 7
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", src, str(bad)]) == 2, field
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, field
+
+
 def test_internal_assertion_exits_4(aset_file, monkeypatch, capsys):
     def broken(a_set, params):
         raise InvariantViolation("planted")
