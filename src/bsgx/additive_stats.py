@@ -7,26 +7,27 @@ parameter K = |A|^3 / E(A) as an exact rational.
 
 The table is also the one difference index of the package: every difference
 has a mixed-radix code (see _codec), codes ascend in lexicographic
-difference order, and pair_codes gives the codes of a row block of the
-n x n difference matrix.  The codes are always those of the gcd-reduced
-copy, the narrowest integer dtype that holds them or Python ints; the rest
-of the package runs the same numpy path on any of them.  Counting sorts the
-codes of all n^2 pairs once, in place, and reads r(d) off the run lengths;
-it is exact, and the counts are independent of chunking.
+difference order, pair_codes gives the codes of a row block of the n x n
+difference matrix, and index, the one code lookup, gives each code's
+position in the table: one gather from a position table when the code
+range has at most _codec.BLOCK_CELLS codes, else a binary search.  The codes
+are those of the gcd-reduced copy, in the narrowest integer dtype that holds
+them or Python ints, and the rest of the package runs the same numpy path on
+any of them.  Counting sorts the codes of all n^2 pairs once, in place, and
+reads r(d) off the run lengths; exact, and independent of chunking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
+from . import _codec
 from ._codec import Codec, build_codec, reduced_codec, row_chunks
-from .groups import AdditiveSet, Element
-
-_DECODE_CHUNK = 1 << 16
+from .groups import AdditiveSet
 
 
 class RepTable:
@@ -50,6 +51,7 @@ class RepTable:
         self.coords = coords
         self.codes = codes
         self.counts = counts
+        self._positions: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -71,11 +73,19 @@ class RepTable:
         """The differences with the given codes, as element tuples."""
         return self.coder.decode(codes)
 
-    def items(self) -> Iterator[Tuple[Element, int]]:
-        """(difference, count) pairs in lexicographic difference order."""
-        for start in range(0, len(self.codes), _DECODE_CHUNK):
-            block = slice(start, start + _DECODE_CHUNK)
-            yield from zip(self.decode(self.codes[block]), self.counts[block].tolist())
+    def index(self, codes: np.ndarray) -> np.ndarray:
+        """The position in self.codes of each of codes, all of them differences of A.
+
+        A code range [0, strides[0] * radices[0]) of at most BLOCK_CELLS codes gets
+        an int32 position table, built once, and one gather; a wider one a search.
+        """
+        size = int(self.coder.strides[0]) * int(self.coder.radices[0])
+        if size > _codec.BLOCK_CELLS:
+            return np.searchsorted(self.codes, codes)
+        if self._positions is None:
+            self._positions = np.zeros(size, dtype=np.int32)
+            self._positions[self.codes] = np.arange(len(self.codes), dtype=np.int32)
+        return self._positions[codes]
 
     def energy_sum(self) -> int:
         return int(np.dot(self.counts, self.counts))

@@ -50,6 +50,7 @@ class Params:
             raise ValueError(f"eps must be in (0, 1/2), got {self.eps}")
 
 
+@dataclass(eq=False)
 class PartitionPQ:
     """Differences of A split by popularity, with the mass of each side.
 
@@ -58,26 +59,18 @@ class PartitionPQ:
     at most |A| differences, is also decoded into p_items.
     """
 
-    def __init__(
-        self,
-        a_set: AdditiveSet,
-        rep: RepTable,
-        p_codes: np.ndarray,
-        p_items: Tuple[Tuple[Element, int], ...],
-        p_mass: int,
-        q_mass: int,
-        q_codes: np.ndarray,
-        q_counts: np.ndarray,
-    ) -> None:
-        self.a_set = a_set
-        self.rep = rep
-        self.p_codes = p_codes
-        self.p_items = p_items
-        self.p_mass = p_mass
-        self.q_mass = q_mass
-        self.q_size = len(q_codes)
-        self.q_codes = q_codes
-        self.q_counts = q_counts
+    a_set: AdditiveSet
+    rep: RepTable
+    p_codes: np.ndarray
+    p_items: Tuple[Tuple[Element, int], ...]
+    p_mass: int
+    q_mass: int
+    q_codes: np.ndarray
+    q_counts: np.ndarray
+
+    @property
+    def q_size(self) -> int:
+        return len(self.q_codes)
 
     @property
     def set_size(self) -> int:
@@ -242,8 +235,9 @@ def _finish_report(
     diff_bound_p = (
         2**10 * eps**-4 * k_val**3 * len(a_prime) if case == "P" else None
     )
-    diff_size = len(rep_table(a_prime))
     m = len(a_prime)
+    # A' is a subset of A, so it is A when it has n elements
+    diff_size = len(pq.rep) if m == n else len(rep_table(a_prime))
 
     size_ok = m * m * n >= (1 - eps) ** 2 * e_val
     # implied by size_ok: multiply it by E / n and use E >= n^2
@@ -294,11 +288,11 @@ def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, 
     pop_floor = min(c for _, c in pq.p_items)
     # p_rank[k] is the column of M of the k-th rep-table difference, if popular
     p_rank = np.zeros(len(rep), dtype=np.int64)
-    p_rank[np.searchsorted(rep.codes, pq.p_codes)] = np.arange(len(pq.p_codes))
+    p_rank[rep.index(pq.p_codes)] = np.arange(len(pq.p_codes))
     x_mat = np.empty((n, n), dtype=np.bool_)
     m_mat = np.zeros((n, len(pq.p_codes)), dtype=np.bool_)
     for lo, hi in row_chunks(n, n):
-        idx = np.searchsorted(rep.codes, rep.pair_codes(lo, hi))
+        idx = rep.index(rep.pair_codes(lo, hi))
         counts = rep.counts[idx]
         x_mat[lo:hi] = counts <= thin_floor
         hits = np.flatnonzero(counts >= pop_floor)
@@ -419,19 +413,9 @@ def extract(a_set: AdditiveSet, params: Params) -> ExtractionReport:
     eps = params.eps
     case = case_select(pq, eps)
     if params.run_both and case == "P" and pq.q_holds(eps):
-        report_p = extract_p(a_set, pq, eps, run_both=True)
-        report_q = extract_q(a_set, pq, eps, run_both=True)
-        ratio_p = Fraction(report_p.diff_size, report_p.a_prime_size)
-        ratio_q = Fraction(report_q.diff_size, report_q.a_prime_size)
-        if ratio_p != ratio_q:
-            return report_p if ratio_p < ratio_q else report_q
-        if report_p.a_prime_size != report_q.a_prime_size:
-            return (
-                report_p
-                if report_p.a_prime_size > report_q.a_prime_size
-                else report_q
-            )
-        return report_p
+        reports = [branch(a_set, pq, eps, run_both=True) for branch in (extract_p, extract_q)]
+        # the smaller |A'-A'| / |A'|, then the larger A', then P; min keeps the first
+        return min(reports, key=lambda r: (Fraction(r.diff_size, r.a_prime_size), -r.a_prime_size))
     if case == "P":
         return extract_p(a_set, pq, eps, run_both=params.run_both)
     return extract_q(a_set, pq, eps, run_both=params.run_both)

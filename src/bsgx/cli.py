@@ -125,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         result = verify_report_dict(a_set, report)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, AsetFormatError) as exc:
-        raise _CliError(EXIT_USAGE, f"report does not match the set: {exc}") from exc
+        raise _CliError(EXIT_USAGE, f"invalid report: {exc}") from exc
     sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n")
     return _VERIFY_EXIT[result.status]
 

@@ -286,13 +286,16 @@ class _Checks:
         """Record that the claimed value equals recount(*needs).
 
         A Fraction recount is compared with _frac(claimed) and shown as
-        _text, unless the claim is itself a Fraction; any other claim is
-        compared and shown as it is.
+        _text, unless the claim is itself a Fraction.  An integer recount
+        passes only an integer claim, as Python ints: a float or bool that
+        Python finds equal fails.  Any other claim is compared as it is.
         """
         def evaluate(*values):
             actual = recount(*values)
             if isinstance(actual, Fraction) and not isinstance(claimed, Fraction):
                 return claimed, _text(actual), _frac(claimed) == actual
+            if isinstance(actual, int):
+                return claimed, actual, _is_int(claimed) and int(claimed) == actual
             return claimed, actual, claimed == actual
 
         self.add(name, needs, evaluate)
@@ -303,6 +306,11 @@ class _Checks:
 
     def result(self) -> VerificationResult:
         return VerificationResult(tuple(self.records))
+
+
+def _is_int(value) -> bool:
+    """An integer, as a report or the library writes it: no bool, no float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _frac(text: str) -> Fraction:
@@ -475,15 +483,9 @@ def _unpopular_checks(
     checks.equal(
         "q_size_matches", witness["q_size"], (energy, diffs), lambda e, h: h.split(e, n)[1]
     )
-    checks.add(
-        "q_prime_size_matches", (),
-        lambda: (
-            witness["q_prime_size"],
-            len(q_prime),
-            witness["q_prime_size"] == len(q_prime)
-            and witness["selected_count"] == len(q_prime),
-        ),
-    )
+    sizes = (witness["q_prime_size"], witness["selected_count"])
+    sizes_ok = all(_is_int(c) and c == len(q_prime) for c in sizes)
+    checks.add("q_prime_size_matches", (), lambda: (sizes[0], len(q_prime), sizes_ok))
 
     def unpopular(e: int, h: _Histogram):
         ok = bool(np.all(h.query_counts * h.query_counts * n < e))

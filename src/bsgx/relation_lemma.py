@@ -105,7 +105,9 @@ def thin_pairs_per_slice(members: np.ndarray, thin: np.ndarray) -> np.ndarray:
 
 def drop_thin(rows: np.ndarray, thin: np.ndarray) -> np.ndarray:
     """The rows with at most len(rows) / 4 thin partners among rows."""
-    partners = thin[np.ix_(rows, rows)].sum(axis=1, dtype=np.int64)
+    inside = np.zeros(len(thin), dtype=np.bool_)
+    inside[rows] = True
+    partners = np.count_nonzero(thin[rows] & inside, axis=1)
     return rows[4 * partners <= len(rows)]
 
 

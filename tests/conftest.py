@@ -5,7 +5,7 @@ the hook below prints the whole block after the test summary, so the
 pass/fail lines are visible in a plain ``pytest -v`` run (no -s needed).
 
 The helpers below count energies and difference sets over element pairs,
-build relations from elements rather than rep-table codes, recount
+list a rep table's (difference, count) pairs, build relations from elements rather than rep-table codes, recount
 neighbourhoods by their definitions and write rational weights as integer
 arrays; the library needs none of them.  Test modules import them
 with ``from conftest import ...``.
@@ -15,7 +15,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -58,6 +58,16 @@ def pure_diff_size(a):
     return len(set(pure_pairs(a, operator.sub)))
 
 
+_DECODE_CHUNK = 1 << 16
+
+
+def rep_items(rep: additive_stats.RepTable) -> Iterator[Tuple[Element, int]]:
+    """(difference, count) pairs of a rep table in lexicographic difference order."""
+    for start in range(0, len(rep.codes), _DECODE_CHUNK):
+        block = slice(start, start + _DECODE_CHUNK)
+        yield from zip(rep.decode(rep.codes[block]), rep.counts[block].tolist())
+
+
 def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relation:
     """The relation {(a, b) : a - b in members}, built from rep-table codes.
 
@@ -66,7 +76,7 @@ def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relati
     """
     rep = additive_stats.rep_table(base)
     wanted = {base.spec.reduce(m) for m in members}
-    keep = np.array([d in wanted for d, _ in rep.items()], dtype=np.bool_)
+    keep = np.array([d in wanted for d, _ in rep_items(rep)], dtype=np.bool_)
     return Relation.from_difference_set(rep, rep.codes[keep])
 
 

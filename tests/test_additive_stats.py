@@ -1,13 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import translate
+from conftest import rep_items, translate
 
+from bsgx import _codec
 from bsgx.additive_stats import energy, rep_table
-from bsgx.generators import gen_ap, gen_axis
+from bsgx.generators import gen_ap, gen_axis, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, neg, sub
 
 Z = GroupSpec((0,))
@@ -19,24 +21,53 @@ def zset(*vals):
 
 def test_rep_table_012():
     rep = rep_table(zset(0, 1, 2))
-    table = dict(rep.items())
+    table = dict(rep_items(rep))
     assert table == {(-2,): 1, (-1,): 2, (0,): 3, (1,): 2, (2,): 1}
     assert rep.codes.tolist() == sorted(rep.codes.tolist())
     assert rep.counts.sum() == 9
 
 
 def test_rep_table_01():
-    assert dict(rep_table(zset(0, 1)).items()) == {(-1,): 1, (0,): 2, (1,): 1}
+    assert dict(rep_items(rep_table(zset(0, 1)))) == {(-1,): 1, (0,): 2, (1,): 1}
 
 
 def test_rep_table_singleton():
-    assert dict(rep_table(zset(42)).items()) == {(0,): 1}
+    assert dict(rep_items(rep_table(zset(42)))) == {(0,): 1}
 
 
 def test_items_are_lex_sorted():
     rep = rep_table(zset(0, 3, 7))
-    keys = [d for d, _ in rep.items()]
+    keys = [d for d, _ in rep_items(rep)]
     assert keys == sorted(keys)
+
+
+# (set, code dtype, whether the default block holds its code range)
+INDEXED = {
+    "ap:40": (lambda: gen_ap(40), np.int16, True),
+    "ball:3,49": (lambda: gen_ball(3, 49), np.int32, True),
+    "Z_(2^31+11)": (lambda: gen_random(40, 2147483659, 7), np.int64, False),
+    "span-2^63": (
+        lambda: AdditiveSet.from_elements(Z, [(x << 63,) for x in range(0, 120, 7)] + [(1,)]),
+        object,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+@pytest.mark.parametrize("label", list(INDEXED))
+def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
+    build, dtype, dense = INDEXED[label]
+    if cells is not None:
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+    rep = rep_table(build())
+    assert rep.codes.dtype == dtype
+    n = len(rep.a_set)
+    pairs = rep.pair_codes(0, n).ravel()
+    assert rep.index(pairs).tolist() == np.searchsorted(rep.codes, pairs).tolist()
+    assert rep.index(rep.codes).tolist() == list(range(len(rep)))
+    # every code range here passes 64 cells, so that block searches
+    assert (rep._positions is not None) == (dense and cells is None)
 
 
 def test_energy_small_examples():
@@ -60,7 +91,7 @@ def test_ap_energy_closed_form(n):
 
 def test_rep_invariants_on_a_structured_set():
     a = gen_axis(7, 2)
-    table = dict(rep_table(a).items())
+    table = dict(rep_items(rep_table(a)))
     n = len(a)
     for d, c in table.items():
         assert 1 <= c <= n
@@ -79,7 +110,7 @@ def test_huge_free_coordinates_fall_back():
     # differences occur once, so E = 16 + 2*4 + 8 and |A-A| = 11
     assert r.energy == 32
     assert r.diff_size == 11
-    assert r.energy == sum(c * c for _, c in rep_table(a).items())
+    assert r.energy == sum(c * c for _, c in rep_items(rep_table(a)))
 
 
 @st.composite
@@ -118,9 +149,9 @@ def test_translation_invariance(a, t):
 @settings(max_examples=60, deadline=None)
 def test_rep_table_matches_difference_set(a):
     rep = rep_table(a)
-    assert set(d for d, _ in rep.items()) == {sub(a.spec, x, y) for x in a for y in a}
+    assert set(d for d, _ in rep_items(rep)) == {sub(a.spec, x, y) for x in a for y in a}
     # and every difference really occurs
-    for d, c in rep.items():
+    for d, c in rep_items(rep):
         brute = sum(1 for x in a for y in a if sub(a.spec, x, y) == d)
         assert brute == c
 

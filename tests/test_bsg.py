@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import widen
+from conftest import pure_diff_size, rep_items, widen
 
-from bsgx import _codec
+from bsgx import _codec, bsg
+from bsgx.additive_stats import energy, rep_table
 from bsgx.bsg import (
     ExtractionReport,
     Params,
@@ -94,6 +95,17 @@ def test_extract_p_example():
     assert rep.diff_size == 5
     assert rep.K == F(27, 19)
     assert all(ok for _, ok in rep.checks)
+
+
+def test_extract_p_counts_a_prime_equal_to_a_from_its_table(monkeypatch):
+    a = gen_ball(2, 9)
+    calls = []
+    monkeypatch.setattr(bsg, "rep_table", lambda s: calls.append(s) or rep_table(s))
+    rep = extract(a, Params(eps=F(1, 4)))
+    assert rep.case == "P" and rep.a_prime == a
+    # one table, the partition's: A' = A is not recounted
+    assert calls == [a]
+    assert rep.diff_size == energy(a).diff_size == pure_diff_size(a)
 
 
 def test_extract_p_requires_its_hypothesis():
@@ -225,14 +237,17 @@ def test_membership_matrices_match_their_definitions(wide, monkeypatch):
     a = widen(gen_ball(2, 9), wide)  # nine popular differences
     pq = partition_pq(a)
     assert (pq.rep.codec is None) == wide
-    monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
-    x_mat, m_mat = _membership_matrices(pq, 6)
-    table = dict(pq.rep.items())
+    table = dict(rep_items(pq.rep))
     elems = a.elements
-    assert x_mat.tolist() == [[table[sub(a.spec, x, y)] <= 6 for y in elems] for x in elems]
-    for t, (d, _) in enumerate(pq.p_items):
-        # A_d = A intersect (A + d)
-        assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
+    # the default block gathers from the position table; the 169-code range
+    # passes 64 cells, so that block searches
+    for cells in (_codec.BLOCK_CELLS, 64):
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+        x_mat, m_mat = _membership_matrices(pq, 6)
+        assert x_mat.tolist() == [[table[sub(a.spec, x, y)] <= 6 for y in elems] for x in elems]
+        for t, (d, _) in enumerate(pq.p_items):
+            # A_d = A intersect (A + d)
+            assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
 
 
 def test_theorem_bounds_recorded_exactly():

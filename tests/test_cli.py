@@ -171,7 +171,9 @@ def test_verify_malformed_field_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", src, str(bad)]) == 2, field
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, field
+        assert err.startswith("error: invalid report: ") and "Traceback" not in err, field
+        if field == "K":
+            assert err == "error: invalid report: expected a fraction as a string, got 7\n"
 
 
 def test_internal_assertion_exits_4(aset_file, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import widen
+from conftest import rep_items, widen
 
 from bsgx import _codec, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx._codec import _CAPS, build_codec, reduced_codec
@@ -158,7 +158,7 @@ def test_pair_codes_decode_to_differences(wide, a, data):
     assert rep.codec is (None if wide else rep.coder)
     codes = rep.codes.tolist()
     assert codes == sorted(set(codes))
-    diffs = [d for d, _ in rep.items()]
+    diffs = [d for d, _ in rep_items(rep)]
     assert diffs == sorted(set(diffs))
     n = len(a)
     lo = data.draw(st.integers(0, n))

@@ -474,3 +474,56 @@ def test_tampered_field_fails_its_check(eps, case, path, value, check):
     parent[path[-1]] = _bump(parent[path[-1]]) if value is None else value
     res = verify_report_dict(a, doc)
     assert check in {c.name for c in res.failed}, [c.name for c in res.failed]
+
+
+# (eps, branch, path into the report, check) of integer fields
+RETYPED_FIELDS = [
+    ("1/4", "Q", ("input", "n"), "input_size_matches"),
+    ("1/4", "Q", ("input", "energy"), "energy_matches"),
+    ("1/4", "Q", ("achieved", "a_prime_size"), "a_prime_size_matches"),
+    ("1/4", "Q", ("achieved", "diff_size"), "diff_size_matches"),
+    ("1/4", "Q", ("witness", "q_size"), "q_size_matches"),
+    ("1/4", "Q", ("witness", "q_prime_size"), "q_prime_size_matches"),
+    ("1/4", "Q", ("witness", "a_star_size"), "a_star_size_matches"),
+    ("1/10", "P", ("witness", "a_star_size"), "a_star_size_matches"),
+    ("1/10", "P", ("witness", "thin_threshold"), "thin_threshold_matches"),
+]
+
+
+@pytest.mark.parametrize(
+    "eps, case, path, check", RETYPED_FIELDS, ids=[f"{c}-{'.'.join(p)}" for _, c, p, _ in RETYPED_FIELDS]
+)
+def test_an_integer_sent_as_a_float_fails_its_check(eps, case, path, check):
+    a = gen_random(48, 97, 21)
+    doc = fresh_report(a, F(eps))
+    assert doc["case"] == case
+    section, field = path
+    doc[section][field] = float(doc[section][field])
+    res = verify_report_dict(a, doc)
+    # Python finds 63.0 == 63; the check must not
+    assert [(c.name, c.claimed) for c in res.failed] == [(check, str(doc[section][field]))]
+
+
+def test_float_and_bool_counts_fail():
+    a = gen_random(63, 127, 7)
+    doc = fresh_report(a, F(1, 4))
+    doc["input"]["n"] = 63.0
+    doc["input"]["energy"] = 125903.0
+    doc["witness"]["q_size"] = 126.0
+    res = verify_report_dict(a, doc)
+    assert res.status == "fail"
+    assert [(c.name, c.claimed) for c in res.failed] == [
+        ("input_size_matches", "63.0"),
+        ("energy_matches", "125903.0"),
+        ("q_size_matches", "126.0"),
+    ]
+    # a singleton's counts are all 1, which True also equals
+    one = zset(7)
+    doc = fresh_report(one, F(1, 4))
+    doc["input"]["n"] = doc["input"]["energy"] = doc["achieved"]["diff_size"] = True
+    res = verify_report_dict(one, doc)
+    assert [(c.name, c.claimed) for c in res.failed] == [
+        ("input_size_matches", "True"),
+        ("energy_matches", "True"),
+        ("diff_size_matches", "True"),
+    ]

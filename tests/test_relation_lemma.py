@@ -271,8 +271,8 @@ def test_thin_pair_helpers_match_their_definitions(cells, monkeypatch):
             )
             for t in range(k)
         ]
-        for t in range(k):
-            rows = np.flatnonzero(members[:, t])
+        # each slice, then all of A (A* = A, as on an AP's d* = 0)
+        for rows in [np.flatnonzero(members[:, t]) for t in range(k)] + [np.arange(n)]:
             kept = [
                 i for i in rows.tolist() if 4 * sum(thin[i, j] for j in rows.tolist()) <= len(rows)
             ]
