@@ -15,6 +15,8 @@ are those of the gcd-reduced copy, in the narrowest integer dtype that holds
 them or Python ints, and the rest of the package runs the same numpy path on
 any of them.  Counting sorts the codes of all n^2 pairs once, in place, and
 reads r(d) off the run lengths; exact, and independent of chunking.
+subset_diff_size counts |A' - A'| for a subset A' of A from the same codes,
+sorting the pairs of A' or the pairs A' loses, whichever are fewer.
 """
 
 from __future__ import annotations
@@ -87,6 +89,26 @@ class RepTable:
             self._positions[self.codes] = np.arange(len(self.codes), dtype=np.int32)
         return self._positions[codes]
 
+    def subset_diff_size(self, rows: np.ndarray) -> int:
+        """|A' - A'| for A' the elements of a_set at the distinct indices rows.
+
+        Sorts the codes of whichever is fewer: the m^2 pairs of A', or the
+        n^2 - m^2 pairs of A^2 that A' loses.  Each pair of A^2 is a pair of
+        A'^2 or lost, so d is missing from A' - A' exactly when all r(d) of
+        its pairs are lost; A' = A loses none.
+        """
+        n, m = len(self.coords), len(rows)
+        inner = self.coords[rows]
+        if 2 * m * m <= n * n:
+            return len(_run_edges(_sorted_pair_codes(self.coder, [(inner, inner)]))) - 1
+        kept = np.zeros(n, dtype=bool)
+        kept[rows] = True
+        outer = self.coords[~kept]
+        lost = _sorted_pair_codes(self.coder, [(outer, self.coords), (inner, outer)])
+        edges = _run_edges(lost)
+        gone = np.diff(edges) == self.counts[self.index(lost[edges[:-1]])]
+        return len(self) - int(np.count_nonzero(gone))
+
     def energy_sum(self) -> int:
         return int(np.dot(self.counts, self.counts))
 
@@ -101,20 +123,34 @@ class EnergyReport:
     K: Fraction
 
 
+def _sorted_pair_codes(coder: Codec, blocks: list) -> np.ndarray:
+    """The codes of left[i] - right[j] over every (left, right) pair of coordinate
+    rows in blocks, in one flat buffer sorted in place."""
+    codes = np.empty(sum(len(left) * len(right) for left, right in blocks), dtype=coder.strides.dtype)
+    start = 0
+    for left, right in blocks:
+        width = len(right)
+        for lo, hi in row_chunks(len(left), width):
+            stop = start + (hi - lo) * width
+            coder.diff_codes(left[lo:hi], right, out=codes[start:stop].reshape(hi - lo, width))
+            start = stop
+    codes.sort()
+    return codes
+
+
+def _run_edges(codes: np.ndarray) -> np.ndarray:
+    """The start of each run of equal sorted codes and, last, the end of the final run."""
+    # a run starts where a code differs from the one before it
+    edges = np.ones(len(codes) + 1, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+    return np.flatnonzero(edges)
+
+
 def rep_table(a_set: AdditiveSet) -> RepTable:
     """Count every ordered pairwise difference of a_set."""
     coder, coords = reduced_codec(a_set)
-    n = len(a_set)
-    codes = np.empty((n, n), dtype=coords.dtype)
-    for lo, hi in row_chunks(n, n):
-        coder.diff_codes(coords[lo:hi], coords, out=codes[lo:hi])
-    codes = codes.ravel()
-    codes.sort()
-    # runs of equal codes start where a code differs from the one before it;
-    # edges holds those starts and, last, the end of the final run
-    edges = np.ones(len(codes) + 1, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
-    edges = np.flatnonzero(edges)
+    codes = _sorted_pair_codes(coder, [(coords, coords)])
+    edges = _run_edges(codes)
     return RepTable(a_set, coder, coords, codes[edges[:-1]], np.diff(edges))
 
 

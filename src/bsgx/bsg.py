@@ -226,6 +226,7 @@ def _finish_report(
     case: str,
     witness: Union[PWitness, QWitness],
     a_prime: AdditiveSet,
+    prime_rows: np.ndarray,
 ) -> ExtractionReport:
     n = pq.set_size
     e_val = pq.energy
@@ -236,8 +237,9 @@ def _finish_report(
         2**10 * eps**-4 * k_val**3 * len(a_prime) if case == "P" else None
     )
     m = len(a_prime)
-    # A' is a subset of A, so it is A when it has n elements
-    diff_size = len(pq.rep) if m == n else len(rep_table(a_prime))
+    # A' is A at prime_rows: |A' - A'| is read off A's table by sorting the
+    # pairs of A' or the pairs A' loses, whichever are fewer
+    diff_size = pq.rep.subset_diff_size(prime_rows)
 
     size_ok = m * m * n >= (1 - eps) ** 2 * e_val
     # implied by size_ok: multiply it by E / n and use E >= n^2
@@ -349,19 +351,15 @@ def extract_p(
     if Fraction(len(prime_rows)) < (1 - eps) * m_star:
         raise InvariantViolation("filtered slice below its guaranteed size")
 
-    a_star = AdditiveSet(
-        a_set.spec, tuple(a_set.elements[i] for i in star_rows)
-    )
-    a_prime = AdditiveSet(
-        a_set.spec, tuple(a_set.elements[i] for i in prime_rows)
-    )
     witness = PWitness(
         d_star=d_star,
-        a_star=a_star,
+        a_star=a_set.subset(star_rows),
         thin_threshold=thin_floor,
         thin_pairs_in_a_star=s_star,
     )
-    return _finish_report(a_set, pq, eps, run_both, "P", witness, a_prime)
+    return _finish_report(
+        a_set, pq, eps, run_both, "P", witness, a_set.subset(prime_rows), prime_rows
+    )
 
 
 def extract_q(
@@ -404,7 +402,7 @@ def extract_q(
 
     tv = extract_tv(relation, eps / 2)
     witness = QWitness(selection=selection, q_prime=q_prime, delta=delta, tv=tv)
-    return _finish_report(a_set, pq, eps, run_both, "Q", witness, tv.a_prime)
+    return _finish_report(a_set, pq, eps, run_both, "Q", witness, tv.a_prime, tv.a_prime_rows)
 
 
 def extract(a_set: AdditiveSet, params: Params) -> ExtractionReport:

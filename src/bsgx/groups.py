@@ -120,6 +120,20 @@ class AdditiveSet:
         canon = sorted({spec.reduce(e) for e in elems})
         return cls(spec, tuple(canon))
 
+    def subset(self, rows: Iterable[int]) -> "AdditiveSet":
+        """The elements at the strictly increasing indices rows, as a set.
+
+        They are canonical and strictly increasing because self's elements
+        are, so only the indices are checked, not each element again.
+        """
+        idx = list(map(int, rows))
+        if not idx or idx[0] < 0 or idx[-1] >= len(self) or any(i >= j for i, j in zip(idx, idx[1:])):
+            raise ValueError("subset rows must be nonempty, strictly increasing indices of the set")
+        out = object.__new__(AdditiveSet)
+        object.__setattr__(out, "spec", self.spec)
+        object.__setattr__(out, "elements", tuple(map(self.elements.__getitem__, idx)))
+        return out
+
     def __len__(self) -> int:
         return len(self.elements)
 

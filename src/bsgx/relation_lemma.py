@@ -8,9 +8,13 @@ A' is joined by at least 2^-7 * delta^4 * xi^4 * |A|^2 * |A'| triples
 (x, b, y) with (a1, x), (b, x), (b, y), (a2, y) all in R.
 
 A pair (a, a') is thin when the number of common right-neighbors
-|{x : (a, x) in R and (a', x) in R}| is at most delta^2 * xi^2 * |A| / 8;
-the set of thin pairs over A^2 is called Omega below.  All thresholds are
-exact rational comparisons on integer counts.
+|{x : (a, x) in R and (a', x) in R}| is at most delta^2 * xi^2 * |A| / 8.
+The analysis only ever counts thin pairs inside a neighborhood N(x), and
+every pair of N(x)^2 has x as a common neighbor, so a pair with none is
+never counted: Omega below is the set of pairs with at least one and at
+most delta^2 * xi^2 * |A| / 8 common neighbors, and it is empty, with no
+product formed, when that bound is below 1.  All thresholds are exact
+rational comparisons on integer counts.
 
 The relation is stored as a boolean matrix indexed by the (sorted) elements
 of A.  Counting passes run as row-chunked 0/1 matrix products in the float
@@ -27,7 +31,7 @@ and drop_thin filters the chosen slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -83,7 +87,8 @@ def thin_pairs_per_slice(members: np.ndarray, thin: np.ndarray) -> np.ndarray:
 
     members is an n x k 0/1 matrix with one slice per column and thin the
     n x n boolean thin-pair matrix; slice t counts
-    sum over i, j of members[i, t] * thin[i, j] * members[j, t].
+    sum over i, j of members[i, t] * thin[i, j] * members[j, t].  A row i
+    with no thin pair adds nothing, so the product runs over the others only.
     """
     n = len(thin)
     # entries of thin @ members are at most n and a column sum of n of them
@@ -92,12 +97,11 @@ def thin_pairs_per_slice(members: np.ndarray, thin: np.ndarray) -> np.ndarray:
     sum_dtype = exact_float(n * n)
     members_f = members.astype(gemm_dtype, copy=False)
     counts = np.zeros(members.shape[1], dtype=np.int64)
-    for lo, hi in row_chunks(n, n):
-        if not thin[lo:hi].any():
-            # no thin pair in these rows: their contribution is exactly zero
-            continue
-        partner_block = thin[lo:hi].astype(gemm_dtype) @ members_f
-        partner_block *= members_f[lo:hi]
+    thin_rows = np.flatnonzero(thin.any(axis=1))
+    for lo, hi in row_chunks(len(thin_rows), n):
+        rows = thin_rows[lo:hi]
+        partner_block = thin[rows].astype(gemm_dtype) @ members_f
+        partner_block *= members_f[rows]
         counts += partner_block.sum(axis=0, dtype=sum_dtype).astype(np.int64)
         del partner_block  # free it before the next block is built
     return counts
@@ -118,6 +122,7 @@ class TvWitness:
     omega_card_in_astar counts the ordered thin pairs of A*^2, and delta and
     xi are the relation's density and the slack the filter ran with; the
     path floor that A' meets follows from them (oracle.verify_tv_property).
+    a_prime_rows holds the indices of A' in the relation's base set.
     """
 
     x_star: Element
@@ -126,6 +131,7 @@ class TvWitness:
     omega_card_in_astar: int
     delta: Fraction
     xi: Fraction
+    a_prime_rows: np.ndarray = field(compare=False, repr=False)
 
 
 def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
@@ -133,7 +139,10 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
 
     x* maximizes |N(x)|^2 - 8 * xi^-1 * |N(x)^2 intersect Omega| with ties
     going to the lexicographically smallest element.  A' keeps the a in A*
-    with at most |A*| / 4 thin partners inside A*.
+    with at most |A*| / 4 thin partners inside A*.  Omega holds the pairs
+    with 1 <= common <= t for t = floor(delta^2 * xi^2 * n / 8): a pair of
+    N(x)^2 shares x, so leaving out the pairs with no common neighbor
+    changes no count inside a neighborhood, and at t = 0 nothing is thin.
     """
     xi = Fraction(xi)
     if not 0 < xi <= 1:
@@ -145,7 +154,6 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
         raise ValueError("relation must be nonempty")
     delta = Fraction(r_size, n * n)
 
-    matrix_f = relation.matrix.astype(exact_float(n))
     deg = relation.matrix.sum(axis=0, dtype=np.int64)
 
     if int(np.dot(deg, deg)) * n < r_size * r_size:
@@ -154,13 +162,22 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
     # thin-pair threshold: common count <= delta^2 * xi^2 * n / 8
     thresh = delta * delta * xi * xi * n / 8
     t_floor = thresh.numerator // thresh.denominator
-    # Omega is symmetric: form each row block on and right of the diagonal,
-    # then mirror it into the column block below
-    omega = np.empty((n, n), dtype=np.bool_)
-    for lo, hi in row_chunks(n, n):
-        np.less_equal(matrix_f[lo:hi] @ matrix_f[lo:].T, t_floor, out=omega[lo:hi, lo:])
-        omega[hi:, lo:hi] = omega[lo:hi, hi:].T
-    omega_weight = thin_pairs_per_slice(matrix_f, omega)
+    if t_floor:
+        matrix_f = relation.matrix.astype(exact_float(n))
+        # Omega is symmetric: form each row block on and right of the diagonal,
+        # then mirror it into the column block below
+        omega = np.empty((n, n), dtype=np.bool_)
+        for lo, hi in row_chunks(n, n):
+            common = matrix_f[lo:hi] @ matrix_f[lo:].T
+            block = omega[lo:hi, lo:]
+            # at most t_floor common neighbors, and at least one
+            np.less_equal(common, t_floor, out=block)
+            np.logical_and(block, common, out=block)
+            omega[hi:, lo:hi] = omega[lo:hi, hi:].T
+            del common  # free it before the next block is built
+        omega_weight = thin_pairs_per_slice(matrix_f, omega)
+    else:
+        omega_weight = np.zeros(n, dtype=np.int64)
 
     # score xi * deg^2 - 8 * omega, times xi's denominator, in Python ints;
     # argmax keeps the first maximum, the lexicographically smallest center
@@ -175,19 +192,18 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
         raise InvariantViolation("no center reaches the averaged score floor")
 
     star_idx = np.flatnonzero(relation.matrix[:, best_j])
-    prime_idx = drop_thin(star_idx, omega)
+    prime_idx = drop_thin(star_idx, omega) if t_floor else star_idx
     if len(prime_idx) == 0:
         raise InvariantViolation("every neighborhood element was filtered out")
     if Fraction(len(prime_idx)) < delta * (1 - xi) * n:
         raise InvariantViolation("filtered subset below its guaranteed size")
 
-    a_star = AdditiveSet(base.spec, tuple(base.elements[i] for i in star_idx))
-    a_prime = AdditiveSet(base.spec, tuple(base.elements[i] for i in prime_idx))
     return TvWitness(
         x_star=base.elements[best_j],
-        a_star=a_star,
-        a_prime=a_prime,
+        a_star=base.subset(star_idx),
+        a_prime=base.subset(prime_idx),
         omega_card_in_astar=int(omega_weight[best_j]),
         delta=delta,
         xi=xi,
+        a_prime_rows=prime_idx,
     )

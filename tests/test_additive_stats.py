@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,28 @@ def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
     assert rep.index(pairs).tolist() == np.searchsorted(rep.codes, pairs).tolist()
     assert rep.index(rep.codes).tolist() == list(range(len(rep)))
     # every code range here passes 64 cells, so that block searches
+    assert (rep._positions is not None) == (dense and cells is None)
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+@pytest.mark.parametrize("label", list(INDEXED))
+def test_subset_diff_size_is_the_subset_table_size(label, cells, monkeypatch):
+    build, dtype, dense = INDEXED[label]
+    if cells is not None:
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+    a = build()
+    rep = rep_table(a)
+    assert rep.codes.dtype == dtype
+    n = len(a)
+    # the largest m whose m^2 pairs of A' are sorted, not the n^2 - m^2 lost
+    half = math.isqrt(n * n // 2)
+    rng = np.random.default_rng(n)
+    for m in (n, 1, half, half + 1):
+        rows = np.sort(rng.choice(n, size=m, replace=False))
+        want = len(rep_table(a.subset(rows)))
+        assert rep.subset_diff_size(rows) == want, m
+    # the lost-pair side looks codes up through index: by gather when the
+    # code range fits the block, else by search
     assert (rep._positions is not None) == (dense and cells is None)
 
 

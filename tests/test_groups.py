@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,20 @@ def test_direct_construction_is_strict():
         AdditiveSet(Z, ((0,), (0,)))  # duplicate
     with pytest.raises(ValueError):
         AdditiveSet(GroupSpec((5,)), ((6,),))  # not canonical
+
+
+def test_subset_by_rows_equals_the_validated_set():
+    a = AdditiveSet.from_elements(GroupSpec((0, 7)), [(x, x * x) for x in range(-6, 9)])
+    for rows in ([0], [3, 4, 11], range(0, 15, 2), range(15)):
+        sub_set = a.subset(np.array(rows))
+        validated = AdditiveSet(a.spec, tuple(a.elements[i] for i in rows))
+        assert sub_set == validated and hash(sub_set) == hash(validated)
+        assert sub_set.as_set == validated.as_set
+    assert a.subset(range(15)) == a
+    # only the indices are checked: empty, repeated, unordered or out of range
+    for rows in ([], [2, 2], [4, 1], [-1, 3], [14, 15]):
+        with pytest.raises(ValueError):
+            a.subset(rows)
 
 
 def test_translate_is_a_bijection():

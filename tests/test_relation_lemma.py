@@ -167,25 +167,6 @@ def thin_core_relation():
     return relation_from_index_pairs(gen_ap(40), pairs)
 
 
-@pytest.mark.parametrize("cells", [None, 64])
-def test_extract_tv_center_maximizes_its_score(cells, monkeypatch):
-    n = 40
-    r = thin_core_relation()
-    if cells is not None:
-        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
-    xi = F(1)
-    w = extract_tv(r, xi)
-    thin = r.delta**2 * xi**2 * n / 8
-    counts = common_counts(r)
-    scores = []
-    for x, nb in neighborhoods(r).items():
-        omega = sum(1 for a in nb for b in nb if counts[(a, b)] <= thin)
-        scores.append((xi * len(nb) ** 2 - 8 * omega, x))
-    best = max(score for score, _ in scores)
-    assert w.x_star == min(x for score, x in scores if score == best)
-    assert w.omega_card_in_astar > 0
-
-
 @pytest.mark.parametrize("cells", [64, 400, 1000])
 def test_extract_tv_is_independent_of_block_size(cells, monkeypatch):
     # Omega's row blocks are formed on and right of the diagonal and mirrored
@@ -229,9 +210,9 @@ def test_exact_float_bound_is_guarded():
 
 
 def test_extract_tv_asks_the_guard_and_agrees_in_float64(monkeypatch):
-    base = gen_random(45, 211, 4)
-    r = difference_relation(base, [(d,) for d in range(30)])
-    n = len(base)
+    # at xi = 1 thin_core_relation's threshold floor is 1, so the products run
+    r = thin_core_relation()
+    n = len(r.base)
     asked = []
 
     def spy(bound):
@@ -239,11 +220,69 @@ def test_extract_tv_asks_the_guard_and_agrees_in_float64(monkeypatch):
         return exact_float(bound)
 
     monkeypatch.setattr(relation_lemma, "exact_float", spy)
-    w32 = extract_tv(r, F(1, 4))
+    w32 = extract_tv(r, F(1))
     # the relation's float copy, then thin_pairs_per_slice's GEMM and sum
     assert asked == [n, n, n * n]
     monkeypatch.setattr(relation_lemma, "exact_float", lambda bound: np.float64)
-    assert extract_tv(r, F(1, 4)) == w32
+    assert extract_tv(r, F(1)) == w32
+
+
+def reference_tv(r, xi):
+    """x*, A*, A' and the thin pairs of A*^2, with Omega = [common <= t] over
+    all of A^2 as the paper writes it, counted inside each N(x) by definition."""
+    n = len(r.base)
+    thin = r.delta**2 * xi**2 * n / 8
+    counts = common_counts(r)
+    nbs = neighborhoods(r)
+
+    def omega(nb):
+        return sum(1 for a in nb for b in nb if counts[(a, b)] <= thin)
+
+    scores = [(xi * len(nb) ** 2 - 8 * omega(nb), x) for x, nb in nbs.items()]
+    best = max(score for score, _ in scores)
+    x_star = min(x for score, x in scores if score == best)
+    star = sorted(nbs[x_star])
+    prime = [a for a in star if 4 * sum(counts[(a, b)] <= thin for b in star) <= len(star)]
+    return x_star, star, prime, omega(star)
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+@pytest.mark.parametrize("xi", [F(1), F(1, 2)], ids=["floor-1", "floor-0"])
+def test_extract_tv_matches_the_definition(xi, cells, monkeypatch):
+    # at xi = 1 the threshold floor is 1 and thin_core_relation has pairs with
+    # no common neighbor and pairs with one; at xi = 1/2 the floor is 0
+    r = thin_core_relation()
+    thin = r.delta**2 * xi**2 * len(r.base) / 8
+    counts = common_counts(r).values()
+    if xi == 1:
+        assert 1 <= thin < 2 and 0 in counts and 1 in counts
+    else:
+        assert thin < 1
+    if cells is not None:
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+    w = extract_tv(r, xi)
+    x_star, star, prime, omega = reference_tv(r, xi)
+    assert w.x_star == x_star
+    assert list(w.a_star) == star
+    assert list(w.a_prime) == prime
+    assert [r.base.elements[i] for i in w.a_prime_rows] == prime
+    assert w.omega_card_in_astar == omega
+    assert (omega > 0) == (xi == 1)
+
+
+def test_extract_tv_forms_no_product_below_one_common_neighbor(monkeypatch):
+    # at xi = 1/2 no pair can have at least one and at most floor(thin) = 0
+    # common neighbors: no float dtype is asked for and no thin pair counted
+    r = thin_core_relation()
+
+    def no_product(*args):
+        raise AssertionError("a float product ran")
+
+    monkeypatch.setattr(relation_lemma, "exact_float", no_product)
+    monkeypatch.setattr(relation_lemma, "thin_pairs_per_slice", no_product)
+    w = extract_tv(r, F(1, 2))
+    assert w.a_prime == w.a_star and w.omega_card_in_astar == 0
+    assert verify_tv_property(r, w, F(1, 2)).status == "pass"
 
 
 @pytest.mark.parametrize("cells", [None, 64])
