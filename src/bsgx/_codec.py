@@ -17,8 +17,8 @@ with it, it only marks sets whose raw coordinates are too wide.
 Every n x n scan in the package walks its rows in blocks of about
 BLOCK_CELLS cells (row_chunks), so the code buffers, the boolean matrices
 built from them and the float blocks of the GEMMs stay a few tens of MB
-whatever the set size.  BLOCK_CELLS also bounds the dense position table
-of RepTable.index, the one code lookup: a code range of at most that many
+whatever the set size.  BLOCK_CELLS also bounds the dense code table of
+RepTable.lookup, the one code lookup: a code range of at most that many
 codes is looked up by one gather, a wider one by binary search.
 """
 
@@ -39,9 +39,9 @@ _CAPS = {np.dtype(f"int{b}"): (1 << b - 3, 1 << b - 2) for b in (16, 32, 64)}
 BLOCK_CELLS = 1 << 21
 
 
-def row_chunks(rows: int, width: int) -> list:
-    """(lo, hi) row ranges covering rows, each about BLOCK_CELLS / width rows."""
-    step = max(1, BLOCK_CELLS // max(width, 1))
+def row_chunks(rows: int, width: int, cells: Optional[int] = None) -> list:
+    """(lo, hi) row ranges covering rows, each about cells (BLOCK_CELLS) / width rows."""
+    step = max(1, (cells or BLOCK_CELLS) // max(width, 1))
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 

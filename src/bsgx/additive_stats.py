@@ -8,13 +8,14 @@ parameter K = |A|^3 / E(A) as an exact rational.
 The table is also the one difference index of the package: every difference
 has a mixed-radix code (see _codec), codes ascend in lexicographic
 difference order, pair_codes gives the codes of a row block of the n x n
-difference matrix, and index, the one code lookup, gives each code's
-position in the table: one gather from a position table when the code
-range has at most _codec.BLOCK_CELLS codes, else a binary search.  The codes
-are those of the gcd-reduced copy, in the narrowest integer dtype that holds
-them or Python ints, and the rest of the package runs the same numpy path on
-any of them.  Counting sorts the codes of all n^2 pairs once, in place, and
-reads r(d) off the run lengths; exact, and independent of chunking.
+difference matrix, and lookup, the one code lookup, maps codes to values
+kept per key code (a slice column, a count, membership in D): one gather
+from a table over the code range when it has at most _codec.BLOCK_CELLS
+codes, else a binary search in the keys.  The codes are those of the
+gcd-reduced copy, in the narrowest integer dtype that holds them or Python
+ints, and the rest of the package runs the same numpy path on any of them.
+Counting sorts the codes of all n^2 pairs once, in place, and reads r(d)
+off the run lengths; exact, and independent of chunking.
 subset_diff_size counts |A' - A'| for a subset A' of A from the same codes,
 sorting the pairs of A' or the pairs A' loses, whichever are fewer.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from ._codec import Codec, build_codec, reduced_codec, row_chunks
 from .groups import AdditiveSet
 
 
+@dataclass(eq=False)
 class RepTable:
     """Counts r(d) over all d in A - A, keyed by ascending codes.
 
@@ -40,20 +42,11 @@ class RepTable:
     _codec) and counts is int64 whatever that dtype.
     """
 
-    def __init__(
-        self,
-        a_set: AdditiveSet,
-        coder: Codec,
-        coords: np.ndarray,
-        codes: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        self.a_set = a_set
-        self.coder = coder
-        self.coords = coords
-        self.codes = codes
-        self.counts = counts
-        self._positions: Optional[np.ndarray] = None
+    a_set: AdditiveSet
+    coder: Codec
+    coords: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -75,19 +68,39 @@ class RepTable:
         """The differences with the given codes, as element tuples."""
         return self.coder.decode(codes)
 
-    def index(self, codes: np.ndarray) -> np.ndarray:
-        """The position in self.codes of each of codes, all of them differences of A.
+    def lookup(self, keys: np.ndarray, values: Optional[np.ndarray] = None, fill=0) -> Callable:
+        """The map from codes to values[t] where a code is keys[t], else fill.
 
-        A code range [0, strides[0] * radices[0]) of at most BLOCK_CELLS codes gets
-        an int32 position table, built once, and one gather; a wider one a search.
+        keys ascend, at least one; with no values the map tells whether a code
+        is a key.  A code range of at most BLOCK_CELLS codes is tabulated once
+        here and gathered from, a wider one searches keys.  The map takes out.
         """
+        member = values is None
         size = int(self.coder.strides[0]) * int(self.coder.radices[0])
-        if size > _codec.BLOCK_CELLS:
-            return np.searchsorted(self.codes, codes)
-        if self._positions is None:
-            self._positions = np.zeros(size, dtype=np.int32)
-            self._positions[self.codes] = np.arange(len(self.codes), dtype=np.int32)
-        return self._positions[codes]
+        if size <= _codec.BLOCK_CELLS:
+            table = np.zeros(size, np.bool_) if member else np.full(size, fill, values.dtype)
+            table[keys] = True if member else values
+
+            def gather(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+                out = np.empty(codes.shape, table.dtype) if out is None else out
+                # np.take copies its indices as intp: 2^16 cells at a time keep that small
+                for lo, hi in row_chunks(len(codes), codes.size // max(len(codes), 1), 1 << 16):
+                    np.take(table, codes[lo:hi], out=out[lo:hi], mode="clip")
+                return out
+
+            return gather
+
+        def search(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+            pos = np.searchsorted(keys, codes)
+            np.minimum(pos, len(keys) - 1, out=pos)
+            hit = np.equal(keys[pos], codes, out=out if member else None)
+            if member:
+                return hit
+            found = np.take(values, pos, out=out)
+            found[~hit] = fill
+            return found
+
+        return search
 
     def subset_diff_size(self, rows: np.ndarray) -> int:
         """|A' - A'| for A' the elements of a_set at the distinct indices rows.
@@ -106,7 +119,7 @@ class RepTable:
         outer = self.coords[~kept]
         lost = _sorted_pair_codes(self.coder, [(outer, self.coords), (inner, outer)])
         edges = _run_edges(lost)
-        gone = np.diff(edges) == self.counts[self.index(lost[edges[:-1]])]
+        gone = np.diff(edges) == self.lookup(self.codes, self.counts)(lost[edges[:-1]])
         return len(self) - int(np.count_nonzero(gone))
 
     def energy_sum(self) -> int:
@@ -159,9 +172,4 @@ def energy(a_set: AdditiveSet) -> EnergyReport:
     rep = rep_table(a_set)
     n = len(a_set)
     e_val = rep.energy_sum()
-    return EnergyReport(
-        set_size=n,
-        energy=e_val,
-        diff_size=len(rep),
-        K=Fraction(n**3, e_val),
-    )
+    return EnergyReport(set_size=n, energy=e_val, diff_size=len(rep), K=Fraction(n**3, e_val))

@@ -73,10 +73,6 @@ class PartitionPQ:
         return len(self.q_codes)
 
     @property
-    def set_size(self) -> int:
-        return len(self.a_set)
-
-    @property
     def energy(self) -> int:
         return self.p_mass + self.q_mass
 
@@ -228,7 +224,7 @@ def _finish_report(
     a_prime: AdditiveSet,
     prime_rows: np.ndarray,
 ) -> ExtractionReport:
-    n = pq.set_size
+    n = len(a_set)
     e_val = pq.energy
     k_val = Fraction(n**3, e_val)
     size_bound_sq = (1 - eps) ** 2 * Fraction(e_val, n)
@@ -245,7 +241,6 @@ def _finish_report(
     # implied by size_ok: multiply it by E / n and use E >= n^2
     size_ok_cleared = m * m * e_val >= (1 - eps) ** 2 * n**3
     diff_ok = diff_size <= diff_bound
-    diff_ok_p = diff_size <= diff_bound_p if diff_bound_p is not None else None
     subset_ok = a_prime.as_set <= a_set.as_set
 
     checks = [
@@ -253,8 +248,8 @@ def _finish_report(
         ("size_lower_bound_cleared", bool(size_ok_cleared)),
         ("diff_upper_bound", bool(diff_ok)),
     ]
-    if diff_ok_p is not None:
-        checks.append(("diff_upper_bound_popular", bool(diff_ok_p)))
+    if diff_bound_p is not None:
+        checks.append(("diff_upper_bound_popular", bool(diff_size <= diff_bound_p)))
     checks.append(("subset_of_input", bool(subset_ok)))
     for name, ok in checks:
         if not ok:
@@ -277,30 +272,41 @@ def _finish_report(
     )
 
 
+def _index_dtype(cells: int) -> np.dtype:
+    """int32 when it indexes each of cells cells, else int64."""
+    return np.dtype(np.int32 if cells <= 1 << 31 else np.int64)
+
+
 def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, np.ndarray]:
     """Build X[i, j] = (r(a_i - a_j) <= thin_floor) and M[i, t] = (a_i in A_d_t).
 
     Both come from one scan of the difference codes: a_i is in A_d exactly
-    when a_i - a_j = d for some j.
+    when a_i - a_j = d for some j.  RepTable.lookup gives each pair a column
+    of an n x (k + 2) matrix, set by one flat scatter a block: t for the t-th
+    of the k popular differences, k + 1 for a thin one (X), k for the rest.
     """
     rep = pq.rep
     n = len(pq.a_set)
+    k = len(pq.p_codes)
     # popularity is monotone in r(d): d is popular exactly when r(d) reaches
-    # the least popular count
+    # the least popular count.  No d is both: a thin r(d) is at most
+    # eps^2 E / (16 n^2) < E / n^2 <= sqrt(E / n), as E <= n^3
     pop_floor = min(c for _, c in pq.p_items)
-    # p_rank[k] is the column of M of the k-th rep-table difference, if popular
-    p_rank = np.zeros(len(rep), dtype=np.int64)
-    p_rank[rep.index(pq.p_codes)] = np.arange(len(pq.p_codes))
+    if thin_floor >= pop_floor:
+        raise InvariantViolation("thin floor reaches the popular floor")
+    col = np.full(len(rep), k, dtype=_index_dtype(n * (k + 2)))
+    col[rep.counts <= thin_floor] = k + 1
+    col[rep.counts >= pop_floor] = np.arange(k)
+    column_of = rep.lookup(rep.codes, col)
     x_mat = np.empty((n, n), dtype=np.bool_)
-    m_mat = np.zeros((n, len(pq.p_codes)), dtype=np.bool_)
+    cells = np.zeros((n, k + 2), dtype=np.bool_)
     for lo, hi in row_chunks(n, n):
-        idx = rep.index(rep.pair_codes(lo, hi))
-        counts = rep.counts[idx]
-        x_mat[lo:hi] = counts <= thin_floor
-        hits = np.flatnonzero(counts >= pop_floor)
-        m_mat[lo + hits // n, p_rank[idx.ravel()[hits]]] = True
-        del idx, counts, hits  # free them before the next block is built
-    return x_mat, m_mat
+        flat = column_of(rep.pair_codes(lo, hi))
+        np.equal(flat, k + 1, out=x_mat[lo:hi])
+        flat += np.arange(lo * (k + 2), hi * (k + 2), k + 2, dtype=flat.dtype)[:, None]
+        cells.reshape(-1)[flat] = True
+        del flat  # free it before the next block is built
+    return x_mat, cells[:, :k]
 
 
 def extract_p(
@@ -386,7 +392,8 @@ def extract_q(
     selection = select_index_set(weights, 1 - eps / 4)
     index_set = np.array(selection.index_set, dtype=np.int64)
     q_prime_codes = pq.q_codes[index_set]
-    q_prime = AdditiveSet(a_set.spec, tuple(pq.rep.decode(q_prime_codes)))
+    # codes ascend with their differences, so Q' is canonical and sorted as decoded
+    q_prime = AdditiveSet.from_sorted(a_set.spec, tuple(pq.rep.decode(q_prime_codes)))
 
     relation = Relation.from_difference_set(pq.rep, q_prime_codes)
     selected_mass = int(pq.q_counts[index_set].sum())

@@ -129,9 +129,14 @@ class AdditiveSet:
         idx = list(map(int, rows))
         if not idx or idx[0] < 0 or idx[-1] >= len(self) or any(i >= j for i, j in zip(idx, idx[1:])):
             raise ValueError("subset rows must be nonempty, strictly increasing indices of the set")
-        out = object.__new__(AdditiveSet)
-        object.__setattr__(out, "spec", self.spec)
-        object.__setattr__(out, "elements", tuple(map(self.elements.__getitem__, idx)))
+        return AdditiveSet.from_sorted(self.spec, tuple(map(self.elements.__getitem__, idx)))
+
+    @classmethod
+    def from_sorted(cls, spec: GroupSpec, elements: tuple) -> "AdditiveSet":
+        """The set of elements, unchecked: the caller vouches they are canonical and increasing."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "spec", spec)
+        object.__setattr__(out, "elements", elements)
         return out
 
     def __len__(self) -> int:

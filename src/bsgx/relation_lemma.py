@@ -58,18 +58,16 @@ class Relation:
     def from_difference_set(cls, rep: RepTable, codes: np.ndarray) -> "Relation":
         """The relation {(a, b) : a - b in D} on rep's base set.
 
-        codes lists the rep-table codes of D in ascending order.
+        codes lists the rep-table codes of D in ascending order; each row block
+        is written by RepTable.lookup's membership map, a gather or a search.
         """
         base = rep.a_set
         n = len(base)
         matrix = np.zeros((n, n), dtype=np.bool_)
         if len(codes):
-            last = len(codes) - 1
+            in_d = rep.lookup(codes)
             for lo, hi in row_chunks(n, n):
-                block = rep.pair_codes(lo, hi)
-                pos = np.searchsorted(codes, block)
-                np.minimum(pos, last, out=pos)
-                np.equal(codes[pos], block, out=matrix[lo:hi])
+                in_d(rep.pair_codes(lo, hi), out=matrix[lo:hi])
         return cls(base, matrix)
 
     @cached_property

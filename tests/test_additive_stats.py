@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import rep_items, translate
 
 from bsgx import _codec
-from bsgx.additive_stats import energy, rep_table
+from bsgx.additive_stats import RepTable, energy, rep_table
 from bsgx.generators import gen_ap, gen_axis, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, neg, sub
 
@@ -55,6 +56,17 @@ INDEXED = {
 }
 
 
+def gathered_table(found):
+    """The code table a lookup map gathers from, or None for a map that searches."""
+    return inspect.getclosurevars(found).nonlocals.get("table")
+
+
+def searched(keys, values, fill, codes):
+    """values[t] where a code is keys[t], else fill, by the searchsorted definition."""
+    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    return [v if k == c else fill for k, v, c in zip(keys[pos], values[pos], codes)]
+
+
 @pytest.mark.parametrize("cells", [None, 64])
 @pytest.mark.parametrize("label", list(INDEXED))
 def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
@@ -64,11 +76,30 @@ def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
     rep = rep_table(build())
     assert rep.codes.dtype == dtype
     n = len(rep.a_set)
-    pairs = rep.pair_codes(0, n).ravel()
-    assert rep.index(pairs).tolist() == np.searchsorted(rep.codes, pairs).tolist()
-    assert rep.index(rep.codes).tolist() == list(range(len(rep)))
-    # every code range here passes 64 cells, so that block searches
-    assert (rep._positions is not None) == (dense and cells is None)
+    block = rep.pair_codes(0, n)
+    pairs = block.ravel()
+    position = rep.lookup(rep.codes, np.arange(len(rep)))
+    assert position(pairs).tolist() == np.searchsorted(rep.codes, pairs).tolist()
+    # a block of rows, gathered a slice of rows at a time on the dense route
+    assert position(block).tolist() == np.searchsorted(rep.codes, block).tolist()
+    assert position(rep.codes).tolist() == list(range(len(rep)))
+    # the table over the code range is built only when the block holds the
+    # range; every code range here passes 64 cells, so that block searches
+    size = int(rep.coder.strides[0]) * int(rep.coder.radices[0])
+    table = gathered_table(position)
+    assert (table is not None) == (dense and cells is None)
+    assert table is None or table.shape == (size,)
+    # every other code of the table is a key, and the rest get the fill
+    keys = rep.codes[::2]
+    values = 3 * np.arange(len(keys)) + 1
+    want = searched(keys, values, -1, rep.codes)
+    assert want[1::2] == [-1] * (len(rep) // 2)
+    assert rep.lookup(keys, values, fill=-1)(rep.codes).tolist() == want
+    assert rep.lookup(keys, values, fill=-1)(pairs).tolist() == searched(keys, values, -1, pairs)
+    # with no values, whether each code is a key, written into out
+    out = np.empty(block.shape, dtype=bool)
+    assert rep.lookup(keys)(block, out=out) is out
+    assert out.ravel().tolist() == [v != -1 for v in searched(keys, values, -1, pairs)]
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -84,13 +115,20 @@ def test_subset_diff_size_is_the_subset_table_size(label, cells, monkeypatch):
     # the largest m whose m^2 pairs of A' are sorted, not the n^2 - m^2 lost
     half = math.isqrt(n * n // 2)
     rng = np.random.default_rng(n)
+    routes = []
+
+    def lookup(*args, **kwargs):
+        routes.append(gathered_table(found := RepTable.lookup(rep, *args, **kwargs)) is not None)
+        return found
+
+    monkeypatch.setattr(rep, "lookup", lookup)
     for m in (n, 1, half, half + 1):
         rows = np.sort(rng.choice(n, size=m, replace=False))
         want = len(rep_table(a.subset(rows)))
         assert rep.subset_diff_size(rows) == want, m
-    # the lost-pair side looks codes up through index: by gather when the
-    # code range fits the block, else by search
-    assert (rep._positions is not None) == (dense and cells is None)
+    # the lost-pair side, at m = n and half + 1, looks its codes up by gather
+    # when the code range fits the block, else by search
+    assert routes == [dense and cells is None] * 2
 
 
 def test_energy_small_examples():

@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import pure_diff_size, rep_items, widen
@@ -13,6 +14,7 @@ from bsgx.bsg import (
     Params,
     PWitness,
     QWitness,
+    _index_dtype,
     _membership_matrices,
     case_select,
     extract,
@@ -232,22 +234,61 @@ def test_branch_q_report_bytes_do_not_depend_on_chunking(monkeypatch):
     assert extract(a, params).to_json() == whole
 
 
+# a ball of Z^2 with nine popular differences, and a box of Z x Z_7 whose
+# second coordinate wraps
+MEMBERSHIP_SETS = (
+    lambda: gen_ball(2, 9),
+    lambda: AdditiveSet.from_elements(GroupSpec((0, 7)), [(x, y) for x in range(6) for y in range(4)]),
+)
+
+
 @pytest.mark.parametrize("wide", [False, True])
 def test_membership_matrices_match_their_definitions(wide, monkeypatch):
-    a = widen(gen_ball(2, 9), wide)  # nine popular differences
-    pq = partition_pq(a)
-    assert (pq.rep.codec is None) == wide
-    table = dict(rep_items(pq.rep))
-    elems = a.elements
-    # the default block gathers from the position table; the 169-code range
-    # passes 64 cells, so that block searches
-    for cells in (_codec.BLOCK_CELLS, 64):
-        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
-        x_mat, m_mat = _membership_matrices(pq, 6)
-        assert x_mat.tolist() == [[table[sub(a.spec, x, y)] <= 6 for y in elems] for x in elems]
-        for t, (d, _) in enumerate(pq.p_items):
-            # A_d = A intersect (A + d)
-            assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
+    for build in MEMBERSHIP_SETS:
+        a = widen(build(), wide)
+        pq = partition_pq(a)
+        assert (pq.rep.codec is None) == wide
+        table = dict(rep_items(pq.rep))
+        elems = a.elements
+        # the default block gathers from the column table; the 169- and
+        # 77-code ranges pass 64 cells, so that block searches
+        for cells in (_codec.BLOCK_CELLS, 64):
+            monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+            # no difference is thin at floor 0
+            for thin_floor in (6, 0):
+                x_mat, m_mat = _membership_matrices(pq, thin_floor)
+                assert x_mat.tolist() == [
+                    [table[sub(a.spec, x, y)] <= thin_floor for y in elems] for x in elems
+                ]
+                assert m_mat.shape == (len(a), len(pq.p_items))
+                for t, (d, _) in enumerate(pq.p_items):
+                    # A_d = A intersect (A + d)
+                    assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
+
+
+def test_membership_matrices_refuse_a_thin_floor_at_the_popular_floor():
+    pq = partition_pq(gen_ball(2, 9))
+    pop_floor = min(c for _, c in pq.p_items)
+    _membership_matrices(pq, pop_floor - 1)
+    with pytest.raises(InvariantViolation, match="thin floor"):
+        _membership_matrices(pq, pop_floor)
+
+
+def test_flat_scatter_index_dtype_holds_the_last_cell():
+    # the flat index of the last cell of n * (k + 2) cells is n * (k + 2) - 1
+    assert _index_dtype(1 << 31) == np.int32
+    assert _index_dtype((1 << 31) + 1) == np.int64
+
+
+def test_q_prime_equals_the_validated_set():
+    a = gen_random(40, 79, 12)
+    report = extract(a, Params(eps=F(2, 5)))
+    assert report.case == "Q"
+    q_prime = report.witness.q_prime
+    # the checked constructor re-validates every element and the order
+    assert q_prime == AdditiveSet(a.spec, q_prime.elements)
+    assert q_prime == AdditiveSet.from_elements(a.spec, q_prime.elements)
+    assert len(q_prime) == report.witness.selection.chosen_i
 
 
 def test_theorem_bounds_recorded_exactly():
