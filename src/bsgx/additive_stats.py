@@ -68,18 +68,18 @@ class RepTable:
         """The differences with the given codes, as element tuples."""
         return self.coder.decode(codes)
 
-    def lookup(self, keys: np.ndarray, values: Optional[np.ndarray] = None, fill=0) -> Callable:
-        """The map from codes to values[t] where a code is keys[t], else fill.
+    def lookup(self, keys: np.ndarray, values: Optional[np.ndarray] = None) -> Callable:
+        """The map from codes to values[t] where a code is keys[t].
 
-        keys ascend, at least one; with no values the map tells whether a code
-        is a key.  A code range of at most BLOCK_CELLS codes is tabulated once
-        here and gathered from, a wider one searches keys.  The map takes out.
+        keys ascend, at least one.  With values, every code looked up must be
+        a key; with none, the map tells whether a code is a key.  A code range
+        of at most BLOCK_CELLS codes is tabulated once here and gathered from,
+        a wider one searches keys.  The map takes out.
         """
-        member = values is None
         size = int(self.coder.strides[0]) * int(self.coder.radices[0])
         if size <= _codec.BLOCK_CELLS:
-            table = np.zeros(size, np.bool_) if member else np.full(size, fill, values.dtype)
-            table[keys] = True if member else values
+            table = np.zeros(size, np.bool_ if values is None else values.dtype)
+            table[keys] = True if values is None else values
 
             def gather(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
                 out = np.empty(codes.shape, table.dtype) if out is None else out
@@ -89,18 +89,15 @@ class RepTable:
                 return out
 
             return gather
+        if values is not None:
+            return lambda codes, out=None: np.take(values, np.searchsorted(keys, codes), out=out)
 
-        def search(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        def member(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
             pos = np.searchsorted(keys, codes)
             np.minimum(pos, len(keys) - 1, out=pos)
-            hit = np.equal(keys[pos], codes, out=out if member else None)
-            if member:
-                return hit
-            found = np.take(values, pos, out=out)
-            found[~hit] = fill
-            return found
+            return np.equal(keys[pos], codes, out=out)
 
-        return search
+        return member
 
     def subset_diff_size(self, rows: np.ndarray) -> int:
         """|A' - A'| for A' the elements of a_set at the distinct indices rows.
@@ -172,4 +169,9 @@ def energy(a_set: AdditiveSet) -> EnergyReport:
     rep = rep_table(a_set)
     n = len(a_set)
     e_val = rep.energy_sum()
-    return EnergyReport(set_size=n, energy=e_val, diff_size=len(rep), K=Fraction(n**3, e_val))
+    return EnergyReport(
+        set_size=n,
+        energy=e_val,
+        diff_size=len(rep),
+        K=Fraction(n**3, e_val),
+    )

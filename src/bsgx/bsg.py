@@ -73,6 +73,10 @@ class PartitionPQ:
         return len(self.q_codes)
 
     @property
+    def set_size(self) -> int:
+        return len(self.a_set)
+
+    @property
     def energy(self) -> int:
         return self.p_mass + self.q_mass
 
@@ -224,7 +228,7 @@ def _finish_report(
     a_prime: AdditiveSet,
     prime_rows: np.ndarray,
 ) -> ExtractionReport:
-    n = len(a_set)
+    n = pq.set_size
     e_val = pq.energy
     k_val = Fraction(n**3, e_val)
     size_bound_sq = (1 - eps) ** 2 * Fraction(e_val, n)
@@ -241,6 +245,7 @@ def _finish_report(
     # implied by size_ok: multiply it by E / n and use E >= n^2
     size_ok_cleared = m * m * e_val >= (1 - eps) ** 2 * n**3
     diff_ok = diff_size <= diff_bound
+    diff_ok_p = diff_size <= diff_bound_p if diff_bound_p is not None else None
     subset_ok = a_prime.as_set <= a_set.as_set
 
     checks = [
@@ -248,8 +253,8 @@ def _finish_report(
         ("size_lower_bound_cleared", bool(size_ok_cleared)),
         ("diff_upper_bound", bool(diff_ok)),
     ]
-    if diff_bound_p is not None:
-        checks.append(("diff_upper_bound_popular", bool(diff_size <= diff_bound_p)))
+    if diff_ok_p is not None:
+        checks.append(("diff_upper_bound_popular", bool(diff_ok_p)))
     checks.append(("subset_of_input", bool(subset_ok)))
     for name, ok in checks:
         if not ok:

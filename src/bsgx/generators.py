@@ -126,7 +126,9 @@ def sample_subset(a_set: AdditiveSet, size: int, seed: int) -> AdditiveSet:
     chosen = set()
     while len(chosen) < size:
         chosen.add(rng.below(len(a_set)))
-    return a_set.subset(sorted(chosen))
+    return AdditiveSet(
+        a_set.spec, tuple(a_set.elements[i] for i in sorted(chosen))
+    )
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,13 @@ class GenSpec:
         return cls(family, args)
 
     def build(self) -> AdditiveSet:
-        builders = {"ap": gen_ap, "axis": gen_axis, "ball": gen_ball, "random": gen_random}
-        return builders[self.family](*self.args)
+        if self.family == "ap":
+            return gen_ap(*self.args)
+        if self.family == "axis":
+            return gen_axis(*self.args)
+        if self.family == "ball":
+            return gen_ball(*self.args)
+        return gen_random(*self.args)
 
     def label(self) -> str:
         return f"{self.family}:{','.join(str(a) for a in self.args)}"

@@ -39,14 +39,14 @@ fraction or set field of a report that is not a string raises ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bsg import ExtractionReport, _frac_str
+from .bsg import ExtractionReport
 from .groups import AdditiveSet, GroupSpec, parse_set, sub
 from .numeric_lemma import PrefixSelection, WeightVector
 from .relation_lemma import Relation, TvWitness
@@ -93,7 +93,15 @@ class VerificationResult:
         return {
             "ok": self.ok,
             "status": self.status,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [
+                {
+                    "name": c.name,
+                    "claimed": c.claimed,
+                    "actual": c.actual,
+                    "status": c.status,
+                }
+                for c in self.checks
+            ],
         }
 
 
@@ -278,14 +286,14 @@ class _Checks:
         """Record that the claimed value equals recount(*needs).
 
         A Fraction recount is compared with _frac(claimed) and shown as
-        _frac_str, unless the claim is itself a Fraction.  An integer recount
+        _text, unless the claim is itself a Fraction.  An integer recount
         passes only an integer claim, as Python ints: a float or bool that
         Python finds equal fails.  Any other claim is compared as it is.
         """
         def evaluate(*values):
             actual = recount(*values)
             if isinstance(actual, Fraction) and not isinstance(claimed, Fraction):
-                return claimed, _frac_str(actual), _frac(claimed) == actual
+                return claimed, _text(actual), _frac(claimed) == actual
             if isinstance(actual, int):
                 return claimed, actual, _is_int(claimed) and int(claimed) == actual
             return claimed, actual, claimed == actual
@@ -310,6 +318,10 @@ def _frac(text: str) -> Fraction:
         raise ValueError(f"expected a fraction as a string, got {text!r}")
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den) if den else 1)
+
+
+def _text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _parse_in(spec: GroupSpec, text: str, what: str) -> AdditiveSet:

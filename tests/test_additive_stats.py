@@ -1,4 +1,3 @@
-import inspect
 import math
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import rep_items, translate
 
 from bsgx import _codec
-from bsgx.additive_stats import RepTable, energy, rep_table
+from bsgx.additive_stats import energy, rep_table
 from bsgx.generators import gen_ap, gen_axis, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, neg, sub
 
@@ -56,15 +55,25 @@ INDEXED = {
 }
 
 
-def gathered_table(found):
-    """The code table a lookup map gathers from, or None for a map that searches."""
-    return inspect.getclosurevars(found).nonlocals.get("table")
+def traced(call, *args, **kwargs):
+    """call(*args, **kwargs), whether it searched with np.searchsorted, and the
+    shapes of the arrays it gathered from with np.take."""
+    searched, taken = [], set()
+    search, take = np.searchsorted, np.take
 
+    def spy_search(*a, **k):
+        searched.append(True)
+        return search(*a, **k)
 
-def searched(keys, values, fill, codes):
-    """values[t] where a code is keys[t], else fill, by the searchsorted definition."""
-    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-    return [v if k == c else fill for k, v, c in zip(keys[pos], values[pos], codes)]
+    def spy_take(a, *rest, **k):
+        taken.add(a.shape)
+        return take(a, *rest, **k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "searchsorted", spy_search)
+        patch.setattr(np, "take", spy_take)
+        result = call(*args, **kwargs)
+    return result, bool(searched), taken
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -79,27 +88,29 @@ def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
     block = rep.pair_codes(0, n)
     pairs = block.ravel()
     position = rep.lookup(rep.codes, np.arange(len(rep)))
-    assert position(pairs).tolist() == np.searchsorted(rep.codes, pairs).tolist()
+    found, searched, taken = traced(position, pairs)
+    assert found.tolist() == np.searchsorted(rep.codes, pairs).tolist()
+    # a table over the code range is gathered from, with no search, only when
+    # the block holds the range; every code range here passes 64 cells, so
+    # that block searches and takes the values at the found positions
+    size = int(rep.coder.strides[0]) * int(rep.coder.radices[0])
+    gathers = dense and cells is None
+    assert searched != gathers
+    assert taken == {(size,) if gathers else (len(rep),)}
     # a block of rows, gathered a slice of rows at a time on the dense route
     assert position(block).tolist() == np.searchsorted(rep.codes, block).tolist()
     assert position(rep.codes).tolist() == list(range(len(rep)))
-    # the table over the code range is built only when the block holds the
-    # range; every code range here passes 64 cells, so that block searches
-    size = int(rep.coder.strides[0]) * int(rep.coder.radices[0])
-    table = gathered_table(position)
-    assert (table is not None) == (dense and cells is None)
-    assert table is None or table.shape == (size,)
-    # every other code of the table is a key, and the rest get the fill
+    # every other code of the table is a key: the map gives their values, and
+    # with no values tells the keys from the codes that are not keys
     keys = rep.codes[::2]
     values = 3 * np.arange(len(keys)) + 1
-    want = searched(keys, values, -1, rep.codes)
-    assert want[1::2] == [-1] * (len(rep) // 2)
-    assert rep.lookup(keys, values, fill=-1)(rep.codes).tolist() == want
-    assert rep.lookup(keys, values, fill=-1)(pairs).tolist() == searched(keys, values, -1, pairs)
-    # with no values, whether each code is a key, written into out
+    assert rep.lookup(keys, values)(keys).tolist() == values.tolist()
+    assert rep.lookup(keys)(rep.codes).tolist() == [t % 2 == 0 for t in range(len(rep))]
+    key_set = set(keys.tolist())
     out = np.empty(block.shape, dtype=bool)
-    assert rep.lookup(keys)(block, out=out) is out
-    assert out.ravel().tolist() == [v != -1 for v in searched(keys, values, -1, pairs)]
+    found, searched, _ = traced(rep.lookup(keys), block, out=out)
+    assert found is out and searched != gathers
+    assert out.ravel().tolist() == [c in key_set for c in pairs.tolist()]
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -115,20 +126,18 @@ def test_subset_diff_size_is_the_subset_table_size(label, cells, monkeypatch):
     # the largest m whose m^2 pairs of A' are sorted, not the n^2 - m^2 lost
     half = math.isqrt(n * n // 2)
     rng = np.random.default_rng(n)
-    routes = []
-
-    def lookup(*args, **kwargs):
-        routes.append(gathered_table(found := RepTable.lookup(rep, *args, **kwargs)) is not None)
-        return found
-
-    monkeypatch.setattr(rep, "lookup", lookup)
+    routes = {}
     for m in (n, 1, half, half + 1):
         rows = np.sort(rng.choice(n, size=m, replace=False))
         want = len(rep_table(a.subset(rows)))
-        assert rep.subset_diff_size(rows) == want, m
-    # the lost-pair side, at m = n and half + 1, looks its codes up by gather
-    # when the code range fits the block, else by search
-    assert routes == [dense and cells is None] * 2
+        found, searched, taken = traced(rep.subset_diff_size, rows)
+        assert found == want, m
+        routes[m] = (searched, bool(taken))
+    # sorting the pairs of A' looks nothing up; the lost-pair side looks its
+    # run codes up by gather when the code range fits the block, else by search
+    gathers = dense and cells is None
+    assert routes[1] == routes[half] == (False, False)
+    assert routes[half + 1] == (not gathers, True)
 
 
 def test_energy_small_examples():
