@@ -17,9 +17,9 @@ with it, it only marks sets whose raw coordinates are too wide.
 Every n x n scan in the package walks its rows in blocks of about
 BLOCK_CELLS cells (row_chunks), so the code buffers, the boolean matrices
 built from them and the float blocks of the GEMMs stay a few tens of MB
-whatever the set size.  BLOCK_CELLS also bounds the dense code table of
-RepTable.lookup, the one code lookup: a code range of at most that many
-codes is looked up by one gather, a wider one by binary search.
+whatever the set size.  BLOCK_CELLS also bounds each level of the code
+table of RepTable.lookup, the one code lookup: one level over the code range,
+else pages of it and the pages that hold keys, else a binary search.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ The table is also the one difference index of the package: every difference
 has a mixed-radix code (see _codec), codes ascend in lexicographic
 difference order, pair_codes gives the codes of a row block of the n x n
 difference matrix, and lookup, the one code lookup, maps codes to values
-kept per key code (a slice column, a count, membership in D): one gather
-from a table over the code range when it has at most _codec.BLOCK_CELLS
-codes, else a binary search in the keys.  The codes are those of the
-gcd-reduced copy, in the narrowest integer dtype that holds them or Python
-ints, and the rest of the package runs the same numpy path on any of them.
+kept per key code (a slice column, a count, membership in D): a gather
+from a table over the code range or, in two levels, over its pages, each
+level of at most _codec.BLOCK_CELLS cells, else a binary search in the keys.
+The codes are those of the gcd-reduced copy, in the narrowest integer dtype
+that holds them or Python ints, and the rest of the package runs the same
+numpy path on any of them.
 Counting sorts the codes of all n^2 pairs once, in place, and reads r(d)
 off the run lengths; exact, and independent of chunking.
 subset_diff_size counts |A' - A'| for a subset A' of A from the same codes,
@@ -72,20 +73,41 @@ class RepTable:
         """The map from codes to values[t] where a code is keys[t].
 
         keys ascend, at least one.  With values, every code looked up must be
-        a key; with none, the map tells whether a code is a key.  A code range
-        of at most BLOCK_CELLS codes is tabulated once here and gathered from,
-        a wider one searches keys.  The map takes out.
+        a key; with none, the map tells whether a code is a key.  The map
+        takes out and leaves its codes as they are.  Its table is built here,
+        for the least shift s leaving at most BLOCK_CELLS pages of 2^s codes:
+        at s = 0 one level over the code range, one gather a code; else a
+        first level holds each page's pre-shifted start in the second, or 0
+        for the shared all-miss page, so a code is a shift, gather, mask, or
+        and gather.  A second level past BLOCK_CELLS cells, or Python-int
+        codes, search keys instead.
         """
         size = int(self.coder.strides[0]) * int(self.coder.radices[0])
-        if size <= _codec.BLOCK_CELLS:
-            table = np.zeros(size, np.bool_ if values is None else values.dtype)
-            table[keys] = True if values is None else values
+        shift = ((size - 1) // _codec.BLOCK_CELLS).bit_length()
+        slots, cells, mask = keys, size, (1 << shift) - 1
+        if shift and keys.dtype != object:
+            pages = keys >> shift
+            turns = pages[1:] != pages[:-1]  # where a key starts a new page
+            cells = int(np.count_nonzero(turns)) + 2 << shift
+        if keys.dtype != object and cells <= _codec.BLOCK_CELLS:
+            if shift:
+                # page t >= 1 of the second level starts at t << shift, below
+                # cells <= BLOCK_CELLS < size, so the code dtype holds it
+                starts = np.cumsum(np.concatenate(([1], turns)), dtype=keys.dtype) << shift
+                top = np.zeros(-(-size >> shift), keys.dtype)
+                top[pages] = starts
+                slots = starts | keys & mask
+            table = np.zeros(cells, np.bool_ if values is None else values.dtype)
+            table[slots] = True if values is None else values
 
             def gather(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
                 out = np.empty(codes.shape, table.dtype) if out is None else out
                 # np.take copies its indices as intp: 2^16 cells at a time keep that small
                 for lo, hi in row_chunks(len(codes), codes.size // max(len(codes), 1), 1 << 16):
-                    np.take(table, codes[lo:hi], out=out[lo:hi], mode="clip")
+                    block = codes[lo:hi]
+                    if shift:
+                        block = np.take(top, block >> shift, mode="clip") | block & mask
+                    np.take(table, block, out=out[lo:hi], mode="clip")
                 return out
 
             return gather

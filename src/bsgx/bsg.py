@@ -174,7 +174,7 @@ class ExtractionReport:
             }
         else:
             witness = {
-                "q_size": len(self.witness.selection.order),
+                "q_size": self.witness.selection.weight_count,
                 "selected_count": self.witness.selection.chosen_i,
                 "q_prime_size": len(self.witness.q_prime),
                 "q_prime": serialize_set(self.witness.q_prime).decode("utf-8"),

@@ -19,9 +19,9 @@ WeightVector checks them without boxing their millions of entries.  Weights
 given as rationals c / L take this form after (c, rho) -> (L * c, rho / L^2),
 in an object array of Python ints when L * c passes int64.  The selection
 runs on int64 when len * max^2 (which bounds every sum it forms) fits, else
-on an object array of Python ints; the sort, the window ends and the prefix
-sums are numpy passes either way, and only the size-branch scan compares
-Python ints one prefix at a time.
+on an object array of Python ints.  S, T and the window end are numpy
+passes over all weights; the sort and the prefix sums run over the window
+alone, and only the size-branch scan compares Python ints one at a time.
 """
 
 from __future__ import annotations
@@ -79,9 +79,10 @@ class WeightVector:
 class PrefixSelection:
     """A chosen prefix of the stable descending order, with its certified sum.
 
-    order is the full permutation (an int64 array of 0-based original
-    indices) sorting weights descending with ties kept in original order;
-    index_set lists the first chosen_i of those indices, sorted ascending;
+    order holds the first window_hi entries of the permutation (0-based
+    original indices, int64) sorting the weight_count weights descending
+    with ties kept in original order: the scan window's weights, in scan
+    order; index_set lists the first chosen_i of them, sorted ascending;
     certified_coeff is the sum of their coefficients, so the certified sum
     is W = certified_coeff * sqrt(rho) on the weight vector's rho;
     window_lo and window_hi are the bounds of the prefix lengths the scan was
@@ -89,6 +90,7 @@ class PrefixSelection:
     """
 
     order: np.ndarray
+    weight_count: int
     chosen_i: int
     index_set: Tuple[int, ...]
     certified_coeff: int
@@ -121,14 +123,8 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
 
     coeffs = _integer_coeffs(xs)
     rho = xs.rho
-    keys = -coeffs
-    if keys.dtype != object:
-        # numpy's stable sort is a radix sort on keys of 16 bits or fewer
-        keys = keys.astype(np.min_scalar_type(int(keys.min())))
-    order = np.argsort(keys, kind="stable")
-    c_desc = coeffs[order]
-    c1 = int(c_desc.sum())
-    c2 = int(np.dot(c_desc, c_desc))
+    c1 = int(coeffs.sum())
+    c2 = int(np.dot(coeffs, coeffs))
 
     # T <= S, i.e. c2^2 * rho <= c1^2, is forced by every weight being <= 1
     if c2 * c2 * rho.numerator > c1 * c1 * rho.denominator:
@@ -138,9 +134,16 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
     # integer c >= (b - a) * c2 / (2 * b * c1); the top weight always does,
     # because 2 * c1 * c_max >= 2 * c2 > (1 - alpha) * c2
     cut = -(-(b - a) * c2 // (2 * b * c1))
-    ell = int(np.searchsorted(-c_desc, -cut, side="right"))
+    # they are the first l of the stable descending order: sort them alone
+    window = np.flatnonzero(coeffs >= cut)
+    keys = -coeffs[window]
+    if keys.dtype != object:
+        # numpy's stable sort is a radix sort on keys of 16 bits or fewer
+        keys = keys.astype(np.min_scalar_type(int(keys.min())))
+    order = window[np.argsort(keys, kind="stable")]
+    ell = len(order)
 
-    prefix = np.cumsum(c_desc[:ell])
+    prefix = np.cumsum(coeffs[order])
 
     # k is the smallest prefix length with prefix^2 >= alpha^2 * c2^2 * rho,
     # i.e. prefix >= floor_p, the least integer whose square clears it
@@ -160,6 +163,7 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
         if lhs_factor * p**6 >= rhs_factor * i**4:
             return PrefixSelection(
                 order=order,
+                weight_count=len(xs),
                 chosen_i=i,
                 index_set=tuple(np.sort(order[:i]).tolist()),
                 certified_coeff=p,

@@ -601,12 +601,12 @@ def verify_st(
 ) -> VerificationResult:
     """Re-derive the weight selection facts with independent arithmetic.
 
-    Rebuilds the stable descending order with Python's sort, recomputes S
-    and T from their definitions on Python ints (only rho and alpha are
-    Fractions), re-checks both branches of the certified maximum for the
-    chosen prefix, and scans the whole window [k, l] to confirm a valid
-    prefix exists.  An index outside the weights adds nothing to W, and
-    index_set_matches fails on it.
+    Rebuilds the stable descending order with Python's sort (sel.order must
+    be its first l entries, the window), recomputes S and T from their
+    definitions on Python ints (only rho and alpha are Fractions), re-checks
+    both branches of the certified maximum for the chosen prefix, and scans
+    the whole window [k, l] to confirm a valid prefix exists.  An index
+    outside the weights adds nothing to W, and index_set_matches fails on it.
     """
     alpha = Fraction(alpha)
     n = len(xs)
@@ -641,7 +641,9 @@ def verify_st(
         mass(prefix[i - 1]) and size(prefix[i - 1], i) for i in range(k_true, ell_true + 1)
     )
     checks = _Checks()
-    checks.holds("order_matches", "stable descending permutation", list(sel.order) == order_true)
+    checks.holds(
+        "order_matches", "stable descending permutation", list(sel.order) == order_true[:ell_true]
+    )
     checks.holds(
         "index_set_matches", "first chosen_i of the order, sorted",
         sorted(order_true[:chosen]) == list(sel.index_set),

@@ -59,7 +59,8 @@ class Relation:
         """The relation {(a, b) : a - b in D} on rep's base set.
 
         codes lists the rep-table codes of D in ascending order; each row block
-        is written by RepTable.lookup's membership map, a gather or a search.
+        is written by RepTable.lookup's membership map: a gather from a table
+        over the code range, or over its pages that hold codes of D, or a search.
         """
         base = rep.a_set
         n = len(base)

@@ -55,6 +55,26 @@ INDEXED = {
 }
 
 
+def code_range(rep) -> int:
+    return int(rep.coder.strides[0]) * int(rep.coder.radices[0])
+
+
+def tables(rep, keys):
+    """The shapes of the tables RepTable.lookup documents for keys: the code
+    range when BLOCK_CELLS holds it; else, at the least shift s leaving at most
+    BLOCK_CELLS pages of 2^s codes, the pages and the second level (a page per
+    page with a key, and the all-miss page) when BLOCK_CELLS holds that; else
+    None, the search, as for Python-int codes."""
+    size = code_range(rep)
+    shift = ((size - 1) // _codec.BLOCK_CELLS).bit_length()
+    if keys.dtype == object:
+        return None
+    if not shift:
+        return {(size,)}
+    second = len(np.unique(keys >> shift)) + 1 << shift
+    return {(-(-size >> shift),), (second,)} if second <= _codec.BLOCK_CELLS else None
+
+
 def traced(call, *args, **kwargs):
     """call(*args, **kwargs), whether it searched with np.searchsorted, and the
     shapes of the arrays it gathered from with np.take."""
@@ -91,12 +111,13 @@ def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
     found, searched, taken = traced(position, pairs)
     assert found.tolist() == np.searchsorted(rep.codes, pairs).tolist()
     # a table over the code range is gathered from, with no search, only when
-    # the block holds the range; every code range here passes 64 cells, so
-    # that block searches and takes the values at the found positions
-    size = int(rep.coder.strides[0]) * int(rep.coder.radices[0])
+    # the block holds the range; every code range here passes 64 cells, and
+    # no two-level table of all the codes fits, so those search and take the
+    # values at the found positions
     gathers = dense and cells is None
+    assert tables(rep, rep.codes) == ({(code_range(rep),)} if gathers else None)
     assert searched != gathers
-    assert taken == {(size,) if gathers else (len(rep),)}
+    assert taken == {(code_range(rep),) if gathers else (len(rep),)}
     # a block of rows, gathered a slice of rows at a time on the dense route
     assert position(block).tolist() == np.searchsorted(rep.codes, block).tolist()
     assert position(rep.codes).tolist() == list(range(len(rep)))
@@ -108,9 +129,95 @@ def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
     assert rep.lookup(keys)(rep.codes).tolist() == [t % 2 == 0 for t in range(len(rep))]
     key_set = set(keys.tolist())
     out = np.empty(block.shape, dtype=bool)
-    found, searched, _ = traced(rep.lookup(keys), block, out=out)
-    assert found is out and searched != gathers
+    found, searched, taken = traced(rep.lookup(keys), block, out=out)
+    # half the codes of Z_(2^31+11) fit a two-level table
+    assert found is out and searched == (tables(rep, keys) is None)
+    assert taken == (tables(rep, keys) or set())
     assert out.ravel().tolist() == [c in key_set for c in pairs.tolist()]
+
+
+def definition(keys, codes):
+    """Whether each code is a key, and the index of the first key not below it."""
+    pos = np.searchsorted(keys, codes)
+    return keys[np.minimum(pos, len(keys) - 1)] == codes, pos
+
+
+# (set, code dtype) whose code range passes the default block while every
+# other code of its table fits a two-level table
+PAGED = {
+    "axis:131,3": (lambda: gen_axis(131, 3), np.int32),
+    "Z_(2^31+11)": (lambda: gen_random(40, 2147483659, 7), np.int64),
+}
+
+
+@pytest.mark.parametrize("label", list(PAGED))
+def test_two_level_maps_agree_with_the_search(label):
+    build, dtype = PAGED[label]
+    rep = rep_table(build())
+    keys = rep.codes[::2]
+    assert keys.dtype == dtype and code_range(rep) > _codec.BLOCK_CELLS
+    shapes = tables(rep, keys)
+    assert shapes is not None and len(shapes) == 2
+    block = rep.pair_codes(0, len(rep.a_set))
+    in_keys, pos = definition(keys, block)
+    out = np.empty(block.shape, dtype=bool)
+    found, searched, taken = traced(rep.lookup(keys), block, out=out)
+    assert found is out and not searched and taken == shapes
+    assert out.tolist() == in_keys.tolist() and in_keys.any() and not in_keys.all()
+    values = 3 * np.arange(len(keys), dtype=dtype) + 1
+    found, searched, taken = traced(rep.lookup(keys, values), block[in_keys])
+    assert not searched and taken == shapes
+    assert found.tolist() == values[pos[in_keys]].tolist()
+
+
+def test_a_second_level_past_the_block_searches(monkeypatch):
+    # (Z_31)^3 axis vectors have 29,791 int32 codes.  At 4,408 cells, pages
+    # of 2^3 codes number 3,724, and a third of the codes hit 550 of them: the
+    # second level holds 551 pages, 4,408 cells.  One cell fewer keeps the shift
+    # and leaves that level one page over the bound, so the map searches.
+    rep = rep_table(gen_axis(31, 3))
+    keys = rep.codes[::3]
+    block = rep.pair_codes(0, len(rep.a_set))
+    in_keys, pos = definition(keys, block)
+    values = np.arange(len(keys)) + 7
+    for cells, shapes in ((4408, {(3724,), (4408,)}), (4407, None)):
+        monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
+        assert tables(rep, keys) == shapes
+        found, searched, taken = traced(rep.lookup(keys), block)
+        assert found.tolist() == in_keys.tolist()
+        assert searched == (shapes is None) and taken == (shapes or set())
+        found, searched, taken = traced(rep.lookup(keys, values), block[in_keys])
+        assert found.tolist() == values[pos[in_keys]].tolist()
+        assert searched == (shapes is None) and taken == (shapes or {(len(keys),)})
+
+
+def test_python_int_codes_always_search():
+    rep = rep_table(INDEXED["span-2^63"][0]())
+    assert rep.codes.dtype == object
+    # a single key would fit any table, were the codes machine integers
+    keys = rep.codes[3:4]
+    found, searched, taken = traced(rep.lookup(keys), rep.codes)
+    assert searched and not taken
+    assert found.tolist() == [t == 3 for t in range(len(rep))]
+    found, searched, taken = traced(rep.lookup(keys, np.array([5])), keys)
+    assert searched and taken == {(1,)} and found.tolist() == [5]
+
+
+@pytest.mark.parametrize(
+    "label, step, route",
+    [("ap:40", 2, 1), ("axis:131,3", 2, 2), ("Z_(2^31+11)", 1, 0), ("span-2^63", 2, 0)],
+)
+def test_lookup_leaves_the_codes_as_they_are(label, step, route):
+    # one set per route: one level, two levels, a search, Python ints
+    rep = rep_table({**INDEXED, **PAGED}[label][0]())
+    keys = rep.codes[::step]
+    assert len(tables(rep, keys) or ()) == route
+    block = rep.pair_codes(0, len(rep.a_set))
+    kept = block.copy()
+    rep.lookup(keys)(block)
+    rep.lookup(keys, np.arange(len(keys)))(keys)
+    assert block.dtype == kept.dtype and block.tolist() == kept.tolist()
+    assert keys.tolist() == rep.codes[::step].tolist()
 
 
 @pytest.mark.parametrize("cells", [None, 64])

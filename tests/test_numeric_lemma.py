@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import weight_vector
 
@@ -99,8 +102,9 @@ def test_adversarial_near_threshold_vector():
 def test_selection_is_a_descending_prefix():
     w = WeightVector(rho=F(1, 100), coeffs=arr(3, 7, 7, 1, 0, 9))
     sel = select_index_set(w, F(2, 3))
-    # order must sort values descending, stable on ties
-    assert sel.order.tolist() == [5, 1, 2, 0, 3, 4]
+    # order must sort values descending, stable on ties, up to the window's end
+    assert len(sel.order) == sel.window_hi <= 6 and sel.weight_count == 6
+    assert sel.order.tolist() == [5, 1, 2, 0, 3, 4][: sel.window_hi]
     assert sel.index_set == tuple(sorted(sel.order[: sel.chosen_i].tolist()))
     assert sel.window_lo <= sel.chosen_i <= sel.window_hi
     assert verify_st(w, F(2, 3), sel).ok
@@ -168,9 +172,53 @@ def test_selection_past_int64_takes_the_object_path():
     sel_int = select_index_set(w_int, alpha)
     assert fields(sel_int) == fields(sel) and sel_int.certified_coeff == sel.certified_coeff
     assert select_index_set(w_frac, alpha).index_set == sel.index_set
-    assert sel.order.tolist() == [0, 1, 3, 2]
+    assert len(sel.order) == sel.window_hi <= 4 and sel.weight_count == 4
+    assert sel.order.tolist() == [0, 1, 3, 2][: sel.window_hi]
     for w in (w_arr, w_int, w_frac):
         assert verify_st(w, alpha, select_index_set(w, alpha)).ok
+
+
+def reference_selection(coeffs: list, rho: Fraction, alpha: Fraction) -> tuple:
+    """The selection by its definition on Python ints, over the full stable
+    descending order of all the weights: (that order, chosen_i, index_set,
+    certified_coeff, window_lo, window_hi)."""
+    a, b = alpha.numerator, alpha.denominator
+    order = sorted(range(len(coeffs)), key=coeffs.__getitem__, reverse=True)
+    c_desc = [coeffs[i] for i in order]
+    c1, c2 = sum(coeffs), sum(c * c for c in coeffs)
+    cut = -(-(b - a) * c2 // (2 * b * c1))
+    ell = sum(1 for c in coeffs if c >= cut)
+    need = -(-(a * a * c2 * c2 * rho.numerator) // (b * b * rho.denominator))
+    prefix = [sum(c_desc[:i]) for i in range(ell + 1)]
+    k = next(i for i in range(1, ell + 1) if prefix[i] >= math.isqrt(need - 1) + 1)
+    i = next(
+        i for i in range(k, ell + 1)
+        if 1024 * c1 * c1 * b**5 * prefix[i] ** 6 >= (b - a) ** 5 * c2**4 * i**4
+    )
+    return order, i, tuple(sorted(order[:i])), prefix[i], k, ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small=st.lists(st.integers(0, 5), min_size=1, max_size=60).filter(any),
+    alpha=st.integers(1, 39).map(lambda t: F(t, 40)),
+    spread=st.integers(1, 4),
+    wide=st.booleans(),
+)
+def test_selection_sorts_only_the_window(small, alpha, spread, wide):
+    # few distinct values, so ties are common; wide scales them past what
+    # int64 sums hold, onto the object path
+    shift = 32 if wide else 0
+    ints = [c << shift for c in small]
+    rho = F(1, max(ints) ** 2 * spread)
+    w = WeightVector(rho=rho, coeffs=np.array(ints, dtype=object if wide else np.int64))
+    assert _integer_coeffs(w).dtype == (object if wide else np.int64)
+    sel = select_index_set(w, alpha)
+    order, chosen, index_set, coeff, lo, hi = reference_selection(ints, rho, alpha)
+    assert (sel.chosen_i, sel.index_set, sel.certified_coeff) == (chosen, index_set, coeff)
+    assert (sel.window_lo, sel.window_hi, sel.weight_count) == (lo, hi, len(ints))
+    assert sel.order.dtype == np.int64 and len(sel.order) == hi
+    assert sel.order.tolist() == order[:hi]
 
 
 def test_weight_vector_checks_arrays_without_boxing():

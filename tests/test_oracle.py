@@ -223,6 +223,7 @@ def test_verify_st_rejects_wrong_selection():
     assert verify_st(w, F(1, 2), good).ok
     bad = PrefixSelection(
         order=good.order,
+        weight_count=good.weight_count,
         chosen_i=good.chosen_i,
         index_set=good.index_set,
         certified_coeff=good.certified_coeff + 1,
@@ -234,6 +235,7 @@ def test_verify_st_rejects_wrong_selection():
 
     shuffled = PrefixSelection(
         order=tuple(reversed(good.order)),
+        weight_count=good.weight_count,
         chosen_i=good.chosen_i,
         index_set=good.index_set,
         certified_coeff=good.certified_coeff,
@@ -252,6 +254,24 @@ def test_verify_st_fails_an_index_outside_the_weights():
     for index_set in (good.index_set[:-1] + (len(w),), (-1,) + good.index_set[1:]):
         res = verify_st(w, F(1, 2), dataclasses.replace(good, index_set=index_set))
         assert {"index_set_matches", "sum_matches"} <= {c.name for c in res.failed}
+
+
+@pytest.mark.parametrize("forgery", ["full-permutation", "one-short", "tie-swapped"])
+def test_verify_st_fails_an_order_other_than_the_window(forgery):
+    # the window holds 5 of the 8 weights, and indices 2 and 4 tie in it
+    w = weight_vector(F(1), (F(1, 4), 1, F(1, 2), F(1, 9), F(1, 2), F(1, 3), F(1, 20), F(1, 100)))
+    from bsgx.numeric_lemma import select_index_set
+
+    good = select_index_set(w, F(1, 2))
+    assert good.order.tolist() == [1, 2, 4, 5, 0] and good.window_hi == 5 < len(w)
+    assert verify_st(w, F(1, 2), good).ok
+    order = {
+        "full-permutation": np.array([1, 2, 4, 5, 0, 3, 6, 7]),
+        "one-short": good.order[:-1],
+        "tie-swapped": good.order[[0, 2, 1, 3, 4]],
+    }[forgery]
+    res = verify_st(w, F(1, 2), dataclasses.replace(good, order=order))
+    assert [c.name for c in res.failed] == ["order_matches"]
 
 
 def test_results_serialize():
