@@ -14,6 +14,14 @@ no set gets wider codes than its raw coordinates would.  build_codec codes
 the raw coordinates, or returns None when they do not pack; nothing counts
 with it, it only marks sets whose raw coordinates are too wide.
 
+diff_codes codes x - y from element codes c(v) = sum_j v_j strides[j]: digit
+j is x_j - y_j - lows[j] (lows[j] = 0 on a cyclic coordinate), plus m_j where
+a cyclic x_j < y_j, so the code is c(x - lows) - c(y) plus those wraps.  On
+reduced coordinates x_j - lows[j] and y_j lie in [0, radices[j]), so both
+element codes lie in [0, size), size the radix product (at most the dtype's
+cap in _CAPS), their difference in (-size, size), and each wrap only raises
+a negative partial sum toward the final code in [0, size).
+
 Every n x n scan in the package walks its rows in blocks of about
 BLOCK_CELLS cells (row_chunks), so the code buffers, the boolean matrices
 built from them and the float blocks of the GEMMs stay a few tens of MB
@@ -60,28 +68,18 @@ class Codec:
     scales: tuple
 
     def diff_codes(self, left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
-        """Codes of left[i] - right[j], shape (len(left), len(right)).
+        """Codes of left[i] - right[k], shape (len(left), len(right)).
 
-        Built one coordinate at a time in out, or a new buffer of the inputs'
-        dtype.  Both inputs are canonical, so a cyclic difference lies in
-        (-m, m) and one added m where it is negative reduces it; a free
-        difference lies in [lows[j], lows[j] + radices[j]).  Each shifted
-        digit is below its radix and the running code below the radix
-        product, which is at most the dtype's cap in _CAPS.
+        Built in out, or a new buffer of the inputs' dtype: one subtraction
+        of element codes, c(left[i] - lows) - c(right[k]), then for each
+        cyclic coordinate j, m_j strides[j] added where left[i, j] < right[k, j].
+        See the module docstring for the bound that keeps it in the dtype.
         """
         codes = np.empty((len(left), len(right)), dtype=left.dtype) if out is None else out
-        digit = np.empty_like(codes) if len(self.moduli) > 1 else codes
+        np.subtract(((left - self.lows) @ self.strides)[:, None], (right @ self.strides)[None, :], out=codes)
         for j, m in enumerate(self.moduli):
-            part = codes if j == 0 else digit
-            np.subtract(left[:, j, None], right[None, :, j], out=part)
             if m:
-                np.add(part, m, out=part, where=part < 0)
-            elif self.lows[j]:
-                part -= self.lows[j]
-            if self.strides[j] != 1:
-                part *= self.strides[j]
-            if j:
-                codes += part
+                np.add(codes, m * self.strides[j], out=codes, where=left[:, j, None] < right[None, :, j])
         return codes
 
     def decode(self, codes: np.ndarray) -> list:

@@ -171,11 +171,8 @@ def parse_set(data: "bytes | str") -> AdditiveSet:
             raise AsetFormatError(f"input is not valid UTF-8: {exc}") from exc
     else:
         text = data
-    lines = [
-        ln.strip()
-        for ln in text.split("\n")
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    stripped = (raw.strip() for raw in text.split("\n"))
+    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if len(lines) < 4:
         raise AsetFormatError("file too short: need header plus one element")
     if lines[0].split() != ["aset", "1"]:
@@ -212,12 +209,16 @@ def parse_set(data: "bytes | str") -> AdditiveSet:
                 f"element line {ln!r} has {len(parts)} coordinates, expected {dim}"
             )
         try:
-            elems.append(tuple(int(p) for p in parts))
+            elems.append(tuple(map(int, parts)))
         except ValueError as exc:
             raise AsetFormatError(f"bad coordinate in {ln!r}") from exc
     if not elems:
         raise AsetFormatError("set must contain at least one element")
-    return AdditiveSet.from_elements(spec, elems)
+    if any(moduli):
+        # reduce only the cyclic columns, then the rows are the canonical elements
+        cols = [[c % m for c in col] if m else col for col, m in zip(zip(*elems), moduli)]
+        elems = zip(*cols)
+    return AdditiveSet(spec, tuple(sorted(set(elems))))
 
 
 def serialize_set(a_set: AdditiveSet) -> bytes:

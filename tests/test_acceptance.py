@@ -7,9 +7,10 @@ outcome of every top-level check without -s.
 Every inequality asserted here is evaluated in exact integer/rational
 arithmetic, and every quantity fed into an inequality is recomputed by a
 route independent of the library's fast paths: energies by dict-of-sums
-counting, difference sets by set comprehensions over element pairs.  The
-library's own numbers must agree with the recomputed ones before any bound
-is checked.
+counting, difference sets by set comprehensions over element pairs, and on
+the axis sets of the fixture suite, whose n^2 pairs those walks cannot
+afford, by set arithmetic in Z_g on each axis.  The library's own numbers
+must agree with the recomputed ones before any bound is checked.
 """
 
 import time
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Tuple
 
+import numpy as np
 from conftest import (
     ACCEPTANCE_LINES,
     difference_relation,
@@ -117,6 +119,50 @@ def fixture_sets():
     return sets
 
 
+def axis_counts(a):
+    """(E(A), |A - A|) for a set A of vectors in (Z_g)^d with at most one
+    nonzero coordinate, from its per-axis sets, using no bsgx code.
+
+    Let T_i be the nonzero values on axis i, and S_i be T_i with 0 added
+    when 0 is in A.  A difference with one nonzero coordinate is w e_i with
+    w != 0 in S_i - S_i, and its pairs are the pairs of S_i that differ by w.
+    One with two, s e_i + w e_j for i < j, comes from (s e_i, -w e_j) when
+    s in T_i and -w in T_j, and from (w e_j, -s e_i) when w in T_j and
+    -s in T_i: both when s and w lie in T_i & -T_i and T_j & -T_j.  The zero
+    difference has the n pairs (a, a).
+    """
+    g, dim = a.spec.moduli[0], a.spec.dim
+    tails = [[] for _ in range(dim)]
+    for e in a.elements:
+        axes = [i for i, c in enumerate(e) if c]
+        assert len(axes) <= 1 and set(a.spec.moduli) == {g}, e
+        if axes:
+            tails[axes[0]].append(e[axes[0]])
+    n = len(a.elements)
+    zero = [0] * (n - sum(map(len, tails)))
+    energy, diff, mirrored = n * n, 1, []
+    for t in tails:
+        s = np.array(t + zero, dtype=np.int64)
+        r = np.bincount(np.subtract.outer(s, s).ravel() % g, minlength=g)[1:]
+        energy += int(np.dot(r, r))
+        diff += int(np.count_nonzero(r))
+        members = set(t)
+        mirrored.append(sum(g - v in members for v in t))
+    for i, j in combinations(range(dim), 2):
+        both = len(tails[i]) * len(tails[j])
+        energy += 2 * both + 2 * mirrored[i] * mirrored[j]
+        diff += 2 * both - mirrored[i] * mirrored[j]
+    return energy, diff
+
+
+def reference_counts(label, a):
+    """(E(A), |A - A|) recounted outside the library: axis_counts on the axis
+    sets, else pure_energy and pure_diff_size."""
+    if label.startswith("axis:"):
+        return axis_counts(a)
+    return pure_energy(a), pure_diff_size(a)
+
+
 class Run(NamedTuple):
     eps: Fraction
     report: ExtractionReport
@@ -145,12 +191,9 @@ def get_sweep():
             for eps in EPS_GRID:
                 report = extract(a, Params(eps=eps))
                 verified = verify_extraction(a, report).status == "pass"
-                runs.append(
-                    Run(eps, report, pure_diff_size(report.a_prime), verified)
-                )
-            rows.append(
-                Row(label, a, len(a), pure_energy(a), pure_diff_size(a), tuple(runs))
-            )
+                diff_prime = reference_counts(label, report.a_prime)[1]
+                runs.append(Run(eps, report, diff_prime, verified))
+            rows.append(Row(label, a, len(a), *reference_counts(label, a), tuple(runs)))
         _SWEEP_CACHE.append(rows)
     return _SWEEP_CACHE[0]
 
@@ -200,6 +243,19 @@ def test_energy_equals_bruteforce_oracle():
 def test_extraction_guarantees_across_fixture_suite():
     with verdict("2/9", "size and doubling guarantees on the fixture suite"):
         sweep = get_sweep()
+        # the axis reference agrees with the pair walks where those are cheap:
+        # on the two small axis sets and on every A' extracted from them
+        small = [row for row in sweep if row.label in ("axis:11,2", "axis:101,3")]
+        assert len(small) == 2
+        for row in small:
+            assert axis_counts(row.a) == (pure_energy(row.a), pure_diff_size(row.a))
+            for run in row.runs:
+                a_prime = run.report.a_prime
+                assert axis_counts(a_prime) == (pure_energy(a_prime), pure_diff_size(a_prime))
+        # and on subsets with and without 0, empty axes and unpaired values
+        for size in range(1, 32, 3):
+            s = sample_subset(gen_axis(11, 3), size, 4_000 + size)
+            assert axis_counts(s) == (pure_energy(s), pure_diff_size(s)), s.elements
         n_runs = 0
         for row in sweep:
             for run in row.runs:

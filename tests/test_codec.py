@@ -121,6 +121,72 @@ def test_near_cap_sets_are_packed():
         check((half, half + 1), [(0, 0), (1, 1)], past)
 
 
+def cap_box(bits, order):
+    """A free x cyclic set whose radix product is 2^(bits-2) - 1, one below the
+    b-bit cap: free span 2^(k-1) - 1 (radix 2^k - 1) and modulus 2^k + 1 for
+    k = (bits - 2) / 2.  It holds the all-low corner, whose right code is 0,
+    the all-high corner, whose left code is size - 1, and the value 1 on each
+    coordinate, so reduction leaves it as it is.  order puts the coordinates
+    as (free, cyclic) or (cyclic, free)."""
+    k = (bits - 2) // 2
+    free, cyc = (1 << k - 1) - 1, (1 << k) + 1
+    pairs = [(f, c) for f in (0, 1, free) for c in (0, 1, cyc - 1)]
+    if order == "cf":
+        return AdditiveSet.from_elements(GroupSpec((cyc, 0)), [(c, f) for f, c in pairs])
+    return AdditiveSet.from_elements(GroupSpec((0, cyc)), pairs)
+
+
+@pytest.mark.parametrize("order", ["fc", "cf"])
+@pytest.mark.parametrize("bits", [16, 32, 64])
+def test_diff_codes_at_the_radix_product_cap(bits, order):
+    # every pair of the corners, both ways round: high - low is the top code
+    # size - 1, and low - high the most negative first difference, which only
+    # the wrap of the cyclic coordinate brings back into [0, size)
+    a = cap_box(bits, order)
+    codec, coords = reduced_codec(a)
+    size = math.prod(codec.radices.tolist())
+    assert size == (1 << bits - 2) - 1
+    assert coords.dtype == np.dtype(f"int{bits}")
+    assert coords.tolist() == [list(e) for e in a.elements]
+    want = [[expected_code(codec, sub(a.spec, x, y)) for y in a.elements] for x in a.elements]
+    got = codec.diff_codes(coords, coords)
+    assert got.dtype == coords.dtype
+    assert got.tolist() == want
+    assert got.max() == size - 1 == want[-1][0]
+    n = len(a)
+    for k in range(n + 1):
+        assert codec.diff_codes(coords[k:], coords).tolist() == want[k:]
+        assert codec.diff_codes(coords[:k], coords).tolist() == want[:k]
+        assert codec.diff_codes(coords, coords[k:]).tolist() == [row[k:] for row in want]
+        assert codec.diff_codes(coords, coords[:k]).tolist() == [row[:k] for row in want]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: cap_box(16, "fc"), lambda: cap_box(32, "cf"), lambda: cap_box(64, "fc"),
+     lambda: gen_ball(3, 49), lambda: gen_axis(23, 3),
+     lambda: AdditiveSet.from_elements(GroupSpec((0,)), [(0,), (1,), (1 << 63,)])],
+    ids=["int16", "int32", "int64", "ball:3,49", "axis:23,3", "object"],
+)
+def test_diff_codes_overwrite_a_dirty_out(build):
+    # out may hold anything: the codes written into it, whole or a block of a
+    # flat buffer as the sorted pair pass passes it, match a fresh buffer's
+    a = build()
+    codec, coords = reduced_codec(a)
+    fresh = codec.diff_codes(coords, coords)
+    junk = 7 if coords.dtype == object else np.iinfo(coords.dtype).max
+    out = np.full(fresh.shape, junk, dtype=coords.dtype)
+    assert codec.diff_codes(coords, coords, out=out) is out
+    assert out.tolist() == fresh.tolist()
+    n = len(a)
+    flat = np.full(n * n + 3, junk, dtype=coords.dtype)
+    lo, hi = n // 3, n - 1
+    stop = 2 + (hi - lo) * n
+    codec.diff_codes(coords[lo:hi], coords, out=flat[2:stop].reshape(hi - lo, n))
+    assert flat[2:stop].tolist() == fresh[lo:hi].ravel().tolist()
+    assert set(flat[:2].tolist() + flat[stop:].tolist()) == {junk}
+
+
 def test_raw_caps_decide_build_codec():
     # free and cyclic coordinate bounds just inside or past _COORD_CAP, and
     # a radix product just inside or past _CODE_CAP

@@ -152,6 +152,21 @@ def test_parse_rejects_malformed_input(text):
         parse_set(text)
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["0", " 1 2 ", "zz"], "element line '1 2' has 2 coordinates, expected 1"),
+        (["0", "zz", "1 2"], "bad coordinate in 'zz'"),
+        (["# only", "  ", "3 x"], "element line '3 x' has 2 coordinates, expected 1"),
+    ],
+)
+def test_parse_names_the_first_bad_element_line(lines, message):
+    text = "aset 1\ndim 1\nmod 5\n" + "\n".join(lines) + "\n"
+    with pytest.raises(AsetFormatError) as info:
+        parse_set(text)
+    assert str(info.value) == message
+
+
 def test_parse_rejects_non_utf8():
     with pytest.raises(AsetFormatError):
         parse_set(b"aset 1\xff\ndim 1\nmod 0\n0\n")
@@ -190,3 +205,30 @@ def test_sub_add_inverse_property(a):
     for x in a:
         for y in a:
             assert add(spec, sub(spec, x, y), y) == x
+
+
+@st.composite
+def aset_texts(draw):
+    """ASET text with free and cyclic coordinates, negatives, duplicates,
+    residues outside [0, m), comment and blank lines and stray blanks, and
+    the raw tuples it lists."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    moduli = tuple(draw(st.sampled_from([0, 0, 2, 7, 1 << 64])) for _ in range(dim))
+    raw = draw(st.lists(st.tuples(*[st.integers(-(1 << 70), 1 << 70) | st.integers(-9, 9)] * dim), min_size=1, max_size=12))
+    raw += draw(st.lists(st.sampled_from(raw), max_size=4))  # duplicates
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = ["aset 1", f"dim {dim}", "mod " + " ".join(map(str, moduli))]
+    for e in raw:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["# a comment", "  # 1 2 3", "", "   "])))
+        lines.append(draw(pad) + " ".join(map(str, e)) + draw(pad))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n# end\n"])), moduli, raw
+
+
+@given(aset_texts())
+@settings(max_examples=200, deadline=None)
+def test_parse_equals_the_canonicalized_tuples(drawn):
+    text, moduli, raw = drawn
+    a = parse_set(text)
+    assert a == AdditiveSet.from_elements(GroupSpec(moduli), raw)
+    assert all(type(c) is int for e in a.elements for c in e)
