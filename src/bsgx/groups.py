@@ -171,8 +171,7 @@ def parse_set(data: "bytes | str") -> AdditiveSet:
             raise AsetFormatError(f"input is not valid UTF-8: {exc}") from exc
     else:
         text = data
-    stripped = (raw.strip() for raw in text.split("\n"))
-    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and not ln.startswith("#")]
     if len(lines) < 4:
         raise AsetFormatError("file too short: need header plus one element")
     if lines[0].split() != ["aset", "1"]:
