@@ -14,8 +14,8 @@ for any rational eps in (0, 1/2).  The popular branch additionally achieves
 writes with a square root is compared after squaring, so the whole pipeline
 is exact integer and rational arithmetic.  Floating point appears only
 inside the 0/1 matrix products of relation_lemma, whose exactness bound is
-checked in one place (_gemm); both branches count and filter their thin
-pairs through relation_lemma.thin_pairs_per_slice and drop_thin.
+checked in one place (exact_float); both branches pick and filter their
+slice through relation_lemma.pick_slice.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .additive_stats import RepTable, rep_table
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element, serialize_set
 from .numeric_lemma import PrefixSelection, WeightVector, select_index_set
-from .relation_lemma import Relation, TvWitness, drop_thin, extract_tv, thin_pairs_per_slice
+from .relation_lemma import Relation, TvWitness, extract_tv, pick_slice
 
 TOOL_VERSION = "0.1.0"
 
@@ -136,7 +136,6 @@ class QWitness:
 
     selection: PrefixSelection
     q_prime: AdditiveSet
-    delta: Fraction
     tv: TvWitness
 
 
@@ -178,7 +177,7 @@ class ExtractionReport:
                 "selected_count": self.witness.selection.chosen_i,
                 "q_prime_size": len(self.witness.q_prime),
                 "q_prime": serialize_set(self.witness.q_prime).decode("utf-8"),
-                "delta": _frac_str(self.witness.delta),
+                "delta": _frac_str(self.witness.tv.delta),
                 "x_star": list(self.witness.tv.x_star),
                 "a_star_size": len(self.witness.tv.a_star),
                 "thin_pairs_in_a_star": self.witness.tv.omega_card_in_astar,
@@ -339,26 +338,17 @@ def extract_p(
     expected = np.array([c for _, c in pq.p_items], dtype=np.int64)
     if not np.array_equal(slice_sizes, expected):
         raise InvariantViolation("slice size disagrees with its difference count")
-    thin_counts = thin_pairs_per_slice(m_mat, x_mat)
 
-    # score eps * m^2 - 4 * thin, times eps's denominator, in Python ints;
-    # the factor n + 1 > m ranks the larger slice first among equal scores,
-    # and argmax keeps the first maximum, the lexicographically smallest d
-    p_num, p_den = eps.numerator, eps.denominator
-    sizes = slice_sizes.astype(object)
-    scores = (p_num * sizes**2 - 4 * p_den * thin_counts.astype(object)) * (n + 1) + sizes
-    best_t = int(np.argmax(scores))
-    d_star, r_star = pq.p_items[best_t]
-    s_star = int(thin_counts[best_t])
+    # equal scores go to the larger slice, then to the lexicographically smaller d
+    best_t, s_star, star_rows, prime_rows = pick_slice(
+        m_mat, slice_sizes, x_mat, eps, 4, second=slice_sizes
+    )
+    d_star = pq.p_items[best_t][0]
     m_star = int(slice_sizes[best_t])
-
-    if 4 * p_den * s_star > p_num * m_star * m_star:
+    if 4 * s_star > eps * m_star * m_star:
         raise InvariantViolation("chosen slice has too many thin pairs")
     if m_star * m_star * n < e_val:
         raise InvariantViolation("chosen difference is not popular")
-
-    star_rows = np.flatnonzero(m_mat[:, best_t])
-    prime_rows = drop_thin(star_rows, x_mat)
     if Fraction(len(prime_rows)) < (1 - eps) * m_star:
         raise InvariantViolation("filtered slice below its guaranteed size")
 
@@ -391,8 +381,6 @@ def extract_q(
     e_val = pq.energy
     k_val = Fraction(n**3, e_val)
 
-    if not pq.q_size:
-        raise ValueError("unpopular side is empty")
     weights = WeightVector(rho=Fraction(n, e_val), coeffs=pq.q_counts)
     selection = select_index_set(weights, 1 - eps / 4)
     index_set = np.array(selection.index_set, dtype=np.int64)
@@ -413,7 +401,7 @@ def extract_q(
         raise InvariantViolation("selected prefix too long for the path bound")
 
     tv = extract_tv(relation, eps / 2)
-    witness = QWitness(selection=selection, q_prime=q_prime, delta=delta, tv=tv)
+    witness = QWitness(selection=selection, q_prime=q_prime, tv=tv)
     return _finish_report(a_set, pq, eps, run_both, "Q", witness, tv.a_prime, tv.a_prime_rows)
 
 

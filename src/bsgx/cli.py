@@ -131,10 +131,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    parts = [str(v) for v in args.family_args if v is not None]
     try:
-        spec = GenSpec.parse(f"{args.family}:{','.join(parts)}")
-        a_set = spec.build()
+        a_set = GenSpec(args.family, tuple(args.family_args_of(args))).build()
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     data = serialize_set(a_set).decode("utf-8")
@@ -259,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "family_args_of"):
-        args.family_args = args.family_args_of(args)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -126,9 +126,7 @@ def sample_subset(a_set: AdditiveSet, size: int, seed: int) -> AdditiveSet:
     chosen = set()
     while len(chosen) < size:
         chosen.add(rng.below(len(a_set)))
-    return AdditiveSet(
-        a_set.spec, tuple(a_set.elements[i] for i in sorted(chosen))
-    )
+    return a_set.subset(sorted(chosen))
 
 
 @dataclass(frozen=True)

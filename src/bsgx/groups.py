@@ -211,8 +211,6 @@ def parse_set(data: "bytes | str") -> AdditiveSet:
             elems.append(tuple(map(int, parts)))
         except ValueError as exc:
             raise AsetFormatError(f"bad coordinate in {ln!r}") from exc
-    if not elems:
-        raise AsetFormatError("set must contain at least one element")
     if any(moduli):
         # reduce only the cyclic columns, then the rows are the canonical elements
         cols = [[c % m for c in col] if m else col for col, m in zip(zip(*elems), moduli)]

@@ -18,15 +18,15 @@ rational comparisons on integer counts.
 
 The relation is stored as a boolean matrix indexed by the (sorted) elements
 of A.  Counting passes run as row-chunked 0/1 matrix products in the float
-dtype that _gemm.exact_float picks: float32 while |A| <= 2^24, the bound under
+dtype that exact_float picks: float32 while |A| <= 2^24, the bound under
 which every entry and partial sum is an exact integer.  Sums of products run
 in a dtype checked against their own bound, so the results are exact and
 independent of chunking.
 
 Both branches of the extraction end in the same step, which lives here:
-thin_pairs_per_slice counts the thin pairs inside each candidate slice (a
-neighborhood N(x) here, a popular-difference slice A_d in bsg.extract_p),
-and drop_thin filters the chosen slice.
+pick_slice takes the candidate slice (a neighborhood N(x) here, a popular
+difference slice A_d in bsg.extract_p) whose size squared best outweighs its
+thin pairs (thin_pairs_per_slice), and filters it with drop_thin.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from functools import cached_property
 import numpy as np
 
 from ._codec import row_chunks
-from ._gemm import exact_float
 from .additive_stats import RepTable
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element
@@ -81,6 +80,24 @@ class Relation:
         return Fraction(self.size, n * n)
 
 
+def exact_float(bound: int) -> type:
+    """The narrowest float dtype holding every integer in [0, bound] exactly.
+
+    In a 0/1 product with inner length k every entry, and every partial sum
+    in any summation order, is an integer in [0, k].  float32 holds every
+    integer up to 2^24 exactly and float64 every integer up to 2^53, so a
+    BLAS product is exact in float32 while k <= 2^24, at half the memory and
+    time of float64.  This is the one place that bound is checked: callers
+    ask for each GEMM (bound: the inner length) and each sum of GEMM entries
+    (bound: its largest total, e.g. n^2 for n entries of at most n).
+    """
+    if bound <= 1 << 24:
+        return np.float32
+    if bound <= 1 << 53:
+        return np.float64
+    raise InvariantViolation(f"integers up to {bound} are not exact in float64")
+
+
 def thin_pairs_per_slice(members: np.ndarray, thin: np.ndarray) -> np.ndarray:
     """The thin pairs inside each slice, as an int64 count per slice.
 
@@ -112,6 +129,28 @@ def drop_thin(rows: np.ndarray, thin: np.ndarray) -> np.ndarray:
     inside[rows] = True
     partners = np.count_nonzero(thin[rows] & inside, axis=1)
     return rows[4 * partners <= len(rows)]
+
+
+def pick_slice(members: np.ndarray, sizes: np.ndarray, thin: "np.ndarray | None",
+               weight: Fraction, penalty: int, second=0) -> tuple:
+    """The slice t of members with the top score, its thin pairs, rows and kept rows.
+
+    Slice t (column t of members, with sizes[t] rows) scores
+    weight * sizes[t]^2 - penalty * (thin pairs inside it), in Python ints
+    times weight's denominator.  Equal scores go to the larger second[t]
+    (second lies in [0, n]), then to the first t: one argmax of
+    score * (n + 1) + second.  The kept rows are those drop_thin keeps; with
+    thin None no pair is thin, no product runs and every row is kept.
+    """
+    if thin is None:
+        thin_counts = np.zeros(members.shape[1], dtype=np.int64)
+    else:
+        thin_counts = thin_pairs_per_slice(members, thin)
+    scores = weight.numerator * sizes.astype(object) ** 2
+    scores -= penalty * weight.denominator * thin_counts.astype(object)
+    t = int(np.argmax(scores * (len(members) + 1) + np.asarray(second, dtype=object)))
+    rows = np.flatnonzero(members[:, t])
+    return t, int(thin_counts[t]), rows, rows if thin is None else drop_thin(rows, thin)
 
 
 @dataclass(frozen=True)
@@ -161,37 +200,27 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
     # thin-pair threshold: common count <= delta^2 * xi^2 * n / 8
     thresh = delta * delta * xi * xi * n / 8
     t_floor = thresh.numerator // thresh.denominator
+    members, omega = relation.matrix, None
     if t_floor:
-        matrix_f = relation.matrix.astype(exact_float(n))
+        members = relation.matrix.astype(exact_float(n))
         # Omega is symmetric: form each row block on and right of the diagonal,
         # then mirror it into the column block below
         omega = np.empty((n, n), dtype=np.bool_)
         for lo, hi in row_chunks(n, n):
-            common = matrix_f[lo:hi] @ matrix_f[lo:].T
+            common = members[lo:hi] @ members[lo:].T
             block = omega[lo:hi, lo:]
             # at most t_floor common neighbors, and at least one
             np.less_equal(common, t_floor, out=block)
             np.logical_and(block, common, out=block)
             omega[hi:, lo:hi] = omega[lo:hi, hi:].T
             del common  # free it before the next block is built
-        omega_weight = thin_pairs_per_slice(matrix_f, omega)
-    else:
-        omega_weight = np.zeros(n, dtype=np.int64)
 
-    # score xi * deg^2 - 8 * omega, times xi's denominator, in Python ints;
-    # argmax keeps the first maximum, the lexicographically smallest center
-    scores = (
-        xi.numerator * deg.astype(object) ** 2
-        - 8 * xi.denominator * omega_weight.astype(object)
-    )
-    best_j = int(np.argmax(scores))
-    best_score = Fraction(scores[best_j], xi.denominator)
+    # the first maximum of xi * deg^2 - 8 * omega is the smallest center
+    best_j, omega_star, star_idx, prime_idx = pick_slice(members, deg, omega, xi, 8)
     # selection guarantee: deg^2 - 8 * xi^-1 * omega >= delta^2 * (1 - xi) * n^2
-    if best_score / xi < delta * delta * (1 - xi) * n * n:
+    if int(deg[best_j]) ** 2 - 8 * omega_star / xi < delta * delta * (1 - xi) * n * n:
         raise InvariantViolation("no center reaches the averaged score floor")
 
-    star_idx = np.flatnonzero(relation.matrix[:, best_j])
-    prime_idx = drop_thin(star_idx, omega) if t_floor else star_idx
     if len(prime_idx) == 0:
         raise InvariantViolation("every neighborhood element was filtered out")
     if Fraction(len(prime_idx)) < delta * (1 - xi) * n:
@@ -201,7 +230,7 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
         x_star=base.elements[best_j],
         a_star=base.subset(star_idx),
         a_prime=base.subset(prime_idx),
-        omega_card_in_astar=int(omega_weight[best_j]),
+        omega_card_in_astar=omega_star,
         delta=delta,
         xi=xi,
         a_prime_rows=prime_idx,

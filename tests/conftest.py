@@ -20,10 +20,9 @@ from typing import Dict, Iterable, Iterator, Tuple
 import numpy as np
 
 import bsgx.additive_stats as additive_stats
-from bsgx._gemm import exact_float
 from bsgx.groups import AdditiveSet, Element, GroupSpec, add
 from bsgx.numeric_lemma import WeightVector
-from bsgx.relation_lemma import Relation
+from bsgx.relation_lemma import Relation, exact_float
 
 ACCEPTANCE_LINES = []
 

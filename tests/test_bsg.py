@@ -7,7 +7,7 @@ import pytest
 
 from conftest import pure_diff_size, rep_items, widen
 
-from bsgx import _codec, bsg
+from bsgx import _codec, bsg, relation_lemma
 from bsgx.additive_stats import energy, rep_table
 from bsgx.bsg import (
     ExtractionReport,
@@ -108,6 +108,23 @@ def test_extract_p_counts_a_prime_equal_to_a_from_its_table(monkeypatch):
     # one table, the partition's: A' = A is not recounted
     assert calls == [a]
     assert rep.diff_size == energy(a).diff_size == pure_diff_size(a)
+
+
+def test_each_branch_passes_its_tie_rule_to_pick_slice(monkeypatch):
+    # P ranks equal scores by the larger slice, then the first d; Q by the
+    # first center alone
+    calls = []
+    real = relation_lemma.pick_slice
+
+    def spy(members, sizes, thin, weight, penalty, second=0):
+        calls.append((weight, penalty, np.array_equal(second, sizes), np.array_equal(second, 0)))
+        return real(members, sizes, thin, weight, penalty, second)
+
+    monkeypatch.setattr(bsg, "pick_slice", spy)
+    monkeypatch.setattr(relation_lemma, "pick_slice", spy)
+    assert extract(gen_ap(30), Params(eps=F(1, 4))).case == "P"
+    assert extract(gen_random(63, 127, 7), Params(eps=F(1, 4))).case == "Q"
+    assert calls == [(F(1, 4), 4, True, False), (F(1, 8), 8, False, True)]
 
 
 def test_extract_p_requires_its_hypothesis():

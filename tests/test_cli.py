@@ -1,12 +1,15 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import bsgx.cli as cli
 import bsgx.oracle as oracle
+from bsgx.bsg import Params, extract
 from bsgx.cli import main
 from bsgx.errors import InvariantViolation
-from bsgx.groups import parse_set
+from bsgx.generators import gen_random
+from bsgx.groups import parse_set, serialize_set
 
 A012 = "aset 1\ndim 1\nmod 0\n0\n1\n2\n"
 
@@ -102,6 +105,32 @@ def test_verify_round_trip(aset_file, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["ok"] is True and doc["status"] == "pass"
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_extract_both_at_the_knife_eps(tmp_path, capsys):
+    # 4 * p_mass == eps * E for this set, so both branch hypotheses hold
+    a = gen_random(63, 127, 7)
+    eps = Fraction(15876, 125903)
+    src = tmp_path / "r.aset"
+    src.write_bytes(serialize_set(a))
+    report = tmp_path / "r.json"
+    assert main(["extract", str(src), "--eps", "15876/125903", "--both", "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["params"]["run_both"] is True
+    assert report.read_text() == extract(a, Params(eps, run_both=True)).to_json()
+    assert main(["verify", str(src), str(report)]) == 0
+
+
+def test_verify_unknown_case_fails_only_case_known(aset_file, tmp_path, capsys):
+    src = aset_file(A012)
+    report = tmp_path / "r.json"
+    assert main(["extract", src, "--eps", "1/5", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["case"] = "R"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", src, str(report)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == ["case_known"]
 
 
 def test_verify_over_budget_exits_5(aset_file, tmp_path, monkeypatch, capsys):
@@ -264,6 +293,11 @@ def test_bench_to_stdout(capsys):
 def test_bench_rejects_bad_family(capsys):
     assert main(["bench", "--families", "nope:3", "--eps", "1/4"]) == 2
     assert main(["bench", "--families", "ap:5", "--eps", "1/2"]) == 3
+    assert main(["bench", "--families", "ap:5", "--eps", ","]) == 3
+    capsys.readouterr()
+    # a family that parses but cannot be built names its label
+    assert main(["bench", "--families", "ap:0", "--eps", "1/4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ap:0: length must be >= 1")
 
 
 

@@ -167,6 +167,20 @@ def test_parse_names_the_first_bad_element_line(lines, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("aset 1\ndims 1\nmod 0", "bad dim line 'dims 1'"),
+        ("aset 1\ndim 1 2\nmod 0", "bad dim line 'dim 1 2'"),
+        ("aset 1\ndim 2\nmod 0 x", "bad modulus in 'mod 0 x'"),
+    ],
+)
+def test_parse_names_a_bad_header_line(header, message):
+    with pytest.raises(AsetFormatError) as info:
+        parse_set(header + "\n0\n")
+    assert str(info.value) == message
+
+
 def test_parse_rejects_non_utf8():
     with pytest.raises(AsetFormatError):
         parse_set(b"aset 1\xff\ndim 1\nmod 0\n0\n")

@@ -15,12 +15,18 @@ from conftest import (
 import bsgx.relation_lemma as relation_lemma
 from bsgx import _codec
 from bsgx.additive_stats import rep_table
-from bsgx._gemm import exact_float
 from bsgx.errors import InvariantViolation
 from bsgx.generators import SplitMix64, gen_ap, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec, sub
 from bsgx.oracle import verify_tv_property
-from bsgx.relation_lemma import Relation, drop_thin, extract_tv, thin_pairs_per_slice
+from bsgx.relation_lemma import (
+    Relation,
+    drop_thin,
+    exact_float,
+    extract_tv,
+    pick_slice,
+    thin_pairs_per_slice,
+)
 
 F = Fraction
 Z = GroupSpec((0,))
@@ -316,3 +322,48 @@ def test_thin_pair_helpers_match_their_definitions(cells, monkeypatch):
                 i for i in rows.tolist() if 4 * sum(thin[i, j] for j in rows.tolist()) <= len(rows)
             ]
             assert drop_thin(rows, thin).tolist() == kept
+
+
+def slices(n, *columns):
+    """An n x k membership matrix with slice t holding the rows columns[t]."""
+    members = np.zeros((n, len(columns)), dtype=bool)
+    for t, rows in enumerate(columns):
+        members[rows, t] = True
+    return members, members.sum(axis=0, dtype=np.int64)
+
+
+def test_pick_slice_ranks_equal_scores_by_the_second_key():
+    # slice 0 = {0, 1} has no thin pair and scores 2^2 = 4; slice 1 = {1, 2, 3}
+    # has the 5 ordered thin pairs below and scores 3^2 - 5 = 4
+    members, sizes = slices(4, [0, 1], [1, 2, 3])
+    thin = np.zeros((4, 4), dtype=bool)
+    for i, j in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3)]:
+        thin[i, j] = True
+    # branch P's key: the larger slice wins; rows 1 and 2 have 2 thin partners
+    # in it, more than 3 / 4, and row 3 one, so drop_thin keeps none of them
+    t, count, rows, kept = pick_slice(members, sizes, thin, F(1), 1, second=sizes)
+    assert (t, count, rows.tolist(), kept.tolist()) == (1, 5, [1, 2, 3], [])
+    # with no second key the first maximum wins
+    t, count, rows, kept = pick_slice(members, sizes, thin, F(1), 1)
+    assert (t, count, rows.tolist(), kept.tolist()) == (0, 0, [0, 1], [0, 1])
+
+
+def test_pick_slice_keeps_the_first_of_equal_scores_and_sizes():
+    # slices 1 and 2 tie on score and size; the one thin pair (0, 1) of
+    # slice 1 is matched by (3, 2) in slice 2, and each drops its rows
+    members, sizes = slices(4, [0], [0, 1], [2, 3])
+    thin = np.zeros((4, 4), dtype=bool)
+    thin[0, 1] = thin[3, 2] = True
+    for second in (0, sizes):
+        t, count, rows, kept = pick_slice(members, sizes, thin, F(1, 2), 1, second=second)
+        assert (t, count, rows.tolist(), kept.tolist()) == (1, 1, [0, 1], [1])
+
+
+def test_pick_slice_without_thin_pairs_forms_no_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a thin-pair product ran")
+
+    monkeypatch.setattr(relation_lemma, "thin_pairs_per_slice", no_product)
+    members, sizes = slices(5, [0, 4], [1, 2, 3], [0, 1, 2])
+    t, count, rows, kept = pick_slice(members, sizes, None, F(1, 3), 8)
+    assert (t, count, rows.tolist(), kept.tolist()) == (1, 0, [1, 2, 3], [1, 2, 3])
