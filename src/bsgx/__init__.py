@@ -38,11 +38,8 @@ from .groups import (
     AdditiveSet,
     Element,
     GroupSpec,
-    add,
-    neg,
     parse_set,
     serialize_set,
-    sub,
 )
 from .numeric_lemma import (
     PrefixSelection,
@@ -54,8 +51,6 @@ from .oracle import (
     VerificationResult,
     verify_extraction,
     verify_report_dict,
-    verify_st,
-    verify_tv_property,
 )
 from .relation_lemma import Relation, TvWitness, extract_tv
 
@@ -82,7 +77,6 @@ __all__ = [
     "TvWitness",
     "VerificationResult",
     "WeightVector",
-    "add",
     "case_select",
     "energy",
     "extract",
@@ -93,16 +87,12 @@ __all__ = [
     "gen_axis",
     "gen_ball",
     "gen_random",
-    "neg",
     "parse_set",
     "partition_pq",
     "rep_table",
     "sample_subset",
     "select_index_set",
     "serialize_set",
-    "sub",
     "verify_extraction",
     "verify_report_dict",
-    "verify_st",
-    "verify_tv_property",
 ]

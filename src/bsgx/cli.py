@@ -124,7 +124,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_USAGE, f"cannot read report: {exc}") from exc
     try:
         result = verify_report_dict(a_set, report)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, AsetFormatError) as exc:
+    # a malformed set field raises AsetFormatError, a ValueError
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise _CliError(EXIT_USAGE, f"invalid report: {exc}") from exc
     sys.stdout.write(json.dumps(result.to_json_dict(), indent=2) + "\n")
     return _VERIFY_EXIT[result.status]

@@ -1,4 +1,4 @@
-"""Exact arithmetic in G = Z^d0 x Z_m1 x ... x Z_mk and canonical finite subsets.
+"""Elements of G = Z^d0 x Z_m1 x ... x Z_mk and canonical finite subsets.
 
 Group elements are plain tuples of Python integers, one entry per coordinate.
 A modulus of 0 marks a free (integer) coordinate; a modulus m >= 2 marks a
@@ -53,42 +53,6 @@ class GroupSpec:
         if len(a) != self.dim:
             return False
         return all(m == 0 or 0 <= c < m for c, m in zip(a, self.moduli))
-
-
-def _arity_message(dim: int, *elements: Element) -> str:
-    bad = next(len(a) for a in elements if len(a) != dim)
-    return f"element has {bad} coordinates, group has {dim}"
-
-
-def add(spec: GroupSpec, a: Element, b: Element) -> Element:
-    """Componentwise sum with canonical residues on cyclic coordinates."""
-    moduli = spec.moduli
-    dim = len(moduli)
-    if len(a) != dim or len(b) != dim:
-        raise ValueError(_arity_message(dim, a, b))
-    return tuple(
-        x + y if m == 0 else (x + y) % m
-        for x, y, m in zip(a, b, moduli)
-    )
-
-
-def sub(spec: GroupSpec, a: Element, b: Element) -> Element:
-    """Componentwise difference with canonical residues on cyclic coordinates."""
-    moduli = spec.moduli
-    dim = len(moduli)
-    if len(a) != dim or len(b) != dim:
-        raise ValueError(_arity_message(dim, a, b))
-    return tuple(
-        x - y if m == 0 else (x - y) % m
-        for x, y, m in zip(a, b, moduli)
-    )
-
-
-def neg(spec: GroupSpec, a: Element) -> Element:
-    """Componentwise negation with canonical residues on cyclic coordinates."""
-    if len(a) != spec.dim:
-        raise ValueError(_arity_message(spec.dim, a))
-    return tuple(-x if m == 0 else (-x) % m for x, m in zip(a, spec.moduli))
 
 
 @dataclass(frozen=True)

@@ -12,28 +12,26 @@ minimum, and both kinds divided by the gcd of their values), so a scaled
 copy of a set counts like the set.  A column whose radix still needs 64
 bits (a reduced modulus above 2^63, a free span of 2^62 or more) is
 computed on Python ints and replaced by the ranks of its values, and a key
-whose radix would overflow is ranked the same way.  The weight-selection
-checks re-evaluate both sides of every inequality on Python ints, and the
-path-count checks on exact int64 matrix products, whose entries stay below
-n^3.
+whose radix would overflow is ranked the same way.
 
 One pass costs a cell per ordered pair of its set plus one per difference
 looked up in it, and _RANKED_CELL_COST = 5 cells for each of those when its
-key is ranked.  The path counts cost |A*| * n^2 + |A'|^2 * n cells, one per
-multiply-add of their two products.  A pass above _BUDGET_CELLS = 2^25 cells
-is not run, which admits sets of up to 5792 elements, or 2590 when the key
-is ranked.  At its peak a pass holds about 24 bytes per cell (measured: 24
-on a set whose differences are all distinct, 22 on axis:997,3).  A ranked
-pass held 66 bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above
-2^62, whose column is on Python ints and runs about 40 times slower per
-cell; the charge of 5 keeps both within the budget's memory bound.  Every
+key is ranked.  A pass above _BUDGET_CELLS = 2^25 cells is not run, which
+admits sets of up to 5792 elements, or 2590 when the key is ranked.  At its
+peak a pass holds about 24 bytes per cell (measured: 24 on a set whose
+differences are all distinct, 22 on axis:997,3).  A ranked pass held 66
+bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above 2^62, whose
+column is on Python ints and runs about 40 times slower per cell; the
+charge of 5 keeps both within the budget's memory bound.  Every
 check that needs a pass over budget reports a distinct "skipped" status
 with the pass's size, and a skipped check never counts as a pass.
 
 Every check is one call on _Checks: equal(name, claimed, needs, recount)
 for a recorded value that must equal its recount, holds(name, claim, ok)
 for a relation that needs no pass, and add for any other comparison.  A
-fraction or set field of a report that is not a string raises ValueError.
+fraction or set field of a report that is not a string, an element field
+with a coordinate that is not an integer, or an eps outside (0, 1/2), the
+range extract accepts, raises ValueError.
 """
 
 from __future__ import annotations
@@ -41,15 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bsg import ExtractionReport
-from .groups import AdditiveSet, GroupSpec, parse_set, sub
-from .numeric_lemma import PrefixSelection, WeightVector
-from .relation_lemma import Relation, TvWitness
+from .bsg import ExtractionReport, _frac_str
+from .groups import AdditiveSet, GroupSpec, parse_set
 
 _BUDGET_CELLS = 1 << 25
 _RANKED_CELL_COST = 5  # budget cells charged per cell of a pass whose key is ranked
@@ -286,14 +281,14 @@ class _Checks:
         """Record that the claimed value equals recount(*needs).
 
         A Fraction recount is compared with _frac(claimed) and shown as
-        _text, unless the claim is itself a Fraction.  An integer recount
+        _frac_str, unless the claim is itself a Fraction.  An integer recount
         passes only an integer claim, as Python ints: a float or bool that
         Python finds equal fails.  Any other claim is compared as it is.
         """
         def evaluate(*values):
             actual = recount(*values)
             if isinstance(actual, Fraction) and not isinstance(claimed, Fraction):
-                return claimed, _text(actual), _frac(claimed) == actual
+                return claimed, _frac_str(actual), _frac(claimed) == actual
             if isinstance(actual, int):
                 return claimed, actual, _is_int(claimed) and int(claimed) == actual
             return claimed, actual, claimed == actual
@@ -320,10 +315,6 @@ def _frac(text: str) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
-def _text(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _parse_in(spec: GroupSpec, text: str, what: str) -> AdditiveSet:
     if not isinstance(text, str):
         raise ValueError(f"{what} is not a string")
@@ -333,19 +324,30 @@ def _parse_in(spec: GroupSpec, text: str, what: str) -> AdditiveSet:
     return a_set
 
 
+def _element(spec: GroupSpec, coords, what: str) -> tuple:
+    """The element a report field lists, canonical; its coordinates must be integers."""
+    if not isinstance(coords, list) or not all(map(_is_int, coords)):
+        raise ValueError(f"{what} must be a list of integers, got {coords!r}")
+    return spec.reduce(coords)
+
+
 def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     """Check a serialized extraction report against the raw input set.
 
     Recounts the energy (by sums), r(d) for every difference of A, and
     |A' - A'| from scratch, and confirms the theorem inequalities, the
     branch hypothesis and every witness field the report records.  Raises
-    ValueError for an unknown report version or a set from another group.
+    ValueError for an unknown report version, a set from another group, an
+    eps outside (0, 1/2) or an element with a coordinate that is not an
+    integer.
     """
     if report["version"] not in _KNOWN_VERSIONS:
         raise ValueError(f"unknown report version {report['version']!r}")
     spec = a_set.spec
     n = len(a_set)
     eps = _frac(report["params"]["eps"])
+    if not 0 < eps < Fraction(1, 2):
+        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
     case = report["case"]
     recorded = report["input"]
     bounds = report["bounds"]
@@ -355,7 +357,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     m = len(a_prime)
     queries: List[tuple] = []
     if case == "P":
-        queries = [spec.reduce(tuple(witness["d_star"]))]
+        queries = [_element(spec, witness["d_star"], "d_star")]
     elif case == "Q":
         q_prime = _parse_in(spec, witness["q_prime"], "Q'")
         queries = list(q_prime.elements)
@@ -514,160 +516,16 @@ def _unpopular_checks(
             Fraction(m) >= delta(h) * (1 - xi) * n,
         ),
     )
-    x_star = spec.reduce(tuple(witness["x_star"]))
+    x_star = _element(spec, witness["x_star"], "x_star")
     checks.holds("x_star_in_input", "x* in A", x_star in a_set.as_set)
     # A* = N(x*) = {a in A : a - x* in Q'}, one lookup per element of A
     members = q_prime.as_set
-    a_star_size = sum(1 for a in a_set.elements if sub(spec, a, x_star) in members)
+    a_star_size = sum(
+        1 for a in a_set.elements if spec.reduce([c - x for c, x in zip(a, x_star)]) in members
+    )
     checks.equal("a_star_size_matches", witness["a_star_size"], (), lambda: a_star_size)
 
 
 def verify_extraction(a_set: AdditiveSet, report: ExtractionReport) -> VerificationResult:
     """Object-level wrapper over the serialized-report verification."""
     return verify_report_dict(a_set, report.to_json_dict())
-
-
-def verify_tv_property(
-    relation: Relation, witness: TvWitness, xi: Fraction
-) -> VerificationResult:
-    """Check x*, xi and A* = N(x*), then recount A*'s thin pairs and A''s paths.
-
-    x* must lie in A and A* be its neighbourhood; both checks are O(n) and
-    run whatever the budget.  With C = R R^T, C[u, v] counts the common
-    right-neighbors of u and v, and the triples (x, b, y) with (a1, x),
-    (b, x), (b, y), (a2, y) all in R number sum over b of C[a1, b] *
-    C[b, a2], which is (C_A' C_A'^T)[a1, a2] for the rows C_A' of C at A';
-    each pair must reach 2^-7 * delta^4 * xi^4 * |A|^2 * |A'| with
-    delta = |R| / |A|^2.  C is symmetric and A' <= A*, so only its rows at
-    A* are formed (at A* and A' together for a witness that breaks the
-    nesting); an element outside A has a zero row.  Both products are exact
-    on int64 and charged |A*| * n^2 + |A'|^2 * n cells; over budget, the two
-    checks that need them are skipped and the others still run.
-    """
-    xi = Fraction(xi)
-    base = relation.base
-    n = len(base)
-    m = len(witness.a_prime)
-    delta = relation.delta
-    index = {a: i for i, a in enumerate(base.elements)}
-    star = [index.get(a, n) for a in witness.a_star.elements]
-    prime = [index.get(a, n) for a in witness.a_prime.elements]
-    nesting = n not in star and witness.a_prime.as_set <= witness.a_star.as_set
-    rows, at = np.unique(np.array(star + prime, dtype=np.int64), return_inverse=True)
-
-    def products() -> Tuple[int, Optional[int]]:
-        # the int64 copy of R, with a zero row n for elements outside A
-        r = np.zeros((n + 1, n), dtype=np.int64)
-        r[:n] = relation.matrix
-        common = r[rows] @ r.T
-        thin = delta * delta * xi * xi * n / 8
-        omega = common[np.ix_(at[: len(star)], star)] <= thin.numerator // thin.denominator
-        c_prime = common[at[len(star):]]
-        return int(omega.sum()), int((c_prime @ c_prime.T).min()) if m else None
-
-    # the int64 copy of R is charged as one row of C when no row is formed
-    cells = max(len(rows), 1) * n * n + m * m * n
-    counts = _budget(cells, "the path count (|A*| * n^2 + |A'|^2 * n)") or products()
-
-    center = index.get(witness.x_star)
-    column = () if center is None else np.flatnonzero(relation.matrix[:, center])
-    star_ok = witness.a_star.as_set == {base.elements[i] for i in column}
-
-    checks = _Checks()
-    checks.equal("delta_matches", witness.delta, (), lambda: delta)
-    checks.equal("xi_matches", witness.xi, (), lambda: xi)
-    checks.holds("x_star_in_a", witness.x_star, center is not None)
-    checks.holds("a_star_is_neighbourhood", "A* = N(x*)", star_ok)
-    checks.holds("witness_nesting", "A' <= A* <= A", nesting)
-    checks.add(
-        "a_prime_size_floor", (),
-        lambda: (
-            "|A'| >= delta * (1-xi) * n",
-            f"{m} vs {float(delta * (1 - xi) * n)!r}",
-            Fraction(m) >= delta * (1 - xi) * n,
-        ),
-    )
-    checks.equal("thin_pairs_in_a_star", witness.omega_card_in_astar, (counts,), lambda p: p[0])
-    bound = delta**4 * xi**4 * n * n * m / 128
-    checks.add(
-        "triple_paths", (counts,),
-        lambda p: (f"every pair >= {float(bound)!r}", f"min = {p[1]}", not m or p[1] >= bound),
-    )
-    return checks.result()
-
-
-def verify_st(
-    xs: WeightVector, alpha: Fraction, sel: PrefixSelection
-) -> VerificationResult:
-    """Re-derive the weight selection facts with independent arithmetic.
-
-    Rebuilds the stable descending order with Python's sort (sel.order must
-    be its first l entries, the window), recomputes S and T from their
-    definitions on Python ints (only rho and alpha are Fractions), re-checks
-    both branches of the certified maximum for the chosen prefix, and scans
-    the whole window [k, l] to confirm a valid prefix exists.  An index
-    outside the weights adds nothing to W, and index_set_matches fails on it.
-    """
-    alpha = Fraction(alpha)
-    n = len(xs)
-    rho = xs.rho
-    coeffs = xs.coeffs.tolist()
-    # sorted is stable, and reverse=True keeps equal keys in index order
-    order_true = sorted(range(n), key=coeffs.__getitem__, reverse=True)
-    chosen = sel.chosen_i
-    w_coeff = sum(coeffs[i] for i in sel.index_set if 0 <= i < n)
-    s_coeff = sum(coeffs)
-    t_val = sum(c * c for c in coeffs) * rho
-    c_desc = [coeffs[i] for i in order_true]
-    prefix = list(accumulate(c_desc))
-    mass_floor = alpha * alpha * t_val * t_val
-
-    def mass(p: int) -> bool:
-        # W >= alpha * T, squared once to clear sqrt(rho)
-        return p * p * rho >= mass_floor
-
-    def size(p: int, length: int) -> bool:
-        # W^6 >= (1-alpha)^5 * i^4 * T^4 / (2^10 * S^2)
-        return p**6 * rho**3 >= (1 - alpha) ** 5 * length**4 * t_val**4 / (1024 * s_coeff**2 * rho)
-
-    # window: k = first prefix reaching alpha * T, l = last weight at least
-    # (1 - alpha) * T / (2 * S), multiplied out by 2 * S > 0
-    k_true = next((i for i, p in enumerate(prefix, 1) if mass(p)), None)
-    ell_true = max(
-        (i for i, c in enumerate(c_desc, 1) if 2 * c * s_coeff * rho >= (1 - alpha) * t_val),
-        default=0,
-    )
-    any_valid = k_true is not None and any(
-        mass(prefix[i - 1]) and size(prefix[i - 1], i) for i in range(k_true, ell_true + 1)
-    )
-    checks = _Checks()
-    checks.holds(
-        "order_matches", "stable descending permutation", list(sel.order) == order_true[:ell_true]
-    )
-    checks.holds(
-        "index_set_matches", "first chosen_i of the order, sorted",
-        sorted(order_true[:chosen]) == list(sel.index_set),
-    )
-    checks.equal("sum_matches", sel.certified_coeff, (), lambda: w_coeff)
-    checks.add(
-        "mass_branch", (),
-        lambda: (
-            "W >= alpha * T",
-            f"W^2 = {float(w_coeff * w_coeff * rho)!r} vs {float(mass_floor)!r}",
-            mass(w_coeff),
-        ),
-    )
-    checks.holds(
-        "size_branch", "W^6 >= (1-alpha)^5 * |I|^4 * T^4 / (2^10 * S^2)", size(w_coeff, chosen)
-    )
-    window = f"[{k_true}, {ell_true}]"
-    checks.equal("window_matches", f"[{sel.window_lo}, {sel.window_hi}]", (), lambda: window)
-    checks.add(
-        "chosen_in_window", (),
-        lambda: (
-            f"{k_true} <= chosen <= {ell_true}", chosen,
-            k_true is not None and k_true <= chosen <= ell_true,
-        ),
-    )
-    checks.holds("window_has_valid_prefix", "some prefix in [k, l] passes both branches", any_valid)
-    return checks.result()

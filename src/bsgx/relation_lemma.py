@@ -157,10 +157,10 @@ def pick_slice(members: np.ndarray, sizes: np.ndarray, thin: "np.ndarray | None"
 class TvWitness:
     """The chosen center x*, A* = N(x*), the filtered subset A' and their counts.
 
-    omega_card_in_astar counts the ordered thin pairs of A*^2, and delta and
-    xi are the relation's density and the slack the filter ran with; the
-    path floor that A' meets follows from them (oracle.verify_tv_property).
-    a_prime_rows holds the indices of A' in the relation's base set.
+    omega_card_in_astar counts the ordered thin pairs of A*^2 and delta is
+    the relation's density; with the slack xi the filter ran with, it gives
+    the path floor that A' meets.  a_prime_rows holds the indices of A' in
+    the relation's base set.
     """
 
     x_star: Element
@@ -168,7 +168,6 @@ class TvWitness:
     a_prime: AdditiveSet
     omega_card_in_astar: int
     delta: Fraction
-    xi: Fraction
     a_prime_rows: np.ndarray = field(compare=False, repr=False)
 
 
@@ -232,6 +231,5 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
         a_prime=base.subset(prime_idx),
         omega_card_in_astar=omega_star,
         delta=delta,
-        xi=xi,
         a_prime_rows=prime_idx,
     )

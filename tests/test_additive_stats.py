@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rep_items, translate
+from conftest import rep_items, sub, translate
 
 from bsgx import _codec
 from bsgx.additive_stats import energy, rep_table
 from bsgx.generators import gen_ap, gen_axis, gen_ball, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec, neg, sub
+from bsgx.groups import AdditiveSet, GroupSpec
 
 Z = GroupSpec((0,))
 
@@ -272,7 +272,7 @@ def test_rep_invariants_on_a_structured_set():
     n = len(a)
     for d, c in table.items():
         assert 1 <= c <= n
-        assert table[neg(a.spec, d)] == c  # r(d) = r(-d)
+        assert table[a.spec.reduce([-x for x in d])] == c  # r(d) = r(-d)
     assert sum(table.values()) == n * n
     assert table[a.spec.zero()] == n
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import pure_diff_size, rep_items, widen
+from conftest import difference_relation, pure_diff_size, rep_items, sub, tv_failures, widen
 
 from bsgx import _codec, bsg, relation_lemma
 from bsgx.additive_stats import energy, rep_table
@@ -24,7 +24,7 @@ from bsgx.bsg import (
 )
 from bsgx.errors import InvariantViolation
 from bsgx.generators import gen_ap, gen_ball, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec, sub
+from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.oracle import verify_extraction, verify_report_dict
 
 F = Fraction
@@ -161,7 +161,8 @@ def test_extract_q_random_fixture():
     assert rep.diff_size == 127
     w = rep.witness
     assert isinstance(w, QWitness)
-    assert w.tv.xi == F(1, 8)
+    # the path filter ran with xi = eps / 2
+    assert tv_failures(difference_relation(a, w.q_prime.elements), w.tv, F(1, 8))[0] == []
     assert len(w.q_prime) == len(w.selection.index_set)
     assert verify_extraction(a, rep).ok
 

@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -5,10 +6,10 @@ import pytest
 
 import bsgx.cli as cli
 import bsgx.oracle as oracle
-from bsgx.bsg import Params, extract
+from bsgx.bsg import Params, _frac_str, extract
 from bsgx.cli import main
 from bsgx.errors import InvariantViolation
-from bsgx.generators import gen_random
+from bsgx.generators import gen_ap, gen_random
 from bsgx.groups import parse_set, serialize_set
 
 A012 = "aset 1\ndim 1\nmod 0\n0\n1\n2\n"
@@ -203,6 +204,63 @@ def test_verify_malformed_field_exits_2(tmp_path, capsys):
         assert err.startswith("error: invalid report: ") and "Traceback" not in err, field
         if field == "K":
             assert err == "error: invalid report: expected a fraction as a string, got 7\n"
+
+
+@pytest.fixture(scope="module")
+def eps_quarter_reports(tmp_path_factory):
+    """Set files and reports at eps 1/4 of gen_random(300, 1021, 5), which
+    takes branch Q with x* = (237,), and of gen_ap(300, 5, 3), which takes P."""
+    folder = tmp_path_factory.mktemp("reports")
+    out = {}
+    for case, a in (("Q", gen_random(300, 1021, 5)), ("P", gen_ap(300, 5, 3))):
+        src = folder / f"{case}.aset"
+        src.write_bytes(serialize_set(a))
+        doc = extract(a, Params(eps=Fraction(1, 4))).to_json_dict()
+        assert doc["case"] == case
+        out[case] = (str(src), doc)
+    assert out["Q"][1]["witness"]["x_star"] == [237]
+    return out
+
+
+def verify_edited(reports, tmp_path, case, section, field, value):
+    """The exit code of verify on the report of case with one field replaced."""
+    src, doc = reports[case]
+    doc = copy.deepcopy(doc)
+    doc[section][field] = value
+    if field == "eps" and Fraction(value) > 0:
+        # the two bounds that eps enters, recomputed so that only its range is wrong
+        eps = Fraction(value)
+        n, e, m = doc["input"]["n"], doc["input"]["energy"], doc["achieved"]["a_prime_size"]
+        doc["bounds"]["size_bound_sq"] = _frac_str((1 - eps) ** 2 * Fraction(e, n))
+        doc["bounds"]["diff_bound"] = _frac_str(2**33 * eps**-9 * Fraction(n**3, e) ** 4 * m)
+    report = tmp_path / "edited.json"
+    report.write_text(json.dumps(doc))
+    return main(["verify", src, str(report)])
+
+
+@pytest.mark.parametrize(
+    "case, section, field, value",
+    [pytest.param("Q", "params", "eps", eps, id=f"eps={eps}") for eps in ("1", "1/2", "9/10", "0", "-1/4")]
+    + [
+        pytest.param("Q", "witness", "x_star", [237.7], id="x_star-float"),
+        pytest.param("Q", "witness", "x_star", ["237"], id="x_star-string"),
+        pytest.param("P", "witness", "d_star", [0.5], id="d_star-float"),
+        pytest.param("P", "witness", "d_star", [True], id="d_star-bool"),
+    ],
+)
+def test_verify_eps_out_of_range_or_non_integer_coordinate_exits_2(
+    eps_quarter_reports, tmp_path, capsys, case, section, field, value
+):
+    # eps must lie in (0, 1/2), as Params requires; at eps 1 the size floor
+    # (1-eps)^2 * E is 0.  A coordinate must be a JSON integer
+    assert verify_edited(eps_quarter_reports, tmp_path, case, section, field, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid report: ") and "Traceback" not in err
+
+
+def test_verify_accepts_a_non_canonical_residue(eps_quarter_reports, tmp_path):
+    # 237 + 1021 names the same element of Z_1021 as 237
+    assert verify_edited(eps_quarter_reports, tmp_path, "Q", "witness", "x_star", [237 + 1021]) == 0
 
 
 def test_internal_assertion_exits_4(aset_file, monkeypatch, capsys):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rep_items, widen
+from conftest import rep_items, sub, widen
 
 from bsgx import _codec, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx._codec import _CAPS, build_codec, reduced_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import extract_p, extract_q, partition_pq
-from bsgx.groups import AdditiveSet, GroupSpec, sub
+from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.oracle import verify_extraction
 
 _COORD_CAP, _CODE_CAP = _CAPS[np.dtype(np.int64)]

@@ -12,7 +12,8 @@ are Python ints.  A "knife" eps is 4 * p_mass / E, where both branch
 hypotheses hold with equality.
 
 The verify-output digests pin the claimed and actual text of every oracle
-check on these reports.  The last test re-extracts every toy-scale job of
+check on these reports; on branch Q the lemma references' recounts are
+pinned next to them.  The last test re-extracts every toy-scale job of
 the benchmark in perfbench/ and checks it against the digests pinned there.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import difference_relation
+from conftest import difference_relation, st_failures, tv_failures
 
 from bsgx import AdditiveSet, GroupSpec, Params, _codec, extract, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx._codec import build_codec
@@ -32,7 +33,7 @@ from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
 from bsgx.groups import parse_set
 from bsgx.numeric_lemma import WeightVector
-from bsgx.oracle import verify_extraction, verify_report_dict, verify_st, verify_tv_property
+from bsgx.oracle import verify_extraction, verify_report_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -122,30 +123,24 @@ def test_golden_reports_pass_every_oracle_check(label, eps, both):
 
 
 # SHA-256 of the JSON of verify_report_dict's result on each golden report,
-# then, on branch Q, of verify_tv_property's and verify_st's on its witness
+# then, on branch Q, what the lemma references recount on its witness: the
+# thin pairs of A*, the fewest 3-step paths joining a pair of A', the
+# selection window [k, l] and the chosen prefix length
 VERIFY_GOLDEN = {
     ("ap:40,3,7", "1/4", False): ("cd2d4cd1a09e637543e5e4e740003bd63d399c12c08b19e63fab9fc5fe1d9acd",),
     ("ap:40,3,7*2^53", "1/4", False): ("cd2d4cd1a09e637543e5e4e740003bd63d399c12c08b19e63fab9fc5fe1d9acd",),
     ("ball:3,4", "1/10", False): ("f6aa427aad4023ca48edaa31f97ebe0fcf0cdbd8e6ca1a24c0f1c3e3e795277a",),
     ("axis:23,3", "2/5", False): (
-        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8",
-        "4598479f44c42d1a1e1f5874b0c34a0d2e08f4bde05be8b8fdd77cbde448e109",
-        "1ee38be86e08f71275c4cb5f05d4b6dd6fcdc3fde732035d13d0bd005413eb63",
+        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8", 0, 1007, (62, 1518), 62,
     ),
     ("axis:23,3*2^53", "2/5", False): (
-        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8",
-        "4598479f44c42d1a1e1f5874b0c34a0d2e08f4bde05be8b8fdd77cbde448e109",
-        "1ee38be86e08f71275c4cb5f05d4b6dd6fcdc3fde732035d13d0bd005413eb63",
+        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8", 0, 1007, (62, 1518), 62,
     ),
     ("random:80,521,2", "2/5", False): (
-        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b",
-        "94d3d30c8c25bc3787c69f2c0dd9c60d18a8673a2e88f9c76dee38d1683c5b40",
-        "e4e91e5c6184e301ce3ca02f8d855982f36a7e40237c840413d4558085fa9475",
+        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b", 0, 4430, (141, 520), 141,
     ),
     ("random:80,521,2*2^53", "2/5", False): (
-        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b",
-        "53643c31245ae8306c048f162cde6ce52612809a6b13ec45417c3ed111d5b6dd",
-        "e4e91e5c6184e301ce3ca02f8d855982f36a7e40237c840413d4558085fa9475",
+        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b", 0, 4430, (141, 520), 141,
     ),
     ("random:80,521,2", "knife", True): ("fc29f3657d4ec457e0c255a53ec7e00b695fcc1407dbe556e99d5005a9786eeb",),
     ("random:80,521,2*2^53", "knife", True): ("fc29f3657d4ec457e0c255a53ec7e00b695fcc1407dbe556e99d5005a9786eeb",),
@@ -165,15 +160,17 @@ def test_golden_verify_output(label, eps, both):
 
     a, params = build(label, eps, both)
     report = extract(a, params)
-    digests = [digest(verify_report_dict(a, report.to_json_dict()))]
+    pinned = [digest(verify_report_dict(a, report.to_json_dict()))]
     if report.case == "Q":
         w = report.witness
         relation = difference_relation(a, w.q_prime.elements)
-        digests.append(digest(verify_tv_property(relation, w.tv, w.tv.xi)))
+        tv_failed, thin_pairs, fewest = tv_failures(relation, w.tv, report.eps / 2)
         pq = partition_pq(a)
         weights = WeightVector(rho=F(len(a), pq.energy), coeffs=pq.q_counts)
-        digests.append(digest(verify_st(weights, 1 - report.eps / 4, w.selection)))
-    assert tuple(digests) == VERIFY_GOLDEN[(label, eps, both)]
+        st_failed, window = st_failures(weights, 1 - report.eps / 4, w.selection)
+        assert tv_failed == st_failed == []
+        pinned += [thin_pairs, fewest, window, w.selection.chosen_i]
+    assert tuple(pinned) == VERIFY_GOLDEN[(label, eps, both)]
 
 
 def test_every_toy_benchmark_report_matches_its_pin():

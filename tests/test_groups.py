@@ -9,11 +9,8 @@ from bsgx.errors import AsetFormatError
 from bsgx.groups import (
     AdditiveSet,
     GroupSpec,
-    add,
-    neg,
     parse_set,
     serialize_set,
-    sub,
 )
 
 Z = GroupSpec((0,))
@@ -38,35 +35,17 @@ def test_group_spec_rejects_bad_moduli():
         GroupSpec((0, -3))
 
 
-def test_arithmetic_wraps_cyclic_coordinates():
-    spec = GroupSpec((0, 7))
-    assert add(spec, (1, 5), (2, 4)) == (3, 2)
-    assert sub(spec, (0, 1), (4, 3)) == (-4, 5)
-    assert neg(spec, (2, 3)) == (-2, 4)
-    # free coordinate never wraps
-    assert add(spec, (10**18, 0), (10**18, 0)) == (2 * 10**18, 0)
-    # the one-coordinate path
-    z7 = GroupSpec((7,))
-    assert add(z7, (5,), (4,)) == (2,)
-    assert sub(z7, (1,), (3,)) == (5,)
-    assert add(Z, (-3,), (10**30,)) == (10**30 - 3,)
-    assert sub(Z, (1,), (3,)) == (-2,)
-
-
 def test_arithmetic_rejects_wrong_arity():
-    for op in (add, sub):
-        for spec, a, b in (
-            (Z, (1, 2), (3, 4)),
-            (Z, (1,), (3, 4)),
-            (Z, (1, 2), (3,)),
-            (Z, (), ()),
-            (GroupSpec((0, 7)), (1, 2), (3,)),
-            (GroupSpec((0, 7)), (1,), (3, 2)),
-        ):
-            with pytest.raises(ValueError, match="coordinates"):
-                op(spec, a, b)
-    with pytest.raises(ValueError, match="coordinates"):
-        neg(Z, (1, 2))
+    # element arithmetic goes through GroupSpec.reduce, which takes exactly
+    # one coordinate per modulus
+    for spec, coords in (
+        (Z, (1, 2)),
+        (Z, ()),
+        (GroupSpec((0, 7)), (3,)),
+        (GroupSpec((0, 7)), (1, 2, 3)),
+    ):
+        with pytest.raises(ValueError, match="coordinates"):
+            spec.reduce(coords)
 
 
 def test_from_elements_canonicalizes():
@@ -108,7 +87,7 @@ def test_translate_is_a_bijection():
     a = AdditiveSet.from_elements(spec, [(0, 0), (1, 2), (4, 1)])
     t = translate(a, (5, 2))
     assert len(t) == len(a)
-    assert t.elements == tuple(sorted(add(spec, x, (5, 2)) for x in a))
+    assert t.elements == ((5, 2), (6, 1), (9, 0))
 
 
 ASET_OK = b"aset 1\ndim 2\nmod 0 5\n# a comment\n0 0\n1 7\n-2 3\n"
@@ -210,15 +189,6 @@ def additive_sets(draw):
 @settings(max_examples=100, deadline=None)
 def test_round_trip_property(a):
     assert parse_set(serialize_set(a)) == a
-
-
-@given(additive_sets())
-@settings(max_examples=60, deadline=None)
-def test_sub_add_inverse_property(a):
-    spec = a.spec
-    for x in a:
-        for y in a:
-            assert add(spec, sub(spec, x, y), y) == x
 
 
 @st.composite

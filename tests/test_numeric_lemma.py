@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import weight_vector
+from conftest import st_failures, weight_vector
 
 from bsgx.generators import SplitMix64
 from bsgx.numeric_lemma import (
@@ -15,7 +15,6 @@ from bsgx.numeric_lemma import (
     _integer_coeffs,
     select_index_set,
 )
-from bsgx.oracle import verify_st
 
 F = Fraction
 
@@ -53,7 +52,7 @@ def test_single_weight():
     assert sel.index_set == (0,)
     assert sel.chosen_i == 1
     assert sel.certified_coeff == 1
-    assert verify_st(w, F(1, 2), sel).ok
+    assert st_failures(w, F(1, 2), sel)[0] == []
 
 
 def test_four_equal_weights_picks_a_pair():
@@ -65,7 +64,7 @@ def test_four_equal_weights_picks_a_pair():
     assert sel.index_set == (0, 1)  # stable: ties keep original order
     assert sel.window_lo == 2 and sel.window_hi == 4
     assert w_squared(w, sel) == 4  # sum is 2 = 2*sqrt(1)
-    assert verify_st(w, F(1, 2), sel).ok
+    assert st_failures(w, F(1, 2), sel)[0] == []
 
 
 def test_same_values_different_scaling_agree():
@@ -95,8 +94,7 @@ def test_adversarial_near_threshold_vector():
     w = weight_vector(F(1), (1 - F(1, i) for i in range(1, n + 1)))
     for alpha in (F(1, 2), F(3, 4), F(39, 40)):
         sel = select_index_set(w, alpha)
-        res = verify_st(w, alpha, sel)
-        assert res.ok, [c for c in res.checks if c.status == "fail"]
+        assert st_failures(w, alpha, sel)[0] == []
 
 
 def test_selection_is_a_descending_prefix():
@@ -107,7 +105,7 @@ def test_selection_is_a_descending_prefix():
     assert sel.order.tolist() == [5, 1, 2, 0, 3, 4][: sel.window_hi]
     assert sel.index_set == tuple(sorted(sel.order[: sel.chosen_i].tolist()))
     assert sel.window_lo <= sel.chosen_i <= sel.window_hi
-    assert verify_st(w, F(2, 3), sel).ok
+    assert st_failures(w, F(2, 3), sel)[0] == []
 
 
 def test_seeded_random_vectors_pass_the_oracle():
@@ -122,8 +120,7 @@ def test_seeded_random_vectors_pass_the_oracle():
         alpha = F(1 + rng.below(38), 40)
         sel = select_index_set(w, alpha)
         assert isinstance(sel, PrefixSelection)
-        res = verify_st(w, alpha, sel)
-        assert res.ok, (trial, [c for c in res.checks if c.status == "fail"])
+        assert st_failures(w, alpha, sel)[0] == [], trial
 
 
 def _three_forms(ints, rho, scale):
@@ -153,8 +150,7 @@ def test_array_tuple_and_fraction_coefficients_agree():
         assert sel_arr.certified_coeff == sel_int.certified_coeff
         assert w_squared(w_frac, sel_frac) == w_squared(w_int, sel_int)
         for w, sel in ((w_arr, sel_arr), (w_int, sel_int), (w_frac, sel_frac)):
-            res = verify_st(w, alpha, sel)
-            assert res.ok, (trial, [c for c in res.checks if c.status == "fail"])
+            assert st_failures(w, alpha, sel)[0] == [], trial
 
 
 def test_selection_past_int64_takes_the_object_path():
@@ -175,7 +171,7 @@ def test_selection_past_int64_takes_the_object_path():
     assert len(sel.order) == sel.window_hi <= 4 and sel.weight_count == 4
     assert sel.order.tolist() == [0, 1, 3, 2][: sel.window_hi]
     for w in (w_arr, w_int, w_frac):
-        assert verify_st(w, alpha, select_index_set(w, alpha)).ok
+        assert st_failures(w, alpha, select_index_set(w, alpha))[0] == []
 
 
 def reference_selection(coeffs: list, rho: Fraction, alpha: Fraction) -> tuple:

@@ -1,20 +1,29 @@
 import dataclasses
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import difference_relation, pure_energy, relation_from_index_pairs, weight_vector
+from conftest import (
+    difference_relation,
+    pure_energy,
+    pure_pairs,
+    relation_from_index_pairs,
+    st_failures,
+    tv_failures,
+    weight_vector,
+)
 
 import bsgx.oracle as oracle
 from bsgx.additive_stats import energy
 from bsgx.bsg import Params, extract
 from bsgx.generators import SplitMix64, gen_ap, gen_axis, gen_ball, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec, add, sub
+from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.numeric_lemma import PrefixSelection
-from bsgx.oracle import verify_extraction, verify_report_dict, verify_st, verify_tv_property
+from bsgx.oracle import verify_extraction, verify_report_dict
 from bsgx.relation_lemma import extract_tv
 
 F = Fraction
@@ -130,48 +139,26 @@ def test_verify_extraction_object_entrypoint():
     assert "diff_upper_bound_popular" in names
 
 
-def test_verify_tv_skips_above_the_guard(monkeypatch):
-    base = gen_ap(61)
-    n = len(base)
-    r = relation_from_index_pairs(base, [(i, j) for i in range(n) for j in range(n)])
-    w = extract_tv(r, F(1, 2))
-    # the complete relation keeps every element: |A*| = |A'| = n
-    cells = n**3 + n**2 * n
-    monkeypatch.setattr(oracle, "_BUDGET_CELLS", cells - 1)
-    res = verify_tv_property(r, w, F(1, 2))
-    assert res.ok and res.status == "skipped"  # skipped does not fail
-    skipped = [c for c in res.checks if c.status == "skipped"]
-    assert [c.name for c in skipped] == ["thin_pairs_in_a_star", "triple_paths"]
-    assert all(f"needs {cells} cells" in c.claimed for c in skipped)
-    assert {c.status for c in res.checks if c not in skipped} == {"pass"}
-    monkeypatch.setattr(oracle, "_BUDGET_CELLS", cells)
-    assert verify_tv_property(r, w, F(1, 2)).status == "pass"
-
-
 def test_verify_tv_catches_a_forged_witness():
     base = gen_ap(15)
     r = difference_relation(base, [(d,) for d in range(-3, 4)])
     w = extract_tv(r, F(1, 2))
     # claim the whole base set survived the filter
     forged = dataclasses.replace(w, a_prime=base)
-    genuine = verify_tv_property(r, w, F(1, 2))
-    assert genuine.status == "pass"
-    res = verify_tv_property(r, forged, F(1, 2))
-    assert not res.ok
+    assert tv_failures(r, w, F(1, 2))[0] == []
+    assert tv_failures(r, forged, F(1, 2))[0] == ["witness_nesting", "triple_paths"]
 
 
-def test_verify_tv_checks_the_center_and_xi():
+def test_verify_tv_checks_the_center():
     base = gen_ap(15)
     r = difference_relation(base, [(d,) for d in range(-3, 4)])
     w = extract_tv(r, F(1, 2))
-    assert w.x_star == (3,) and w.xi == F(1, 2)
-    forged = dataclasses.replace(w, x_star=(14,), xi=F(1, 3))
-    failed = {c.name for c in verify_tv_property(r, forged, F(1, 2)).failed}
+    assert w.x_star == (3,)
+    forged = dataclasses.replace(w, x_star=(14,))
     # N((14,)) = {11, ..., 14} is not A*
-    assert failed == {"xi_matches", "a_star_is_neighbourhood"}
+    assert tv_failures(r, forged, F(1, 2))[0] == ["a_star_is_neighbourhood"]
     outside = dataclasses.replace(w, x_star=(1000,))
-    failed = {c.name for c in verify_tv_property(r, outside, F(1, 2)).failed}
-    assert failed == {"x_star_in_a", "a_star_is_neighbourhood"}
+    assert tv_failures(r, outside, F(1, 2))[0] == ["x_star_in_a", "a_star_is_neighbourhood"]
 
 
 def test_verify_tv_fails_an_element_outside_the_base():
@@ -183,9 +170,9 @@ def test_verify_tv_fails_an_element_outside_the_base():
         dataclasses.replace(w, a_prime=stray),
         dataclasses.replace(w, a_star=AdditiveSet(base.spec, w.a_star.elements + ((1000,),)), a_prime=stray),
     ):
-        res = verify_tv_property(r, forged, F(1, 2))
+        failed, _, _ = tv_failures(r, forged, F(1, 2))
         # the stray element has no neighbours, so it is joined by no path
-        assert {"witness_nesting", "triple_paths"} <= {c.name for c in res.failed}
+        assert {"witness_nesting", "triple_paths"} <= set(failed)
 
 
 def test_verify_tv_matches_a_loop_recount():
@@ -208,11 +195,11 @@ def test_verify_tv_matches_a_loop_recount():
     thin = r.delta**2 * xi**2 * n / 8
     omega = sum(1 for i in star for j in star if common[i][j] <= thin)
     low = min(sum(common[i][b] * common[b][j] for b in range(n)) for i in prime for j in prime)
-    res = verify_tv_property(r, w, xi)
-    assert res.status == "pass" and w.omega_card_in_astar == omega > 0
-    assert {c.name: c.actual for c in res.checks}["triple_paths"] == f"min = {low}"
+    failed, thin_pairs, fewest = tv_failures(r, w, xi)
+    assert failed == [] and w.omega_card_in_astar == thin_pairs == omega > 0
+    assert fewest == low
     forged = dataclasses.replace(w, omega_card_in_astar=omega + 7)
-    assert [c.name for c in verify_tv_property(r, forged, xi).failed] == ["thin_pairs_in_a_star"]
+    assert tv_failures(r, forged, xi)[0] == ["thin_pairs_in_a_star"]
 
 
 def test_verify_st_rejects_wrong_selection():
@@ -220,7 +207,7 @@ def test_verify_st_rejects_wrong_selection():
     from bsgx.numeric_lemma import select_index_set
 
     good = select_index_set(w, F(1, 2))
-    assert verify_st(w, F(1, 2), good).ok
+    assert st_failures(w, F(1, 2), good)[0] == []
     bad = PrefixSelection(
         order=good.order,
         weight_count=good.weight_count,
@@ -230,8 +217,7 @@ def test_verify_st_rejects_wrong_selection():
         window_lo=good.window_lo,
         window_hi=good.window_hi,
     )
-    res = verify_st(w, F(1, 2), bad)
-    assert any(c.name == "sum_matches" for c in res.failed)
+    assert st_failures(w, F(1, 2), bad)[0] == ["sum_matches"]
 
     shuffled = PrefixSelection(
         order=tuple(reversed(good.order)),
@@ -242,8 +228,9 @@ def test_verify_st_rejects_wrong_selection():
         window_lo=good.window_lo,
         window_hi=good.window_hi,
     )
-    res = verify_st(w, F(1, 2), shuffled)
-    assert not res.ok
+    assert st_failures(w, F(1, 2), shuffled)[0] == ["order_matches"]
+    shifted = dataclasses.replace(good, window_lo=good.window_lo + 1)
+    assert st_failures(w, F(1, 2), shifted)[0] == ["window_matches"]
 
 
 def test_verify_st_fails_an_index_outside_the_weights():
@@ -252,8 +239,8 @@ def test_verify_st_fails_an_index_outside_the_weights():
 
     good = select_index_set(w, F(1, 2))
     for index_set in (good.index_set[:-1] + (len(w),), (-1,) + good.index_set[1:]):
-        res = verify_st(w, F(1, 2), dataclasses.replace(good, index_set=index_set))
-        assert {"index_set_matches", "sum_matches"} <= {c.name for c in res.failed}
+        failed, _ = st_failures(w, F(1, 2), dataclasses.replace(good, index_set=index_set))
+        assert {"index_set_matches", "sum_matches"} <= set(failed)
 
 
 @pytest.mark.parametrize("forgery", ["full-permutation", "one-short", "tie-swapped"])
@@ -264,14 +251,13 @@ def test_verify_st_fails_an_order_other_than_the_window(forgery):
 
     good = select_index_set(w, F(1, 2))
     assert good.order.tolist() == [1, 2, 4, 5, 0] and good.window_hi == 5 < len(w)
-    assert verify_st(w, F(1, 2), good).ok
+    assert st_failures(w, F(1, 2), good)[0] == []
     order = {
         "full-permutation": np.array([1, 2, 4, 5, 0, 3, 6, 7]),
         "one-short": good.order[:-1],
         "tie-swapped": good.order[[0, 2, 1, 3, 4]],
     }[forgery]
-    res = verify_st(w, F(1, 2), dataclasses.replace(good, order=order))
-    assert [c.name for c in res.failed] == ["order_matches"]
+    assert st_failures(w, F(1, 2), dataclasses.replace(good, order=order))[0] == ["order_matches"]
 
 
 def test_results_serialize():
@@ -352,11 +338,6 @@ DIFFERENTIAL_SETS = differential_sets()
 RANKED = {"Z_(2^64+13)", "Z huge", "ZxZ_7 huge", "(Z_(2^40+15))^3", "Z_7xZ_(2^63-25)"}
 
 
-def pure_counts(a, op):
-    """Counter of a_i op a_j over all ordered pairs, by the group's own arithmetic."""
-    return Counter(op(a.spec, x, y) for x in a.elements for y in a.elements)
-
-
 def probe_differences(a, diffs):
     """Every other difference of a, then elements of the group that are not differences."""
     rng = SplitMix64(len(a))
@@ -382,8 +363,8 @@ def check_histograms(a, ranked=False):
     A pass costs a cell per pair and per query, five times that when ranked.
     """
     cost = oracle._RANKED_CELL_COST if ranked else 1
-    sums = pure_counts(a, add)
-    diffs = pure_counts(a, sub)
+    sums = Counter(pure_pairs(a, operator.add))
+    diffs = Counter(pure_pairs(a, operator.sub))
     queries = probe_differences(a, diffs)
     energy = oracle._energy(a)
     hist = oracle._histogram(a, "diff", "r(d)", queries)

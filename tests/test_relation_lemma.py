@@ -9,6 +9,8 @@ from conftest import (
     neighborhoods,
     relation_from_element_pairs,
     relation_from_index_pairs,
+    sub,
+    tv_failures,
     widen,
 )
 
@@ -17,8 +19,7 @@ from bsgx import _codec
 from bsgx.additive_stats import rep_table
 from bsgx.errors import InvariantViolation
 from bsgx.generators import SplitMix64, gen_ap, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec, sub
-from bsgx.oracle import verify_tv_property
+from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.relation_lemma import (
     Relation,
     drop_thin,
@@ -128,8 +129,7 @@ def test_extract_tv_on_complete_relation():
     assert w.a_prime == base
     assert w.omega_card_in_astar == 0
     assert w.x_star == (0,)  # first maximizer wins
-    res = verify_tv_property(r, w, F(1, 2))
-    assert res.ok and not res.failed
+    assert tv_failures(r, w, F(1, 2))[0] == []
 
 
 def test_extract_tv_rejects_bad_xi():
@@ -154,12 +154,12 @@ def test_extract_tv_nesting_and_floor():
         xi = F(1 + rng.below(9), 10)
         rng.below(3)  # an unused draw, kept so the later trials stay the same
         w = extract_tv(r, xi)
-        assert w.xi == xi and w.delta == r.delta
+        assert w.delta == r.delta
         a_star = set(w.a_star.elements)
         assert set(w.a_prime.elements) <= a_star <= set(base.elements)
         # size floor from the construction: |A'| >= delta*(1-xi)*n
         assert len(w.a_prime) >= w.delta * (1 - xi) * n
-        assert verify_tv_property(r, w, xi).status == "pass"
+        assert tv_failures(r, w, xi)[0] == []
 
 
 def thin_core_relation():
@@ -199,9 +199,7 @@ def test_tv_witness_verified_synthetic():
     r = relation_from_index_pairs(base, pairs)
     assert F(1, 5) < r.delta < 1
     w = extract_tv(r, F(1, 3))
-    res = verify_tv_property(r, w, F(1, 3))
-    assert res.ok, [c for c in res.checks if c.status == "fail"]
-    assert all(c.status == "pass" for c in res.checks)
+    assert tv_failures(r, w, F(1, 3))[0] == []
 
 
 def test_exact_float_bound_is_guarded():
@@ -288,7 +286,7 @@ def test_extract_tv_forms_no_product_below_one_common_neighbor(monkeypatch):
     monkeypatch.setattr(relation_lemma, "thin_pairs_per_slice", no_product)
     w = extract_tv(r, F(1, 2))
     assert w.a_prime == w.a_star and w.omega_card_in_astar == 0
-    assert verify_tv_property(r, w, F(1, 2)).status == "pass"
+    assert tv_failures(r, w, F(1, 2))[0] == []
 
 
 @pytest.mark.parametrize("cells", [None, 64])
