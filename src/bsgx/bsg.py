@@ -21,7 +21,7 @@ slice through relation_lemma.pick_slice.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -54,14 +54,13 @@ class Params:
 class PartitionPQ:
     """Differences of A split by popularity, with the mass of each side.
 
-    A difference d is popular when r(d)^2 * |A| >= E.  Both sides are kept
-    as ascending rep-table codes with their int64 counts; the popular side,
-    at most |A| differences, is also decoded into p_items.
+    A difference d is popular when r(d)^2 * |A| >= E.  The unpopular side
+    is kept as ascending rep-table codes with their int64 counts; the popular
+    side, at most |A| differences, is decoded into p_items with its counts.
     """
 
     a_set: AdditiveSet
     rep: RepTable
-    p_codes: np.ndarray
     p_items: Tuple[Tuple[Element, int], ...]
     p_mass: int
     q_mass: int
@@ -71,10 +70,6 @@ class PartitionPQ:
     @property
     def q_size(self) -> int:
         return len(self.q_codes)
-
-    @property
-    def set_size(self) -> int:
-        return len(self.a_set)
 
     @property
     def energy(self) -> int:
@@ -97,15 +92,14 @@ def partition_pq(a_set: AdditiveSet) -> PartitionPQ:
     counts = rep.counts
     # r(d)^2 * n <= n^3 stays inside int64 for any n whose n^2 scan can run
     popular = counts * counts * n >= e_val
-    p_codes = rep.codes[popular]
     p_counts = counts[popular]
     p_mass = int(np.dot(p_counts, p_counts))
-    p_items = tuple(zip(rep.decode(p_codes), p_counts.tolist()))
+    p_items = tuple(zip(rep.decode(rep.codes[popular]), p_counts.tolist()))
     zero = a_set.spec.zero()
     if all(d != zero for d, _ in p_items):
         raise InvariantViolation("zero difference missing from the popular side")
     return PartitionPQ(
-        a_set, rep, p_codes, p_items, p_mass, e_val - p_mass,
+        a_set, rep, p_items, p_mass, e_val - p_mass,
         rep.codes[~popular], counts[~popular],
     )
 
@@ -218,24 +212,20 @@ def _frac_str(value: Fraction) -> str:
 
 
 def _finish_report(
-    a_set: AdditiveSet,
     pq: PartitionPQ,
     eps: Fraction,
-    run_both: bool,
     case: str,
     witness: Union[PWitness, QWitness],
     a_prime: AdditiveSet,
     prime_rows: np.ndarray,
 ) -> ExtractionReport:
-    n = pq.set_size
+    n = len(pq.a_set)
+    m = len(a_prime)
     e_val = pq.energy
     k_val = Fraction(n**3, e_val)
     size_bound_sq = (1 - eps) ** 2 * Fraction(e_val, n)
-    diff_bound = 2**33 * eps**-9 * k_val**4 * len(a_prime)
-    diff_bound_p = (
-        2**10 * eps**-4 * k_val**3 * len(a_prime) if case == "P" else None
-    )
-    m = len(a_prime)
+    diff_bound = 2**33 * eps**-9 * k_val**4 * m
+    diff_bound_p = 2**10 * eps**-4 * k_val**3 * m if case == "P" else None
     # A' is A at prime_rows: |A' - A'| is read off A's table by sorting the
     # pairs of A' or the pairs A' loses, whichever are fewer
     diff_size = pq.rep.subset_diff_size(prime_rows)
@@ -244,16 +234,15 @@ def _finish_report(
     # implied by size_ok: multiply it by E / n and use E >= n^2
     size_ok_cleared = m * m * e_val >= (1 - eps) ** 2 * n**3
     diff_ok = diff_size <= diff_bound
-    diff_ok_p = diff_size <= diff_bound_p if diff_bound_p is not None else None
-    subset_ok = a_prime.as_set <= a_set.as_set
+    subset_ok = a_prime.as_set <= pq.a_set.as_set
 
     checks = [
         ("size_lower_bound", bool(size_ok)),
         ("size_lower_bound_cleared", bool(size_ok_cleared)),
         ("diff_upper_bound", bool(diff_ok)),
     ]
-    if diff_ok_p is not None:
-        checks.append(("diff_upper_bound_popular", bool(diff_ok_p)))
+    if diff_bound_p is not None:
+        checks.append(("diff_upper_bound_popular", bool(diff_size <= diff_bound_p)))
     checks.append(("subset_of_input", bool(subset_ok)))
     for name, ok in checks:
         if not ok:
@@ -263,7 +252,7 @@ def _finish_report(
         energy=e_val,
         K=k_val,
         eps=eps,
-        run_both=run_both,
+        run_both=False,
         case=case,
         witness=witness,
         a_prime=a_prime,
@@ -291,7 +280,7 @@ def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, 
     """
     rep = pq.rep
     n = len(pq.a_set)
-    k = len(pq.p_codes)
+    k = len(pq.p_items)
     # popularity is monotone in r(d): d is popular exactly when r(d) reaches
     # the least popular count.  No d is both: a thin r(d) is at most
     # eps^2 E / (16 n^2) < E / n^2 <= sqrt(E / n), as E <= n^3
@@ -313,9 +302,7 @@ def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, 
     return x_mat, cells[:, :k]
 
 
-def extract_p(
-    a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction, run_both: bool = False
-) -> ExtractionReport:
+def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionReport:
     """Popular branch: pick the difference whose slice has few thin pairs.
 
     A pair (x, y) of A^2 is thin when r(x - y) <= eps^2 * E / (16 * n^2).
@@ -358,14 +345,10 @@ def extract_p(
         thin_threshold=thin_floor,
         thin_pairs_in_a_star=s_star,
     )
-    return _finish_report(
-        a_set, pq, eps, run_both, "P", witness, a_set.subset(prime_rows), prime_rows
-    )
+    return _finish_report(pq, eps, "P", witness, a_set.subset(prime_rows), prime_rows)
 
 
-def extract_q(
-    a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction, run_both: bool = False
-) -> ExtractionReport:
+def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionReport:
     """Unpopular branch: weight selection, then the 3-step path filter.
 
     The unpopular differences d_1 < d_2 < ... carry weights
@@ -402,7 +385,7 @@ def extract_q(
 
     tv = extract_tv(relation, eps / 2)
     witness = QWitness(selection=selection, q_prime=q_prime, tv=tv)
-    return _finish_report(a_set, pq, eps, run_both, "Q", witness, tv.a_prime, tv.a_prime_rows)
+    return _finish_report(pq, eps, "Q", witness, tv.a_prime, tv.a_prime_rows)
 
 
 def extract(a_set: AdditiveSet, params: Params) -> ExtractionReport:
@@ -411,9 +394,9 @@ def extract(a_set: AdditiveSet, params: Params) -> ExtractionReport:
     eps = params.eps
     case = case_select(pq, eps)
     if params.run_both and case == "P" and pq.q_holds(eps):
-        reports = [branch(a_set, pq, eps, run_both=True) for branch in (extract_p, extract_q)]
+        reports = [branch(a_set, pq, eps) for branch in (extract_p, extract_q)]
         # the smaller |A'-A'| / |A'|, then the larger A', then P; min keeps the first
-        return min(reports, key=lambda r: (Fraction(r.diff_size, r.a_prime_size), -r.a_prime_size))
-    if case == "P":
-        return extract_p(a_set, pq, eps, run_both=params.run_both)
-    return extract_q(a_set, pq, eps, run_both=params.run_both)
+        report = min(reports, key=lambda r: (Fraction(r.diff_size, r.a_prime_size), -r.a_prime_size))
+    else:
+        report = (extract_p if case == "P" else extract_q)(a_set, pq, eps)
+    return replace(report, run_both=params.run_both)

@@ -98,11 +98,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(doc, indent=2) + "\n"
 
-    size_floor_sq = report.size_bound_sq
-    size_ratio = (
-        float(report.a_prime_size)
-        / float(size_floor_sq) ** 0.5 if size_floor_sq > 0 else float("inf")
-    )
+    size_ratio = float(report.a_prime_size) / float(report.size_bound_sq) ** 0.5
     diff_ratio = float(Fraction(report.diff_size) / report.diff_bound)
     summary = (
         f"case={report.case} n={report.set_size} "
@@ -120,7 +116,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.report_file, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # a file that is not UTF-8 or not JSON raises a ValueError
+    except (OSError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, f"cannot read report: {exc}") from exc
     try:
         result = verify_report_dict(a_set, report)

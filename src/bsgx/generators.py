@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from .groups import AdditiveSet, GroupSpec
 
@@ -129,50 +129,51 @@ def sample_subset(a_set: AdditiveSet, size: int, seed: int) -> AdditiveSet:
     return a_set.subset(sorted(chosen))
 
 
+# each family's builder and the argument counts it accepts
+_FAMILIES: Dict[str, Tuple[Callable[..., AdditiveSet], Tuple[int, ...]]] = {
+    "ap": (gen_ap, (1, 2, 3)),
+    "axis": (gen_axis, (2,)),
+    "ball": (gen_ball, (2,)),
+    "random": (gen_random, (3,)),
+}
+
+
 @dataclass(frozen=True)
 class GenSpec:
-    """A parsed family descriptor like "ap:100" or "random:63,127,7".
+    """A family descriptor like "ap:100" or "random:63,127,7".
 
     Families and their comma-separated integer arguments:
         ap:n[,start[,step]]      arithmetic progression
         axis:g,n                 at-most-one-nonzero vectors in (Z_g)^n
         ball:dim,radius_sq       lattice ball
         random:n,modulus,seed    seeded subset of Z_modulus
+
+    An unknown family or a wrong number of arguments raises ValueError.
     """
 
     family: str
     args: Tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        counts = _FAMILIES[self.family][1]
+        if len(self.args) not in counts:
+            raise ValueError(
+                f"family {self.family!r} takes {counts} arguments, got {len(self.args)}"
+            )
+
     @classmethod
     def parse(cls, text: str) -> "GenSpec":
         family, _, arg_text = text.partition(":")
-        family = family.strip()
-        shapes: Dict[str, Tuple[int, ...]] = {
-            "ap": (1, 2, 3),
-            "axis": (2,),
-            "ball": (2,),
-            "random": (3,),
-        }
-        if family not in shapes:
-            raise ValueError(f"unknown family {family!r}")
         try:
             args = tuple(int(a) for a in arg_text.split(",") if a.strip())
         except ValueError as exc:
             raise ValueError(f"bad arguments in {text!r}") from exc
-        if len(args) not in shapes[family]:
-            raise ValueError(
-                f"family {family!r} takes {shapes[family]} arguments, got {len(args)}"
-            )
-        return cls(family, args)
+        return cls(family.strip(), args)
 
     def build(self) -> AdditiveSet:
-        if self.family == "ap":
-            return gen_ap(*self.args)
-        if self.family == "axis":
-            return gen_axis(*self.args)
-        if self.family == "ball":
-            return gen_ball(*self.args)
-        return gen_random(*self.args)
+        return _FAMILIES[self.family][0](*self.args)
 
     def label(self) -> str:
         return f"{self.family}:{','.join(str(a) for a in self.args)}"

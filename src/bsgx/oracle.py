@@ -30,8 +30,10 @@ Every check is one call on _Checks: equal(name, claimed, needs, recount)
 for a recorded value that must equal its recount, holds(name, claim, ok)
 for a relation that needs no pass, and add for any other comparison.  A
 fraction or set field of a report that is not a string, an element field
-with a coordinate that is not an integer, or an eps outside (0, 1/2), the
-range extract accepts, raises ValueError.
+with a coordinate that is not an integer, a run_both that is not a JSON
+bool, a thin_pairs_in_a_star that is not an integer >= 0, or an eps outside
+(0, 1/2), the range extract accepts, raises ValueError; a missing field
+raises KeyError.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,13 +109,6 @@ class _OverBudget:
     """A pass that was not run, and why."""
 
     reason: str
-
-
-def _budget(cells: int, what: str) -> Optional[_OverBudget]:
-    """None when a pass of this many cells fits the budget, else why it does not run."""
-    if cells > _BUDGET_CELLS:
-        return _OverBudget(f"skipped (over budget): {what} needs {cells} cells > {_BUDGET_CELLS}")
-    return None
 
 
 @dataclass(frozen=True)
@@ -224,9 +219,8 @@ def _histogram(
     # the key is ranked exactly when the radix product passes the limit
     if math.prod(c.radix for c in coords) > _KEY_LIMIT:
         cells *= _RANKED_CELL_COST
-    over = _budget(cells, what)
-    if over is not None:
-        return over
+    if cells > _BUDGET_CELLS:
+        return _OverBudget(f"skipped (over budget): {what} needs {cells} cells > {_BUDGET_CELLS}")
     key = _keys(coords, op, queries)
     values, wanted = key[:pairs], key[pairs:]
     values.sort()
@@ -239,20 +233,6 @@ def _histogram(
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = pairs - starts[-1]
     return _Histogram(counts, found)
-
-
-def _energy(a_set: AdditiveSet) -> Union[int, _OverBudget]:
-    sums = _histogram(a_set, "sum", "E (sums of A)")
-    if isinstance(sums, _OverBudget):
-        return sums
-    return int(np.dot(sums.counts, sums.counts))
-
-
-def _difference_set_size(a_set: AdditiveSet) -> Union[int, _OverBudget]:
-    diffs = _histogram(a_set, "diff", "|A'-A'|")
-    if isinstance(diffs, _OverBudget):
-        return diffs
-    return len(diffs.counts)
 
 
 # ----- report checks --------------------------------------------------------
@@ -281,13 +261,13 @@ class _Checks:
         """Record that the claimed value equals recount(*needs).
 
         A Fraction recount is compared with _frac(claimed) and shown as
-        _frac_str, unless the claim is itself a Fraction.  An integer recount
+        _frac_str.  An integer recount
         passes only an integer claim, as Python ints: a float or bool that
         Python finds equal fails.  Any other claim is compared as it is.
         """
         def evaluate(*values):
             actual = recount(*values)
-            if isinstance(actual, Fraction) and not isinstance(claimed, Fraction):
+            if isinstance(actual, Fraction):
                 return claimed, _frac_str(actual), _frac(claimed) == actual
             if isinstance(actual, int):
                 return claimed, actual, _is_int(claimed) and int(claimed) == actual
@@ -337,9 +317,8 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     Recounts the energy (by sums), r(d) for every difference of A, and
     |A' - A'| from scratch, and confirms the theorem inequalities, the
     branch hypothesis and every witness field the report records.  Raises
-    ValueError for an unknown report version, a set from another group, an
-    eps outside (0, 1/2) or an element with a coordinate that is not an
-    integer.
+    ValueError for an unknown report version, a set from another group or a
+    malformed field, as the module docstring lists.
     """
     if report["version"] not in _KNOWN_VERSIONS:
         raise ValueError(f"unknown report version {report['version']!r}")
@@ -348,6 +327,9 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     eps = _frac(report["params"]["eps"])
     if not 0 < eps < Fraction(1, 2):
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
+    run_both = report["params"]["run_both"]
+    if not isinstance(run_both, bool):
+        raise ValueError(f"run_both must be true or false, got {run_both!r}")
     case = report["case"]
     recorded = report["input"]
     bounds = report["bounds"]
@@ -361,10 +343,19 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     elif case == "Q":
         q_prime = _parse_in(spec, witness["q_prime"], "Q'")
         queries = list(q_prime.elements)
+    if case in ("P", "Q"):
+        thin_pairs = witness["thin_pairs_in_a_star"]
+        if not (_is_int(thin_pairs) and thin_pairs >= 0):
+            raise ValueError(f"thin_pairs_in_a_star must be an integer >= 0, got {thin_pairs!r}")
 
-    energy = _energy(a_set)
+    # E and |A'-A'| replace their passes, or stay the _OverBudget of one not run
+    energy = _histogram(a_set, "sum", "E (sums of A)")
+    if isinstance(energy, _Histogram):
+        energy = int(np.dot(energy.counts, energy.counts))
     diffs = _histogram(a_set, "diff", "r(d) (differences of A)", queries)
-    diff_size = _difference_set_size(a_prime)
+    diff_size = _histogram(a_prime, "diff", "|A'-A'|")
+    if isinstance(diff_size, _Histogram):
+        diff_size = len(diff_size.counts)
 
     def k_of(e: int) -> Fraction:
         return Fraction(n**3, e)

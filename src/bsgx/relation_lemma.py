@@ -189,7 +189,7 @@ def extract_tv(relation: Relation, xi: Fraction) -> TvWitness:
     r_size = relation.size
     if r_size == 0:
         raise ValueError("relation must be nonempty")
-    delta = Fraction(r_size, n * n)
+    delta = relation.delta
 
     deg = relation.matrix.sum(axis=0, dtype=np.int64)
 

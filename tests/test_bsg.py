@@ -191,6 +191,10 @@ def test_run_both_at_the_exact_boundary():
         single.diff_size, single.a_prime_size
     )
     assert verify_extraction(a, both).ok
+    # extract records the flag; a branch called directly records False
+    direct = [branch(a, pq, eps) for branch in (extract_p, extract_q)]
+    assert both.run_both and not single.run_both and not any(r.run_both for r in direct)
+    assert both.to_json() in [replace(r, run_both=True).to_json() for r in direct]
 
 
 def test_run_both_off_boundary_is_single_run():

@@ -172,6 +172,12 @@ def test_verify_garbage_report_exits_2(aset_file, tmp_path, capsys):
     assert main(["verify", src, str(bad)]) == 2
     bad.write_text('{"version": "9.9.9"}')
     assert main(["verify", src, str(bad)]) == 2
+    # a file that is not UTF-8 is unreadable, not a failed check
+    bad.write_bytes(b'{"version": "\xff"}')
+    capsys.readouterr()
+    assert main(["verify", src, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read report: ") and "Traceback" not in err
     good = tmp_path / "good.json"
     main(["extract", src, "--eps", "1/5", "--out", str(good)])
     for eps in ("0/1", "1/0"):
@@ -256,6 +262,41 @@ def test_verify_eps_out_of_range_or_non_integer_coordinate_exits_2(
     assert verify_edited(eps_quarter_reports, tmp_path, case, section, field, value) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid report: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["P", "Q"])
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("params", "run_both", "yes"),
+        ("params", "run_both", 1),
+        ("params", "run_both", None),
+        ("witness", "thin_pairs_in_a_star", "7"),
+        ("witness", "thin_pairs_in_a_star", -1),
+        ("witness", "thin_pairs_in_a_star", 7.0),
+    ],
+)
+def test_verify_mistyped_run_both_or_thin_pairs_exits_2(
+    eps_quarter_reports, tmp_path, capsys, case, section, field, value
+):
+    # run_both must be a JSON bool and thin_pairs_in_a_star a JSON integer >= 0
+    assert verify_edited(eps_quarter_reports, tmp_path, case, section, field, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid report: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["P", "Q"])
+@pytest.mark.parametrize("section, field", [("params", "run_both"), ("witness", "thin_pairs_in_a_star")])
+def test_verify_report_without_run_both_or_thin_pairs_exits_2(
+    eps_quarter_reports, tmp_path, capsys, case, section, field
+):
+    src, doc = eps_quarter_reports[case]
+    doc = copy.deepcopy(doc)
+    del doc[section][field]
+    report = tmp_path / "cut.json"
+    report.write_text(json.dumps(doc))
+    assert main(["verify", src, str(report)]) == 2
+    assert capsys.readouterr().err == f"error: invalid report: '{field}'\n"
 
 
 def test_verify_accepts_a_non_canonical_residue(eps_quarter_reports, tmp_path):

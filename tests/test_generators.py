@@ -165,6 +165,12 @@ def test_genspec_parse_rejects(text):
         GenSpec.parse(text)
 
 
+@pytest.mark.parametrize("family, args", [("rand", (5, 7, 1)), ("ap", (1, 2, 3, 4)), ("axis", (11,))])
+def test_genspec_rejects_an_unknown_family_or_argument_count(family, args):
+    with pytest.raises(ValueError):
+        GenSpec(family, args)
+
+
 def test_genspec_build_matches_direct_call():
     assert GenSpec.parse("axis:11,2").build() == gen_axis(11, 2)
     assert GenSpec.parse("random:20,53,4").build() == gen_random(20, 53, 4)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import operator
@@ -366,15 +367,15 @@ def check_histograms(a, ranked=False):
     sums = Counter(pure_pairs(a, operator.add))
     diffs = Counter(pure_pairs(a, operator.sub))
     queries = probe_differences(a, diffs)
-    energy = oracle._energy(a)
+    sum_hist = oracle._histogram(a, "sum", "E")
     hist = oracle._histogram(a, "diff", "r(d)", queries)
-    size = oracle._difference_set_size(a)
+    diff_hist = oracle._histogram(a, "diff", "|A-A|")
     fits = len(a) ** 2 * cost <= oracle._BUDGET_CELLS
     if fits:
-        assert energy == sum(c * c for c in sums.values())
-        assert size == len(diffs)
+        assert int(np.dot(sum_hist.counts, sum_hist.counts)) == sum(c * c for c in sums.values())
+        assert len(diff_hist.counts) == len(diffs)
     else:
-        assert "over budget" in energy.reason and "over budget" in size.reason
+        assert "over budget" in sum_hist.reason and "over budget" in diff_hist.reason
     cells = (len(a) ** 2 + len(queries)) * cost
     if cells <= oracle._BUDGET_CELLS:
         assert sorted(hist.counts.tolist()) == sorted(diffs.values())
@@ -434,6 +435,52 @@ def test_over_budget_checks_are_skipped_not_passed(monkeypatch):
     # a failure still wins over a skip
     doc["input"]["n"] += 1
     assert verify_report_dict(a, doc).status == "fail"
+
+
+def _leaves(doc, path=()):
+    """The path to every leaf of a report: lists of dicts are walked, other lists are leaves."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, dict) or (isinstance(value, list) and value and isinstance(value[0], dict)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _retyped(value):
+    """value as another JSON type: a bool as "true", an int as a string, a string as 7, a list as "x"."""
+    if isinstance(value, bool):
+        return "true"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return 7
+    assert isinstance(value, list), value
+    return "x"
+
+
+@pytest.mark.parametrize("eps, case", [("1/10", "P"), ("1/4", "Q")])
+def test_verify_reads_every_field_of_a_report(eps, case):
+    a = gen_random(48, 97, 21)
+    doc = fresh_report(a, F(eps))
+    assert doc["case"] == case
+    paths = list(_leaves(doc))
+    assert ("params", "run_both") in paths and ("witness", "thin_pairs_in_a_star") in paths
+    for path in paths:
+        # the extractor's own check records, which verify recomputes rather
+        # than reads; report v2 drops them
+        if path[0] == "checks":
+            continue
+        edited = copy.deepcopy(doc)
+        parent = edited
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _retyped(parent[path[-1]])
+        try:
+            status = verify_report_dict(a, edited).status
+        except (ValueError, KeyError, TypeError):
+            continue
+        assert status == "fail", path
 
 
 def test_unknown_version_is_rejected():
