@@ -54,9 +54,10 @@ class Params:
 class PartitionPQ:
     """Differences of A split by popularity, with the mass of each side.
 
-    A difference d is popular when r(d)^2 * |A| >= E.  The unpopular side
-    is kept as ascending rep-table codes with their int64 counts; the popular
-    side, at most |A| differences, is decoded into p_items with its counts.
+    A difference d is popular when r(d)^2 * |A| >= E.  The split is kept
+    once, as the bool mask popular over the rep table's rows; the popular
+    side, at most |A| differences, is also decoded into p_items with its
+    counts.
     """
 
     a_set: AdditiveSet
@@ -64,12 +65,11 @@ class PartitionPQ:
     p_items: Tuple[Tuple[Element, int], ...]
     p_mass: int
     q_mass: int
-    q_codes: np.ndarray
-    q_counts: np.ndarray
+    popular: np.ndarray
 
     @property
     def q_size(self) -> int:
-        return len(self.q_codes)
+        return len(self.rep) - len(self.p_items)
 
     @property
     def energy(self) -> int:
@@ -98,10 +98,7 @@ def partition_pq(a_set: AdditiveSet) -> PartitionPQ:
     zero = a_set.spec.zero()
     if all(d != zero for d, _ in p_items):
         raise InvariantViolation("zero difference missing from the popular side")
-    return PartitionPQ(
-        a_set, rep, p_items, p_mass, e_val - p_mass,
-        rep.codes[~popular], counts[~popular],
-    )
+    return PartitionPQ(a_set, rep, p_items, p_mass, e_val - p_mass, popular)
 
 
 def case_select(pq: PartitionPQ, eps: Fraction) -> str:
@@ -281,15 +278,14 @@ def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, 
     rep = pq.rep
     n = len(pq.a_set)
     k = len(pq.p_items)
-    # popularity is monotone in r(d): d is popular exactly when r(d) reaches
-    # the least popular count.  No d is both: a thin r(d) is at most
+    # no d is both thin and popular: a thin r(d) is at most
     # eps^2 E / (16 n^2) < E / n^2 <= sqrt(E / n), as E <= n^3
-    pop_floor = min(c for _, c in pq.p_items)
-    if thin_floor >= pop_floor:
+    thin = rep.counts <= thin_floor
+    if thin[pq.popular].any():
         raise InvariantViolation("thin floor reaches the popular floor")
     col = np.full(len(rep), k, dtype=_index_dtype(n * (k + 2)))
-    col[rep.counts <= thin_floor] = k + 1
-    col[rep.counts >= pop_floor] = np.arange(k)
+    col[thin] = k + 1
+    col[pq.popular] = np.arange(k)
     column_of = rep.lookup(rep.codes, col)
     x_mat = np.empty((n, n), dtype=np.bool_)
     cells = np.zeros((n, k + 2), dtype=np.bool_)
@@ -364,15 +360,16 @@ def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
     e_val = pq.energy
     k_val = Fraction(n**3, e_val)
 
-    weights = WeightVector(rho=Fraction(n, e_val), coeffs=pq.q_counts)
+    weights = WeightVector(rho=Fraction(n, e_val), coeffs=pq.rep.counts[~pq.popular])
     selection = select_index_set(weights, 1 - eps / 4)
     index_set = np.array(selection.index_set, dtype=np.int64)
-    q_prime_codes = pq.q_codes[index_set]
+    selected_mass = int(weights.coeffs[index_set].sum())
+    q_prime_codes = pq.rep.codes[~pq.popular][index_set]
+    del weights  # free the unpopular counts before the n x n passes
     # codes ascend with their differences, so Q' is canonical and sorted as decoded
     q_prime = AdditiveSet.from_sorted(a_set.spec, tuple(pq.rep.decode(q_prime_codes)))
 
     relation = Relation.from_difference_set(pq.rep, q_prime_codes)
-    selected_mass = int(pq.q_counts[index_set].sum())
     if relation.size != selected_mass:
         raise InvariantViolation("relation size disagrees with selected counts")
     delta = relation.delta

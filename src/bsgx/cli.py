@@ -24,7 +24,7 @@ from typing import List, Optional
 from .additive_stats import energy
 from .bsg import Params, _frac_str, extract
 from .errors import AsetFormatError, InvariantViolation
-from .generators import GenSpec
+from .generators import _FAMILIES, GenSpec
 from .groups import AdditiveSet, parse_set, serialize_set
 from .oracle import verify_report_dict
 
@@ -93,7 +93,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     a_set = _read_set(args.set_file)
     eps = _parse_eps(args.eps)
     report = extract(a_set, Params(eps=eps, run_both=args.both))
-    doc = report.to_json_dict()
+    try:
+        doc = report.to_json_dict()
+    # a bound past Python's int-to-str digit limit, which only a tiny eps reaches
+    except ValueError as exc:
+        raise _CliError(EXIT_BAD_EPS, "eps is too small: a bound passes Python's int-to-str limit") from exc
     if args.timestamps:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(doc, indent=2) + "\n"
@@ -130,7 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
-        a_set = GenSpec(args.family, tuple(args.family_args_of(args))).build()
+        a_set = GenSpec(args.family, tuple(vars(args)[f] for f, _ in _FAMILIES[args.family][3])).build()
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     data = serialize_set(a_set).decode("utf-8")
@@ -214,32 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a generated set in the ASET v1 format")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
 
-    g_ap = gen_sub.add_parser("ap", help="arithmetic progression over Z")
-    g_ap.add_argument("--n", type=int, required=True)
-    g_ap.add_argument("--start", type=int, default=0)
-    g_ap.add_argument("--step", type=int, default=1)
-    g_ap.add_argument("--out")
-    g_ap.set_defaults(func=cmd_gen,
-                      family_args_of=lambda a: [a.n, a.start, a.step])
-
-    g_axis = gen_sub.add_parser("axis", help="at-most-one-nonzero vectors in (Z_g)^n")
-    g_axis.add_argument("--g", type=int, required=True)
-    g_axis.add_argument("--n", type=int, required=True)
-    g_axis.add_argument("--out")
-    g_axis.set_defaults(func=cmd_gen, family_args_of=lambda a: [a.g, a.n])
-
-    g_ball = gen_sub.add_parser("ball", help="lattice ball in Z^dim")
-    g_ball.add_argument("--dim", type=int, required=True)
-    g_ball.add_argument("--radius-sq", type=int, required=True)
-    g_ball.add_argument("--out")
-    g_ball.set_defaults(func=cmd_gen, family_args_of=lambda a: [a.dim, a.radius_sq])
-
-    g_random = gen_sub.add_parser("random", help="seeded random subset of Z_modulus")
-    g_random.add_argument("--n", type=int, required=True)
-    g_random.add_argument("--modulus", type=int, required=True)
-    g_random.add_argument("--seed", type=int, default=0)
-    g_random.add_argument("--out")
-    g_random.set_defaults(func=cmd_gen, family_args_of=lambda a: [a.n, a.modulus, a.seed])
+    for family, (_, _, text, flags) in _FAMILIES.items():
+        g_family = gen_sub.add_parser(family, help=text)
+        for flag, default in flags:
+            g_family.add_argument("--" + flag.replace("_", "-"), type=int,
+                                  required=default is None, default=default)
+        g_family.add_argument("--out")
+        g_family.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="run extract across families and eps values, emit CSV")
     p_bench.add_argument("--families", nargs="+", required=True,

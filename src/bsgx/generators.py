@@ -56,6 +56,17 @@ class SplitMix64:
                 return v % n
 
 
+def _draw_distinct(count: int, below: int, seed: int) -> set:
+    """count distinct integers in [0, below), drawn from seeded splitmix64."""
+    if not 1 <= count <= below:
+        raise ValueError(f"size must be in [1, {below}], got {count}")
+    rng = SplitMix64(seed)
+    chosen = set()
+    while len(chosen) < count:
+        chosen.add(rng.below(below))
+    return chosen
+
+
 def gen_ap(n: int, start: int = 0, step: int = 1) -> AdditiveSet:
     """Arithmetic progression {start + i * step : 0 <= i < n} over Z."""
     if n < 1:
@@ -108,33 +119,23 @@ def gen_random(n: int, modulus: int, seed: int) -> AdditiveSet:
     """n distinct elements of Z_modulus from seeded splitmix64 draws."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if not 1 <= n <= modulus:
-        raise ValueError(f"size must be in [1, {modulus}], got {n}")
-    rng = SplitMix64(seed)
-    chosen = set()
-    while len(chosen) < n:
-        chosen.add(rng.below(modulus))
     spec = GroupSpec((modulus,))
-    return AdditiveSet.from_elements(spec, ((v,) for v in chosen))
+    return AdditiveSet.from_elements(spec, ((v,) for v in _draw_distinct(n, modulus, seed)))
 
 
 def sample_subset(a_set: AdditiveSet, size: int, seed: int) -> AdditiveSet:
     """A seeded size-element subset of an existing set (by element index)."""
-    if not 1 <= size <= len(a_set):
-        raise ValueError(f"size must be in [1, {len(a_set)}], got {size}")
-    rng = SplitMix64(seed)
-    chosen = set()
-    while len(chosen) < size:
-        chosen.add(rng.below(len(a_set)))
-    return a_set.subset(sorted(chosen))
+    return a_set.subset(sorted(_draw_distinct(size, len(a_set), seed)))
 
 
-# each family's builder and the argument counts it accepts
-_FAMILIES: Dict[str, Tuple[Callable[..., AdditiveSet], Tuple[int, ...]]] = {
-    "ap": (gen_ap, (1, 2, 3)),
-    "axis": (gen_axis, (2,)),
-    "ball": (gen_ball, (2,)),
-    "random": (gen_random, (3,)),
+# each family's builder, the argument counts GenSpec accepts, and for
+# `bsgx gen` its help text and its flags (--radius-sq for radius_sq) in
+# argument order, each with its default (None: required)
+_FAMILIES: Dict[str, Tuple[Callable[..., AdditiveSet], Tuple[int, ...], str, tuple]] = {
+    "ap": (gen_ap, (1, 2, 3), "arithmetic progression over Z", (("n", None), ("start", 0), ("step", 1))),
+    "axis": (gen_axis, (2,), "at-most-one-nonzero vectors in (Z_g)^n", (("g", None), ("n", None))),
+    "ball": (gen_ball, (2,), "lattice ball in Z^dim", (("dim", None), ("radius_sq", None))),
+    "random": (gen_random, (3,), "seeded random subset of Z_modulus", (("n", None), ("modulus", None), ("seed", 0))),
 }
 
 
@@ -159,9 +160,7 @@ class GenSpec:
             raise ValueError(f"unknown family {self.family!r}")
         counts = _FAMILIES[self.family][1]
         if len(self.args) not in counts:
-            raise ValueError(
-                f"family {self.family!r} takes {counts} arguments, got {len(self.args)}"
-            )
+            raise ValueError(f"family {self.family!r} takes {counts} arguments, got {len(self.args)}")
 
     @classmethod
     def parse(cls, text: str) -> "GenSpec":

@@ -261,17 +261,14 @@ class _Checks:
         """Record that the claimed value equals recount(*needs).
 
         A Fraction recount is compared with _frac(claimed) and shown as
-        _frac_str.  An integer recount
-        passes only an integer claim, as Python ints: a float or bool that
-        Python finds equal fails.  Any other claim is compared as it is.
+        _frac_str.  Any other recount, an integer, passes only an integer
+        claim, as Python ints: a float or bool that Python finds equal fails.
         """
         def evaluate(*values):
             actual = recount(*values)
             if isinstance(actual, Fraction):
                 return claimed, _frac_str(actual), _frac(claimed) == actual
-            if isinstance(actual, int):
-                return claimed, actual, _is_int(claimed) and int(claimed) == actual
-            return claimed, actual, claimed == actual
+            return claimed, actual, _is_int(claimed) and int(claimed) == actual
 
         self.add(name, needs, evaluate)
 
@@ -286,6 +283,14 @@ class _Checks:
 def _is_int(value) -> bool:
     """An integer, as a report or the library writes it: no bool, no float."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _bound_str(bound: Fraction) -> str:
+    """The bound as a float's repr, or as an exact fraction past the float range."""
+    try:
+        return repr(float(bound))
+    except OverflowError:
+        return _frac_str(bound)
 
 
 def _frac(text: str) -> Fraction:
@@ -399,7 +404,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
         "diff_upper_bound", (energy, diff_size),
         lambda e, d: (
             "|A'-A'| <= 2^33 * eps^-9 * K^4 * |A'|",
-            f"{d} vs {float(diff_bound(e))!r}",
+            f"{d} vs {_bound_str(diff_bound(e))}",
             d <= diff_bound(e),
         ),
     )
@@ -423,7 +428,7 @@ def _popular_checks(
         "diff_upper_bound_popular", (energy, diff_size),
         lambda e, d: (
             "|A'-A'| <= 2^10 * eps^-4 * K^3 * |A'|",
-            f"{d} vs {float(diff_bound_p(e))!r}",
+            f"{d} vs {_bound_str(diff_bound_p(e))}",
             d <= diff_bound_p(e),
         ),
     )

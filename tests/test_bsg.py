@@ -54,8 +54,9 @@ def test_partition_012():
     assert pq.q_mass == 10
     assert pq.q_size == 4
     assert pq.energy == 19
-    assert sorted(pq.q_counts.tolist()) == [1, 1, 2, 2]
-    assert list(zip(pq.rep.decode(pq.q_codes), pq.q_counts.tolist())) == [
+    q_counts = pq.rep.counts[~pq.popular]
+    assert sorted(q_counts.tolist()) == [1, 1, 2, 2]
+    assert list(zip(pq.rep.decode(pq.rep.codes[~pq.popular]), q_counts.tolist())) == [
         ((-2,), 1),
         ((-1,), 2),
         ((1,), 2),

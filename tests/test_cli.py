@@ -82,6 +82,32 @@ def test_extract_rejects_bad_eps(aset_file, eps, capsys):
     assert rc == 3
 
 
+def test_verify_writes_a_bound_past_the_float_range_as_a_fraction(tmp_path, capsys):
+    # at eps 1/10^40, 2^33 * eps^-9 * K^4 * |A'| passes the float range,
+    # while the popular bound 2^10 * eps^-4 * K^3 * |A'| does not
+    src, report = tmp_path / "ap.aset", tmp_path / "r.json"
+    src.write_bytes(serialize_set(gen_ap(50)))
+    assert main(["extract", str(src), "--eps", f"1/{10**40}", "--out", str(report)]) == 0
+    bounds = json.loads(report.read_text())["bounds"]
+    capsys.readouterr()
+    assert main(["verify", str(src), str(report)]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert {c["status"] for c in checks.values()} == {"pass"}
+    assert checks["diff_upper_bound"]["actual"] == f"99 vs {bounds['diff_bound']}"
+    popular = float(Fraction(bounds["diff_bound_p"]))
+    assert checks["diff_upper_bound_popular"]["actual"] == f"99 vs {popular!r}"
+
+
+def test_extract_at_an_eps_whose_bounds_cannot_be_written_exits_3(tmp_path, capsys):
+    # the numerator of 2^33 * eps^-9 * K^4 * |A'| at eps 1/10^500 passes
+    # Python's 4,300-digit limit for int-to-str conversion
+    src = tmp_path / "ap.aset"
+    src.write_bytes(serialize_set(gen_ap(50)))
+    assert main(["extract", str(src), "--eps", f"1/{10**500}", "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: eps is too small")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_extract_accepts_terminating_decimal(aset_file, capsys):
     rc = main(["extract", aset_file(A012), "--eps", "0.2"])
     assert rc == 0

@@ -91,6 +91,22 @@ def test_gen_ball_guards():
     assert gen_ball(2, 0).elements == ((0, 0),)
 
 
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        # GroupSpec would take a modulus of 0 as Z, and reject 1 and a
+        # dimension of 0 with its own message
+        (gen_axis, (0, 3), "modulus must be >= 2"),
+        (gen_axis, (1, 3), "modulus must be >= 2"),
+        (gen_axis, (5, 0), "dimension must be >= 1"),
+        (gen_random, (1, 1, 0), "modulus must be >= 2"),
+    ],
+)
+def test_generator_guards(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
 def test_gen_random_determinism_and_bounds():
     a = gen_random(63, 127, 7)
     b = gen_random(63, 127, 7)

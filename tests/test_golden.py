@@ -166,7 +166,7 @@ def test_golden_verify_output(label, eps, both):
         relation = difference_relation(a, w.q_prime.elements)
         tv_failed, thin_pairs, fewest = tv_failures(relation, w.tv, report.eps / 2)
         pq = partition_pq(a)
-        weights = WeightVector(rho=F(len(a), pq.energy), coeffs=pq.q_counts)
+        weights = WeightVector(rho=F(len(a), pq.energy), coeffs=pq.rep.counts[~pq.popular])
         st_failed, window = st_failures(weights, 1 - report.eps / 4, w.selection)
         assert tv_failed == st_failed == []
         pinned += [thin_pairs, fewest, window, w.selection.chosen_i]

@@ -140,6 +140,12 @@ def test_extract_tv_rejects_bad_xi():
     extract_tv(r, F(1))  # xi = 1 is allowed
 
 
+def test_extract_tv_rejects_an_empty_relation():
+    base = zset(0, 1, 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        extract_tv(Relation(base, np.zeros((3, 3), dtype=bool)), F(1, 2))
+
+
 def test_extract_tv_nesting_and_floor():
     rng = SplitMix64(555)
     for trial in range(12):
