@@ -15,7 +15,8 @@ writes with a square root is compared after squaring, so the whole pipeline
 is exact integer and rational arithmetic.  Floating point appears only
 inside the 0/1 matrix products of relation_lemma, whose exactness bound is
 checked in one place (exact_float); both branches pick and filter their
-slice through relation_lemma.pick_slice.
+slice through relation_lemma.pick_slice.  The ExtractionReport stores only
+what was measured and computes the bounds above and its checks from that.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -57,10 +59,9 @@ class PartitionPQ:
     A difference d is popular when r(d)^2 * |A| >= E.  The split is kept
     once, as the bool mask popular over the rep table's rows; the popular
     side, at most |A| differences, is also decoded into p_items with its
-    counts.
+    counts.  A itself is rep.a_set.
     """
 
-    a_set: AdditiveSet
     rep: RepTable
     p_items: Tuple[Tuple[Element, int], ...]
     p_mass: int
@@ -98,7 +99,7 @@ def partition_pq(a_set: AdditiveSet) -> PartitionPQ:
     zero = a_set.spec.zero()
     if all(d != zero for d, _ in p_items):
         raise InvariantViolation("zero difference missing from the popular side")
-    return PartitionPQ(a_set, rep, p_items, p_mass, e_val - p_mass, popular)
+    return PartitionPQ(rep, p_items, p_mass, e_val - p_mass, popular)
 
 
 def case_select(pq: PartitionPQ, eps: Fraction) -> str:
@@ -132,27 +133,62 @@ class QWitness:
 
 @dataclass(frozen=True)
 class ExtractionReport:
-    """Everything the extraction produced, with its certified bounds.
+    """What the extraction measured; its bounds and checks are read off it.
 
-    size_bound_sq is the square of the size floor (1 - eps) * sqrt(E / n),
-    kept squared so it stays rational; a_prime_size^2 * n >= size_bound_sq * n^2
-    is the exact comparison recorded in the checks.
+    Stored: A, E = E(A), eps, run_both, the branch, its witness, A' and
+    |A' - A'|.  Every other attribute is computed from them, once per report,
+    so dataclasses.replace never leaves one stale.  size_bound_sq is the
+    square of the size floor (1 - eps) * sqrt(E / n), kept squared so it
+    stays rational; diff_bound_p is None off branch P.
     """
 
-    set_size: int
+    a_set: AdditiveSet
     energy: int
-    K: Fraction
     eps: Fraction
     run_both: bool
     case: str
     witness: Union[PWitness, QWitness]
     a_prime: AdditiveSet
-    size_bound_sq: Fraction
-    diff_bound: Fraction
-    diff_bound_p: Optional[Fraction]
-    a_prime_size: int
     diff_size: int
-    checks: Tuple[Tuple[str, bool], ...]
+
+    @property
+    def set_size(self) -> int:
+        return len(self.a_set)
+
+    @property
+    def a_prime_size(self) -> int:
+        return len(self.a_prime)
+
+    @cached_property
+    def K(self) -> Fraction:
+        return Fraction(self.set_size**3, self.energy)
+
+    @cached_property
+    def size_bound_sq(self) -> Fraction:
+        return (1 - self.eps) ** 2 * Fraction(self.energy, self.set_size)
+
+    @cached_property
+    def diff_bound(self) -> Fraction:
+        return 2**33 * self.eps**-9 * self.K**4 * self.a_prime_size
+
+    @cached_property
+    def diff_bound_p(self) -> Optional[Fraction]:
+        return 2**10 * self.eps**-4 * self.K**3 * self.a_prime_size if self.case == "P" else None
+
+    @cached_property
+    def checks(self) -> Tuple[Tuple[str, bool], ...]:
+        """The certified inequalities, by name, in report order."""
+        m, n = self.a_prime_size, self.set_size
+        checks = [
+            ("size_lower_bound", m * m >= self.size_bound_sq),
+            # implied by size_lower_bound: multiply it by E / n and use E >= n^2
+            ("size_lower_bound_cleared", m * m * self.energy >= (1 - self.eps) ** 2 * n**3),
+            ("diff_upper_bound", self.diff_size <= self.diff_bound),
+        ]
+        if self.diff_bound_p is not None:
+            checks.append(("diff_upper_bound_popular", self.diff_size <= self.diff_bound_p))
+        checks.append(("subset_of_input", self.a_prime.as_set <= self.a_set.as_set))
+        return tuple(checks)
 
     def to_json_dict(self) -> dict:
         if isinstance(self.witness, PWitness):
@@ -216,55 +252,14 @@ def _finish_report(
     a_prime: AdditiveSet,
     prime_rows: np.ndarray,
 ) -> ExtractionReport:
-    n = len(pq.a_set)
-    m = len(a_prime)
-    e_val = pq.energy
-    k_val = Fraction(n**3, e_val)
-    size_bound_sq = (1 - eps) ** 2 * Fraction(e_val, n)
-    diff_bound = 2**33 * eps**-9 * k_val**4 * m
-    diff_bound_p = 2**10 * eps**-4 * k_val**3 * m if case == "P" else None
     # A' is A at prime_rows: |A' - A'| is read off A's table by sorting the
     # pairs of A' or the pairs A' loses, whichever are fewer
     diff_size = pq.rep.subset_diff_size(prime_rows)
-
-    size_ok = m * m * n >= (1 - eps) ** 2 * e_val
-    # implied by size_ok: multiply it by E / n and use E >= n^2
-    size_ok_cleared = m * m * e_val >= (1 - eps) ** 2 * n**3
-    diff_ok = diff_size <= diff_bound
-    subset_ok = a_prime.as_set <= pq.a_set.as_set
-
-    checks = [
-        ("size_lower_bound", bool(size_ok)),
-        ("size_lower_bound_cleared", bool(size_ok_cleared)),
-        ("diff_upper_bound", bool(diff_ok)),
-    ]
-    if diff_bound_p is not None:
-        checks.append(("diff_upper_bound_popular", bool(diff_size <= diff_bound_p)))
-    checks.append(("subset_of_input", bool(subset_ok)))
-    for name, ok in checks:
+    report = ExtractionReport(pq.rep.a_set, pq.energy, eps, False, case, witness, a_prime, diff_size)
+    for name, ok in report.checks:
         if not ok:
             raise InvariantViolation(f"certified inequality failed: {name}")
-    return ExtractionReport(
-        set_size=n,
-        energy=e_val,
-        K=k_val,
-        eps=eps,
-        run_both=False,
-        case=case,
-        witness=witness,
-        a_prime=a_prime,
-        size_bound_sq=size_bound_sq,
-        diff_bound=diff_bound,
-        diff_bound_p=diff_bound_p,
-        a_prime_size=m,
-        diff_size=diff_size,
-        checks=tuple(checks),
-    )
-
-
-def _index_dtype(cells: int) -> np.dtype:
-    """int32 when it indexes each of cells cells, else int64."""
-    return np.dtype(np.int32 if cells <= 1 << 31 else np.int64)
+    return report
 
 
 def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -276,14 +271,15 @@ def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, 
     of the k popular differences, k + 1 for a thin one (X), k for the rest.
     """
     rep = pq.rep
-    n = len(pq.a_set)
+    n = len(rep.a_set)
     k = len(pq.p_items)
     # no d is both thin and popular: a thin r(d) is at most
     # eps^2 E / (16 n^2) < E / n^2 <= sqrt(E / n), as E <= n^3
     thin = rep.counts <= thin_floor
     if thin[pq.popular].any():
         raise InvariantViolation("thin floor reaches the popular floor")
-    col = np.full(len(rep), k, dtype=_index_dtype(n * (k + 2)))
+    # the flat index of the last of the n * (k + 2) cells is n * (k + 2) - 1
+    col = np.full(len(rep), k, dtype=np.int32 if n * (k + 2) <= 1 << 31 else np.int64)
     col[thin] = k + 1
     col[pq.popular] = np.arange(k)
     column_of = rep.lookup(rep.codes, col)
@@ -318,8 +314,7 @@ def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
     x_mat, m_mat = _membership_matrices(pq, thin_floor)
 
     slice_sizes = m_mat.sum(axis=0, dtype=np.int64)
-    expected = np.array([c for _, c in pq.p_items], dtype=np.int64)
-    if not np.array_equal(slice_sizes, expected):
+    if not np.array_equal(slice_sizes, pq.rep.counts[pq.popular]):
         raise InvariantViolation("slice size disagrees with its difference count")
 
     # equal scores go to the larger slice, then to the lexicographically smaller d
@@ -358,26 +353,23 @@ def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
         raise ValueError("unpopular branch requires q_mass >= (1 - eps/4) * E")
     n = len(a_set)
     e_val = pq.energy
-    k_val = Fraction(n**3, e_val)
 
     weights = WeightVector(rho=Fraction(n, e_val), coeffs=pq.rep.counts[~pq.popular])
     selection = select_index_set(weights, 1 - eps / 4)
-    index_set = np.array(selection.index_set, dtype=np.int64)
-    selected_mass = int(weights.coeffs[index_set].sum())
-    q_prime_codes = pq.rep.codes[~pq.popular][index_set]
     del weights  # free the unpopular counts before the n x n passes
+    q_prime_codes = pq.rep.codes[~pq.popular][np.array(selection.index_set, dtype=np.int64)]
     # codes ascend with their differences, so Q' is canonical and sorted as decoded
     q_prime = AdditiveSet.from_sorted(a_set.spec, tuple(pq.rep.decode(q_prime_codes)))
 
     relation = Relation.from_difference_set(pq.rep, q_prime_codes)
-    if relation.size != selected_mass:
+    if relation.size != selection.certified_coeff:
         raise InvariantViolation("relation size disagrees with selected counts")
     delta = relation.delta
 
     if delta * delta < (1 - eps / 2) ** 2 * Fraction(e_val, n**3):
         raise InvariantViolation("relation density below its guaranteed floor")
     chosen = selection.chosen_i
-    if Fraction(chosen**4) > 2**21 * eps**-5 * k_val**4 * delta**6 * n**4:
+    if Fraction(chosen**4) > 2**21 * eps**-5 * Fraction(n**3, e_val) ** 4 * delta**6 * n**4:
         raise InvariantViolation("selected prefix too long for the path bound")
 
     tv = extract_tv(relation, eps / 2)

@@ -143,9 +143,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    eps_list = [_parse_eps(t.strip()) for t in args.eps.split(",") if t.strip()]
-    if not eps_list:
+    if not args.eps.strip():
         raise _CliError(EXIT_BAD_EPS, "no eps values given")
+    eps_list = [_parse_eps(t.strip()) for t in args.eps.split(",")]
     try:
         specs = [GenSpec.parse(t) for t in args.families]
     except ValueError as exc:

@@ -149,7 +149,7 @@ class GenSpec:
         ball:dim,radius_sq       lattice ball
         random:n,modulus,seed    seeded subset of Z_modulus
 
-    An unknown family or a wrong number of arguments raises ValueError.
+    An unknown family, an empty argument or a wrong argument count raises ValueError.
     """
 
     family: str
@@ -166,7 +166,7 @@ class GenSpec:
     def parse(cls, text: str) -> "GenSpec":
         family, _, arg_text = text.partition(":")
         try:
-            args = tuple(int(a) for a in arg_text.split(",") if a.strip())
+            args = tuple(int(a) for a in arg_text.split(",")) if arg_text.strip() else ()
         except ValueError as exc:
             raise ValueError(f"bad arguments in {text!r}") from exc
         return cls(family.strip(), args)

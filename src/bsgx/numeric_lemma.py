@@ -148,9 +148,7 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
     # k is the smallest prefix length with prefix^2 >= alpha^2 * c2^2 * rho,
     # i.e. prefix >= floor_p, the least integer whose square clears it
     need = -(-(a * a * c2 * c2 * rho.numerator) // (b * b * rho.denominator))
-    floor_p = math.isqrt(need)
-    if floor_p * floor_p < need:
-        floor_p += 1
+    floor_p = math.isqrt(need - 1) + 1
     if int(prefix[ell - 1]) < floor_p:
         raise InvariantViolation(f"no prefix of length <= {ell} reaches the mass floor")
     k = int(np.searchsorted(prefix, floor_p, side="left")) + 1

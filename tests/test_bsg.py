@@ -14,7 +14,6 @@ from bsgx.bsg import (
     Params,
     PWitness,
     QWitness,
-    _index_dtype,
     _membership_matrices,
     case_select,
     extract,
@@ -297,10 +296,41 @@ def test_membership_matrices_refuse_a_thin_floor_at_the_popular_floor():
         _membership_matrices(pq, pop_floor)
 
 
+class _ColumnDtype(Exception):
+    pass
+
+
+class _StubRep:
+    """A rep table of k popular counts and one thin one over a set of n elements.
+
+    Its lookup raises _ColumnDtype with the dtype of the column table it is
+    handed, so no n x n block is ever built.
+    """
+
+    def __init__(self, n, k):
+        self.a_set = range(n)
+        self.codes = np.arange(k + 1)
+        self.counts = np.array([5] * k + [1])
+
+    def __len__(self):
+        return len(self.codes)
+
+    def lookup(self, codes, col):
+        raise _ColumnDtype(col.dtype)
+
+
+def _flat_index_dtype(n, k):
+    rep = _StubRep(n, k)
+    pq = bsg.PartitionPQ(rep, ((None, 5),) * k, 25 * k, 1, rep.counts == 5)
+    with pytest.raises(_ColumnDtype) as info:
+        _membership_matrices(pq, 1)
+    return info.value.args[0]
+
+
 def test_flat_scatter_index_dtype_holds_the_last_cell():
     # the flat index of the last cell of n * (k + 2) cells is n * (k + 2) - 1
-    assert _index_dtype(1 << 31) == np.int32
-    assert _index_dtype((1 << 31) + 1) == np.int64
+    assert _flat_index_dtype(1 << 29, 2) == np.int32  # 2^31 cells
+    assert _flat_index_dtype(715827883, 1) == np.int64  # 2^31 + 1 cells
 
 
 def test_q_prime_equals_the_validated_set():
@@ -326,3 +356,31 @@ def test_theorem_bounds_recorded_exactly():
     # the P route strengthening is recorded only in case P
     if rep.case == "P":
         assert rep.diff_bound_p == 2**10 * eps**-4 * k**3 * rep.a_prime_size
+
+
+_BOTH_BRANCHES = [(F(1, 10), "P"), (F(1, 4), "Q")]
+
+
+@pytest.mark.parametrize("eps, case", _BOTH_BRANCHES, ids=["P", "Q"])
+def test_a_diff_size_past_its_bound_fails_the_checks(eps, case):
+    report = extract(gen_random(48, 97, 21), Params(eps=eps))
+    assert report.case == case and all(ok for _, ok in report.checks)
+    past = replace(report, diff_size=report.diff_bound.numerator // report.diff_bound.denominator + 1)
+    failed = {"diff_upper_bound"} | ({"diff_upper_bound_popular"} if case == "P" else set())
+    assert {name for name, ok in past.checks if not ok} == failed
+    assert {c["name"] for c in past.to_json_dict()["checks"] if not c["pass"]} == failed
+    assert past.to_json_dict()["achieved"]["diff_size"] == past.diff_size
+
+
+@pytest.mark.parametrize("eps, case", _BOTH_BRANCHES, ids=["P", "Q"])
+def test_a_replaced_a_prime_moves_its_size_bound_and_check_together(eps, case):
+    report = extract(gen_random(48, 97, 21), Params(eps=eps))
+    assert report.case == case and report.a_prime_size > 1
+    single = replace(report, a_prime=report.a_prime.subset([0]))
+    assert single.a_prime_size == 1
+    assert single.diff_bound == report.diff_bound / report.a_prime_size
+    assert dict(single.checks)["size_lower_bound"] is False
+    doc = single.to_json_dict()
+    assert doc["achieved"]["a_prime_size"] == 1
+    assert doc["bounds"]["diff_bound"] == bsg._frac_str(single.diff_bound)
+    assert {c["name"]: c["pass"] for c in doc["checks"]}["size_lower_bound"] is False

@@ -426,6 +426,18 @@ def test_bench_rejects_bad_family(capsys):
 
 
 
+def test_bench_rejects_an_empty_list_item(capsys):
+    assert main(["bench", "--families", "ap:5,,1", "--eps", "1/4"]) == 2
+    assert capsys.readouterr() == ("", "error: bad arguments in 'ap:5,,1'\n")
+    assert main(["bench", "--families", "ap:5", "--eps", "1/4,,2/5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: eps must be a fraction") and err.endswith("got ''\n")
+    # an empty list still says so
+    for empty in ("", " "):
+        assert main(["bench", "--families", "ap:5", "--eps", empty]) == 3
+        assert capsys.readouterr().err == "error: no eps values given\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

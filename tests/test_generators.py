@@ -181,6 +181,18 @@ def test_genspec_parse_rejects(text):
         GenSpec.parse(text)
 
 
+@pytest.mark.parametrize("text", ["ap:1,,2", "ap:5,", "random:,63,127,7", "ap:1, ,2"])
+def test_genspec_parse_rejects_an_empty_argument(text):
+    with pytest.raises(ValueError, match="bad arguments"):
+        GenSpec.parse(text)
+
+
+@pytest.mark.parametrize("text", ["ap", "ap:", "ap: "])
+def test_genspec_parse_reads_no_text_as_no_arguments(text):
+    with pytest.raises(ValueError, match=r"takes \(1, 2, 3\) arguments, got 0"):
+        GenSpec.parse(text)
+
+
 @pytest.mark.parametrize("family, args", [("rand", (5, 7, 1)), ("ap", (1, 2, 3, 4)), ("axis", (11,))])
 def test_genspec_rejects_an_unknown_family_or_argument_count(family, args):
     with pytest.raises(ValueError):
