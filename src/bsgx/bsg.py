@@ -15,8 +15,10 @@ writes with a square root is compared after squaring, so the whole pipeline
 is exact integer and rational arithmetic.  Floating point appears only
 inside the 0/1 matrix products of relation_lemma, whose exactness bound is
 checked in one place (exact_float); both branches pick and filter their
-slice through relation_lemma.pick_slice.  The ExtractionReport stores only
-what was measured and computes the bounds above and its checks from that.
+slice through relation_lemma.pick_slice.  At the knife edge 4 * p_mass =
+eps * E both hypotheses hold, and extract runs both branches and keeps the
+better result.  The ExtractionReport stores what was measured and computes
+the bounds above and its checks from that.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ TOOL_VERSION = "0.1.0"
 
 @dataclass(frozen=True)
 class Params:
-    """Extraction parameters: rational eps in (0, 1/2), optional dual run."""
+    """Extraction parameters: rational eps in (0, 1/2)."""
 
     eps: Fraction
-    run_both: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -135,11 +136,11 @@ class QWitness:
 class ExtractionReport:
     """What the extraction measured; its bounds and checks are read off it.
 
-    Stored: A, E = E(A), eps, run_both, the branch, its witness, A' and
-    |A' - A'|.  Every other attribute is computed from them, once per report,
-    so dataclasses.replace never leaves one stale.  size_bound_sq is the
-    square of the size floor (1 - eps) * sqrt(E / n), kept squared so it
-    stays rational; diff_bound_p is None off branch P.
+    Stored: A, E = E(A), eps, run_both (both branches ran), the branch, its
+    witness, A' and |A' - A'|.  Every other attribute is computed from them,
+    once per report, so dataclasses.replace never leaves one stale.
+    size_bound_sq is the square of the size floor (1 - eps) * sqrt(E / n),
+    kept squared so it stays rational; diff_bound_p is None off branch P.
     """
 
     a_set: AdditiveSet
@@ -378,14 +379,12 @@ def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
 
 
 def extract(a_set: AdditiveSet, params: Params) -> ExtractionReport:
-    """Full pipeline: partition, choose a branch, extract, certify."""
+    """Full pipeline: partition, choose a branch (both where both hypotheses hold), extract, certify."""
     pq = partition_pq(a_set)
     eps = params.eps
-    case = case_select(pq, eps)
-    if params.run_both and case == "P" and pq.q_holds(eps):
+    if pq.p_holds(eps) and pq.q_holds(eps):
         reports = [branch(a_set, pq, eps) for branch in (extract_p, extract_q)]
         # the smaller |A'-A'| / |A'|, then the larger A', then P; min keeps the first
-        report = min(reports, key=lambda r: (Fraction(r.diff_size, r.a_prime_size), -r.a_prime_size))
-    else:
-        report = (extract_p if case == "P" else extract_q)(a_set, pq, eps)
-    return replace(report, run_both=params.run_both)
+        best = min(reports, key=lambda r: (Fraction(r.diff_size, r.a_prime_size), -r.a_prime_size))
+        return replace(best, run_both=True)
+    return (extract_p if case_select(pq, eps) == "P" else extract_q)(a_set, pq, eps)

@@ -92,7 +92,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     a_set = _read_set(args.set_file)
     eps = _parse_eps(args.eps)
-    report = extract(a_set, Params(eps=eps, run_both=args.both))
+    report = extract(a_set, Params(eps=eps))
     try:
         doc = report.to_json_dict()
     # a bound past Python's int-to-str digit limit, which only a tiny eps reaches
@@ -203,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="run the extraction and write a JSON report")
     p_extract.add_argument("set_file")
     p_extract.add_argument("--eps", required=True, help="rational in (0, 1/2), e.g. 1/4 or 0.25")
-    p_extract.add_argument("--both", action="store_true",
-                           help="when both branch hypotheses hold, run both and keep the better result")
     p_extract.add_argument("--out", help="report path (default: stdout)")
     p_extract.add_argument("--timestamps", action="store_true",
                            help="include a generation timestamp in the report")

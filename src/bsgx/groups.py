@@ -80,9 +80,17 @@ class AdditiveSet:
 
     @classmethod
     def from_elements(cls, spec: GroupSpec, elems: Iterable[Sequence[int]]) -> "AdditiveSet":
-        """Canonicalize arbitrary input: reduce, deduplicate, sort."""
-        canon = sorted({spec.reduce(e) for e in elems})
-        return cls(spec, tuple(canon))
+        """Canonicalize arbitrary input: check arity, reduce, deduplicate, sort."""
+        rows = list(elems)
+        if not rows:
+            raise ValueError("additive set must be nonempty")
+        for e in rows:
+            if len(e) != spec.dim:
+                raise ValueError(f"expected {spec.dim} coordinates, got {len(e)}")
+        # reduce only the cyclic columns; the rows are then canonical and need no second check
+        cols = [[c % m for c in map(int, col)] if m else list(map(int, col))
+                for col, m in zip(zip(*rows), spec.moduli)]
+        return cls.from_sorted(spec, tuple(sorted(set(zip(*cols)))))
 
     def subset(self, rows: Iterable[int]) -> "AdditiveSet":
         """The elements at the strictly increasing indices rows, as a set.
@@ -175,11 +183,7 @@ def parse_set(data: "bytes | str") -> AdditiveSet:
             elems.append(tuple(map(int, parts)))
         except ValueError as exc:
             raise AsetFormatError(f"bad coordinate in {ln!r}") from exc
-    if any(moduli):
-        # reduce only the cyclic columns, then the rows are the canonical elements
-        cols = [[c % m for c in col] if m else col for col, m in zip(zip(*elems), moduli)]
-        elems = zip(*cols)
-    return AdditiveSet(spec, tuple(sorted(set(elems))))
+    return AdditiveSet.from_elements(spec, elems)
 
 
 def serialize_set(a_set: AdditiveSet) -> bytes:

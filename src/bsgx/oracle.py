@@ -82,10 +82,6 @@ class VerificationResult:
                 return status
         return "pass"
 
-    @property
-    def failed(self) -> Tuple[CheckRecord, ...]:
-        return tuple(c for c in self.checks if c.status == "fail")
-
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,

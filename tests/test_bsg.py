@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +39,8 @@ A012 = zset(0, 1, 2)
 
 def test_params_validation():
     Params(eps=F(1, 10))
-    Params(eps=F(49, 100), run_both=True)
+    Params(eps=F(49, 100))
+    assert [f.name for f in fields(Params)] == ["eps"]
     for bad in (F(0), F(1, 2), F(-1, 10), F(3, 4)):
         with pytest.raises(ValueError):
             Params(eps=bad)
@@ -174,7 +175,18 @@ def test_singleton_extracts_itself():
     assert rep.diff_size == 1
 
 
-def test_run_both_at_the_exact_boundary():
+def count_branch_calls(monkeypatch):
+    """Wrap extract_p and extract_q so that each counts its calls."""
+    calls = {"P": 0, "Q": 0}
+    for case, name in (("P", "extract_p"), ("Q", "extract_q")):
+        def counted(*args, _case=case, _branch=getattr(bsg, name)):
+            calls[_case] += 1
+            return _branch(*args)
+        monkeypatch.setattr(bsg, name, counted)
+    return calls
+
+
+def test_run_both_at_the_exact_boundary(monkeypatch):
     # for this set 4 * p_mass == eps * E at eps = 15876/125903, so both
     # routes' hypotheses hold simultaneously
     a = gen_random(63, 127, 7)
@@ -182,27 +194,32 @@ def test_run_both_at_the_exact_boundary():
     eps = F(4 * pq.p_mass, pq.energy)
     assert F(0) < eps < F(1, 2)
     assert pq.q_mass == (1 - eps / 4) * pq.energy
-    single = extract(a, Params(eps=eps))
-    both = extract(a, Params(eps=eps, run_both=True))
-    assert single.case == "P"  # ties prefer the popular route
-    assert both.case in ("P", "Q")
-    # the dual run may only improve the achieved ratio
-    assert F(both.diff_size, both.a_prime_size) <= F(
-        single.diff_size, single.a_prime_size
-    )
-    assert verify_extraction(a, both).ok
-    # extract records the flag; a branch called directly records False
+    assert case_select(pq, eps) == "P"  # ties prefer the popular route
     direct = [branch(a, pq, eps) for branch in (extract_p, extract_q)]
-    assert both.run_both and not single.run_both and not any(r.run_both for r in direct)
-    assert both.to_json() in [replace(r, run_both=True).to_json() for r in direct]
+    calls = count_branch_calls(monkeypatch)
+    both = extract(a, Params(eps=eps))
+    assert calls == {"P": 1, "Q": 1}
+    assert both.case in ("P", "Q")
+    # the dual run keeps the better achieved ratio
+    assert all(F(both.diff_size, both.a_prime_size) <= F(r.diff_size, r.a_prime_size) for r in direct)
+    assert verify_extraction(a, both).ok
+    # extract records that both ran; a branch called directly records False
+    assert both.run_both and not any(r.run_both for r in direct)
+    best = min(direct, key=lambda r: (F(r.diff_size, r.a_prime_size), -r.a_prime_size))
+    assert both.to_json() == replace(best, run_both=True).to_json()
 
 
-def test_run_both_off_boundary_is_single_run():
-    a = gen_random(63, 127, 7)
-    plain = extract(a, Params(eps=F(1, 4)))
-    boosted = extract(a, Params(eps=F(1, 4), run_both=True))
-    assert plain.case == boosted.case == "Q"
-    assert plain.a_prime == boosted.a_prime
+def test_run_both_off_boundary_is_single_run(monkeypatch):
+    calls = count_branch_calls(monkeypatch)
+    for a, eps, case in ((gen_random(63, 127, 7), F(1, 4), "Q"), (gen_ap(40, 3, 7), F(1, 4), "P")):
+        pq = partition_pq(a)
+        assert pq.p_holds(eps) != pq.q_holds(eps)
+        calls.update(P=0, Q=0)
+        report = extract(a, Params(eps=eps))
+        assert report.case == case and not report.run_both
+        assert calls == {"P": int(case == "P"), "Q": int(case == "Q")}
+        # the branch's own report comes back as it is
+        assert report.to_json() == (extract_p if case == "P" else extract_q)(a, pq, eps).to_json()
 
 
 def test_report_json_shape():

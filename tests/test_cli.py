@@ -135,16 +135,27 @@ def test_verify_round_trip(aset_file, tmp_path, capsys):
 
 
 def test_extract_both_at_the_knife_eps(tmp_path, capsys):
-    # 4 * p_mass == eps * E for this set, so both branch hypotheses hold
+    # 4 * p_mass == eps * E for this set, so both branch hypotheses hold and
+    # plain extract runs both branches
     a = gen_random(63, 127, 7)
     eps = Fraction(15876, 125903)
     src = tmp_path / "r.aset"
     src.write_bytes(serialize_set(a))
     report = tmp_path / "r.json"
-    assert main(["extract", str(src), "--eps", "15876/125903", "--both", "--out", str(report)]) == 0
+    assert main(["extract", str(src), "--eps", "15876/125903", "--out", str(report)]) == 0
     assert json.loads(report.read_text())["params"]["run_both"] is True
-    assert report.read_text() == extract(a, Params(eps, run_both=True)).to_json()
+    assert report.read_text() == extract(a, Params(eps)).to_json()
     assert main(["verify", str(src), str(report)]) == 0
+
+
+def test_extract_has_no_both_flag(aset_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", aset_file(A012), "--eps", "1/4", "--both"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--help"])
+    assert exc.value.code == 0
+    assert "--both" not in capsys.readouterr().out
 
 
 def test_verify_unknown_case_fails_only_case_known(aset_file, tmp_path, capsys):

@@ -9,7 +9,8 @@ multiplied by 2^53, whose raw differences are too wide for int64 codes
 in *2^64+1 are copies multiplied by 2^64 with the element 1 added, and the
 last base set lies in Z_(2^64+13); neither can be reduced, so their codes
 are Python ints.  A "knife" eps is 4 * p_mass / E, where both branch
-hypotheses hold with equality.
+hypotheses hold with equality, so extract runs both branches.  The third
+entry of each key is the report's run_both, true exactly at a knife eps.
 
 The verify-output digests pin the claimed and actual text of every oracle
 check on these reports; on branch Q the lemma references' recounts are
@@ -65,7 +66,7 @@ COPIES = {
 }
 
 
-def build(label: str, eps: str, both: bool):
+def build(label: str, eps: str):
     """The input set and parameters of one golden case."""
     base, _, copy = label.partition("*")
     a = COPIES[copy](_BASES[base]())
@@ -74,7 +75,7 @@ def build(label: str, eps: str, both: bool):
         eps_val = F(4 * pq.p_mass, pq.energy)
     else:
         eps_val = F(eps)
-    return a, Params(eps=eps_val, run_both=both)
+    return a, Params(eps=eps_val)
 
 
 GOLDEN = {
@@ -103,21 +104,22 @@ GOLDEN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("label,eps,both,cells", GOLDEN_CASES)
-def test_golden_report_bytes(label, eps, both, cells, monkeypatch):
-    a, params = build(label, eps, both)
+@pytest.mark.parametrize("label,eps,ran_both,cells", GOLDEN_CASES)
+def test_golden_report_bytes(label, eps, ran_both, cells, monkeypatch):
+    a, params = build(label, eps)
     wide = label.endswith(("*2^64+1", "Z_(2^64+13)"))
     assert (build_codec(a) is None) == ("*" in label or wide)
     assert (rep_table(a).codes.dtype == object) == wide
     if cells is not None:
         monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
-    out = extract(a, params).to_json().encode()
-    assert hashlib.sha256(out).hexdigest() == GOLDEN[(label, eps, both)]
+    report = extract(a, params)
+    assert report.run_both == ran_both
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == GOLDEN[(label, eps, ran_both)]
 
 
-@pytest.mark.parametrize("label,eps,both", list(GOLDEN))
-def test_golden_reports_pass_every_oracle_check(label, eps, both):
-    a, params = build(label, eps, both)
+@pytest.mark.parametrize("label,eps,ran_both", list(GOLDEN))
+def test_golden_reports_pass_every_oracle_check(label, eps, ran_both):
+    a, params = build(label, eps)
     res = verify_extraction(a, extract(a, params))
     assert res.status == "pass", [c.name for c in res.checks if c.status != "pass"]
 
@@ -153,12 +155,12 @@ VERIFY_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("label,eps,both", list(VERIFY_GOLDEN))
-def test_golden_verify_output(label, eps, both):
+@pytest.mark.parametrize("label,eps,ran_both", list(VERIFY_GOLDEN))
+def test_golden_verify_output(label, eps, ran_both):
     def digest(result) -> str:
         return hashlib.sha256(json.dumps(result.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
-    a, params = build(label, eps, both)
+    a, params = build(label, eps)
     report = extract(a, params)
     pinned = [digest(verify_report_dict(a, report.to_json_dict()))]
     if report.case == "Q":
@@ -170,7 +172,7 @@ def test_golden_verify_output(label, eps, both):
         st_failed, window = st_failures(weights, 1 - report.eps / 4, w.selection)
         assert tv_failed == st_failed == []
         pinned += [thin_pairs, fewest, window, w.selection.chosen_i]
-    assert tuple(pinned) == VERIFY_GOLDEN[(label, eps, both)]
+    assert tuple(pinned) == VERIFY_GOLDEN[(label, eps, ran_both)]
 
 
 def test_every_toy_benchmark_report_matches_its_pin():

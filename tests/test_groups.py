@@ -55,6 +55,11 @@ def test_from_elements_canonicalizes():
     assert len(a) == 2
     assert (2,) in a
     assert (7,) not in a  # membership is on canonical forms
+    assert type(AdditiveSet.from_elements(spec, [(np.int64(-3),)]).elements[0][0]) is int  # numpy scalars become ints
+    with pytest.raises(ValueError, match="nonempty"):
+        AdditiveSet.from_elements(spec, [])
+    with pytest.raises(ValueError, match="coordinates"):
+        AdditiveSet.from_elements(spec, [(1,), (2, 3)])
 
 
 def test_direct_construction_is_strict():
@@ -215,4 +220,5 @@ def test_parse_equals_the_canonicalized_tuples(drawn):
     text, moduli, raw = drawn
     a = parse_set(text)
     assert a == AdditiveSet.from_elements(GroupSpec(moduli), raw)
+    assert AdditiveSet(a.spec, a.elements) == a  # the checked constructor accepts it
     assert all(type(c) is int for e in a.elements for c in e)
