@@ -18,7 +18,6 @@ from .bsg import (
     PartitionPQ,
     PWitness,
     QWitness,
-    case_select,
     extract,
     extract_p,
     extract_q,
@@ -77,7 +76,6 @@ __all__ = [
     "TvWitness",
     "VerificationResult",
     "WeightVector",
-    "case_select",
     "energy",
     "extract",
     "extract_p",

@@ -15,10 +15,10 @@ writes with a square root is compared after squaring, so the whole pipeline
 is exact integer and rational arithmetic.  Floating point appears only
 inside the 0/1 matrix products of relation_lemma, whose exactness bound is
 checked in one place (exact_float); both branches pick and filter their
-slice through relation_lemma.pick_slice.  At the knife edge 4 * p_mass =
-eps * E both hypotheses hold, and extract runs both branches and keeps the
-better result.  The ExtractionReport stores what was measured and computes
-the bounds above and its checks from that.
+slice through relation_lemma.pick_slice.  extract runs each branch whose
+hypothesis holds; at the knife edge 4 * p_mass = eps * E both hold, and it
+keeps the better result.  The ExtractionReport stores what was measured and
+computes the bounds above, its checks and its branch from that.
 """
 
 from __future__ import annotations
@@ -103,16 +103,6 @@ def partition_pq(a_set: AdditiveSet) -> PartitionPQ:
     return PartitionPQ(rep, p_items, p_mass, e_val - p_mass, popular)
 
 
-def case_select(pq: PartitionPQ, eps: Fraction) -> str:
-    """"P" when the popular mass reaches eps * E / 4, else "Q"."""
-    eps = Params(eps).eps
-    if pq.p_holds(eps):
-        return "P"
-    if not pq.q_holds(eps):
-        raise InvariantViolation("neither branch hypothesis holds")
-    return "Q"
-
-
 @dataclass(frozen=True)
 class PWitness:
     """Popular-branch witness: the chosen difference and its filter data."""
@@ -136,21 +126,25 @@ class QWitness:
 class ExtractionReport:
     """What the extraction measured; its bounds and checks are read off it.
 
-    Stored: A, E = E(A), eps, run_both (both branches ran), the branch, its
-    witness, A' and |A' - A'|.  Every other attribute is computed from them,
-    once per report, so dataclasses.replace never leaves one stale.
-    size_bound_sq is the square of the size floor (1 - eps) * sqrt(E / n),
-    kept squared so it stays rational; diff_bound_p is None off branch P.
+    Stored: A, E = E(A), eps, run_both (both branches ran), the witness,
+    A' and |A' - A'|.  Every other attribute is computed from them, once per
+    report, so dataclasses.replace never leaves one stale; case, the branch,
+    is read off the witness's type.  size_bound_sq is the square of the size
+    floor (1 - eps) * sqrt(E / n), kept squared so it stays rational;
+    diff_bound_p is None off branch P.
     """
 
     a_set: AdditiveSet
     energy: int
     eps: Fraction
     run_both: bool
-    case: str
     witness: Union[PWitness, QWitness]
     a_prime: AdditiveSet
     diff_size: int
+
+    @property
+    def case(self) -> str:
+        return "P" if isinstance(self.witness, PWitness) else "Q"
 
     @property
     def set_size(self) -> int:
@@ -248,7 +242,6 @@ def _frac_str(value: Fraction) -> str:
 def _finish_report(
     pq: PartitionPQ,
     eps: Fraction,
-    case: str,
     witness: Union[PWitness, QWitness],
     a_prime: AdditiveSet,
     prime_rows: np.ndarray,
@@ -256,7 +249,7 @@ def _finish_report(
     # A' is A at prime_rows: |A' - A'| is read off A's table by sorting the
     # pairs of A' or the pairs A' loses, whichever are fewer
     diff_size = pq.rep.subset_diff_size(prime_rows)
-    report = ExtractionReport(pq.rep.a_set, pq.energy, eps, False, case, witness, a_prime, diff_size)
+    report = ExtractionReport(pq.rep.a_set, pq.energy, eps, False, witness, a_prime, diff_size)
     for name, ok in report.checks:
         if not ok:
             raise InvariantViolation(f"certified inequality failed: {name}")
@@ -337,7 +330,7 @@ def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
         thin_threshold=thin_floor,
         thin_pairs_in_a_star=s_star,
     )
-    return _finish_report(pq, eps, "P", witness, a_set.subset(prime_rows), prime_rows)
+    return _finish_report(pq, eps, witness, a_set.subset(prime_rows), prime_rows)
 
 
 def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionReport:
@@ -375,16 +368,20 @@ def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
 
     tv = extract_tv(relation, eps / 2)
     witness = QWitness(selection=selection, q_prime=q_prime, tv=tv)
-    return _finish_report(pq, eps, "Q", witness, tv.a_prime, tv.a_prime_rows)
+    return _finish_report(pq, eps, witness, tv.a_prime, tv.a_prime_rows)
 
 
 def extract(a_set: AdditiveSet, params: Params) -> ExtractionReport:
-    """Full pipeline: partition, choose a branch (both where both hypotheses hold), extract, certify."""
+    """Full pipeline: partition, run each branch whose hypothesis holds, certify."""
     pq = partition_pq(a_set)
     eps = params.eps
-    if pq.p_holds(eps) and pq.q_holds(eps):
-        reports = [branch(a_set, pq, eps) for branch in (extract_p, extract_q)]
-        # the smaller |A'-A'| / |A'|, then the larger A', then P; min keeps the first
-        best = min(reports, key=lambda r: (Fraction(r.diff_size, r.a_prime_size), -r.a_prime_size))
-        return replace(best, run_both=True)
-    return (extract_p if case_select(pq, eps) == "P" else extract_q)(a_set, pq, eps)
+    reports = []
+    if pq.p_holds(eps):
+        reports.append(extract_p(a_set, pq, eps))
+    if pq.q_holds(eps):
+        reports.append(extract_q(a_set, pq, eps))
+    if not reports:
+        raise InvariantViolation("neither branch hypothesis holds")
+    # the smaller |A'-A'| / |A'|, then the larger A', then P; min keeps the first
+    best = min(reports, key=lambda r: (Fraction(r.diff_size, r.a_prime_size), -r.a_prime_size))
+    return replace(best, run_both=True) if len(reports) == 2 else best

@@ -6,8 +6,8 @@ bad parameters; 3 invalid eps; 4 a certified inequality failed internally
 succeed on every input); 5 no verification check failed but some were
 skipped as too expensive, so the report is not verified.
 
-All outputs are deterministic for fixed inputs and flags: reports carry no
-timestamps unless --timestamps is given.
+All outputs are deterministic for fixed inputs and flags; every byte of an
+extract report is a function of the input set and eps alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import List, Optional
 
@@ -98,8 +97,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # a bound past Python's int-to-str digit limit, which only a tiny eps reaches
     except ValueError as exc:
         raise _CliError(EXIT_BAD_EPS, "eps is too small: a bound passes Python's int-to-str limit") from exc
-    if args.timestamps:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(doc, indent=2) + "\n"
 
     size_ratio = float(report.a_prime_size) / float(report.size_bound_sq) ** 0.5
@@ -204,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("set_file")
     p_extract.add_argument("--eps", required=True, help="rational in (0, 1/2), e.g. 1/4 or 0.25")
     p_extract.add_argument("--out", help="report path (default: stdout)")
-    p_extract.add_argument("--timestamps", action="store_true",
-                           help="include a generation timestamp in the report")
     p_extract.set_defaults(func=cmd_extract)
 
     p_verify = sub.add_parser("verify", help="recount every claim of a report from its input set")

@@ -15,7 +15,6 @@ from bsgx.bsg import (
     PWitness,
     QWitness,
     _membership_matrices,
-    case_select,
     extract,
     extract_p,
     extract_q,
@@ -74,14 +73,18 @@ def test_partition_full_group_is_all_popular():
 
 
 def test_case_select_threshold():
+    # extract is the one place that picks the branch
+    assert not hasattr(bsg, "case_select")
     pq = partition_pq(A012)
-    # 4 * p_mass = 36 vs eps * 19
-    assert case_select(pq, F(1, 5)) == "P"
-    assert case_select(pq, F(2, 5)) == "P"
-    with pytest.raises(ValueError):
-        case_select(pq, F(0))
-    with pytest.raises(ValueError):
-        case_select(pq, F(1, 2))
+    # 4 * p_mass = 36 vs eps * 19, and q_mass = 10 vs (1 - eps/4) * 19
+    for eps in (F(1, 5), F(2, 5)):
+        assert pq.p_holds(eps) and not pq.q_holds(eps)
+        assert extract(A012, Params(eps=eps)).case == "P"
+    for eps in (F(0), F(1, 2)):
+        with pytest.raises(ValueError):
+            Params(eps=eps)
+        with pytest.raises(ValueError):
+            extract_p(A012, pq, eps)
 
 
 def test_extract_p_example():
@@ -132,7 +135,8 @@ def test_extract_p_requires_its_hypothesis():
     a = gen_random(63, 127, 7)
     pq = partition_pq(a)
     # at eps = 1/4 the popular mass is too small for the P route
-    assert case_select(pq, F(1, 4)) == "Q"
+    assert not pq.p_holds(F(1, 4)) and pq.q_holds(F(1, 4))
+    assert extract(a, Params(eps=F(1, 4))).case == "Q"
     with pytest.raises(ValueError):
         extract_p(a, pq, F(1, 4))
 
@@ -194,7 +198,7 @@ def test_run_both_at_the_exact_boundary(monkeypatch):
     eps = F(4 * pq.p_mass, pq.energy)
     assert F(0) < eps < F(1, 2)
     assert pq.q_mass == (1 - eps / 4) * pq.energy
-    assert case_select(pq, eps) == "P"  # ties prefer the popular route
+    assert pq.p_holds(eps) and pq.q_holds(eps)
     direct = [branch(a, pq, eps) for branch in (extract_p, extract_q)]
     calls = count_branch_calls(monkeypatch)
     both = extract(a, Params(eps=eps))
@@ -220,6 +224,76 @@ def test_run_both_off_boundary_is_single_run(monkeypatch):
         assert calls == {"P": int(case == "P"), "Q": int(case == "Q")}
         # the branch's own report comes back as it is
         assert report.to_json() == (extract_p if case == "P" else extract_q)(a, pq, eps).to_json()
+
+
+def test_extract_refuses_a_set_where_neither_hypothesis_holds(monkeypatch):
+    calls = count_branch_calls(monkeypatch)
+    monkeypatch.setattr(bsg.PartitionPQ, "p_holds", lambda self, eps: False)
+    monkeypatch.setattr(bsg.PartitionPQ, "q_holds", lambda self, eps: False)
+    with pytest.raises(InvariantViolation, match="neither branch hypothesis holds"):
+        extract(A012, Params(eps=F(1, 5)))
+    assert calls == {"P": 0, "Q": 0}
+
+
+def test_case_is_read_off_the_witness():
+    assert [f.name for f in fields(ExtractionReport)] == [
+        "a_set", "energy", "eps", "run_both", "witness", "a_prime", "diff_size",
+    ]
+    knife = gen_random(63, 127, 7)
+    pq = partition_pq(knife)
+    reports = [
+        extract(gen_ap(30), Params(eps=F(1, 4))),
+        extract(knife, Params(eps=F(1, 4))),
+        extract(knife, Params(eps=F(4 * pq.p_mass, pq.energy))),
+    ]
+    assert [(r.case, r.run_both) for r in reports[:2]] == [("P", False), ("Q", False)]
+    assert reports[2].run_both
+    for report in reports:
+        assert report.case == ("P" if isinstance(report.witness, PWitness) else "Q")
+        assert report.to_json_dict()["case"] == report.case
+        # a report cannot pair a witness with the other branch's name
+        with pytest.raises(TypeError):
+            replace(report, case="Q")
+    # moving the other branch's witness in moves the case with it
+    p_report, q_report = reports[:2]
+    assert replace(q_report, witness=p_report.witness).case == "P"
+    assert replace(p_report, witness=q_report.witness).case == "Q"
+
+
+def test_branch_p_breaks_a_score_tie_by_slice_size_then_first_d(monkeypatch):
+    # A = [0, 400) with the far points 10^6 and 10^6 + 1, at eps 2/5: d = 0
+    # keeps all 402 elements, but its slice holds 1,606 thin pairs, 1,600 of
+    # them joining the far points to the interval, while d = -2 and d = +2
+    # keep {0, ..., 397} and {2, ..., 399}, with no thin pair
+    a = zset(*range(400), 10**6, 10**6 + 1)
+    calls = []
+    real = bsg.pick_slice
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(bsg, "pick_slice", spy)
+    report = extract(a, Params(eps=F(2, 5)))
+    [((members, sizes, thin, weight, penalty), kwargs, (t, s_star, _, _))] = calls
+    assert np.array_equal(kwargs["second"], sizes)
+    diffs = [d for d, _ in partition_pq(a).p_items]
+    # score and slice size of each popular d, recounted pair by pair
+    ranked = {}
+    for u, d in enumerate(diffs):
+        rows = np.flatnonzero(members[:, u])
+        ranked[d] = (weight * len(rows) ** 2 - penalty * int(thin[np.ix_(rows, rows)].sum()), len(rows))
+    top = max(ranked.values())
+    assert top == (F(316808, 5), 398)
+    assert [d for d, rank in ranked.items() if rank == top] == [(-2,), (2,)]
+    assert ranked[(0,)] == (weight * 402**2 - penalty * 1606, 402)
+    # the first of the tied d wins
+    assert diffs[t] == report.witness.d_star == (-2,)
+    w = report.witness
+    assert (s_star, w.thin_pairs_in_a_star, w.thin_threshold) == (0, 0, 2)
+    assert w.a_star == report.a_prime == zset(*range(398))
+    assert verify_extraction(a, report).status == "pass"
 
 
 def test_report_json_shape():

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -115,10 +116,17 @@ def test_extract_accepts_terminating_decimal(aset_file, capsys):
 
 
 def test_extract_timestamps_flag(aset_file, capsys):
-    rc = main(["extract", aset_file(A012), "--eps", "1/5", "--timestamps"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert "generated_at" in doc
+    # a report carries no wall-clock value: --timestamps is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", aset_file(A012), "--eps", "1/5", "--timestamps"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["extract", aset_file(A012), "--eps", "1/5"]) == 0
+    assert "generated_at" not in json.loads(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--eps", "--out"}
 
 
 def test_verify_round_trip(aset_file, tmp_path, capsys):

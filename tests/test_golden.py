@@ -11,6 +11,9 @@ last base set lies in Z_(2^64+13); neither can be reduced, so their codes
 are Python ints.  A "knife" eps is 4 * p_mass / E, where both branch
 hypotheses hold with equality, so extract runs both branches.  The third
 entry of each key is the report's run_both, true exactly at a knife eps.
+On every other branch-P case d* = 0 and A' = A* = A; on [0,400) with the
+two far points 10^6 and 10^6 + 1, d = -2 and d = +2 tie on score and on
+slice size, so that case pins the slice choice and its tie rule.
 
 The verify-output digests pin the claimed and actual text of every oracle
 check on these reports; on branch Q the lemma references' recounts are
@@ -47,6 +50,9 @@ _BASES = {
     "random:63,127,7": lambda: gen_random(63, 127, 7),
     "random:60,2^64,5 in Z_(2^64+13)": lambda: AdditiveSet.from_elements(
         GroupSpec(((1 << 64) + 13,)), gen_random(60, 1 << 64, 5).elements
+    ),
+    "[0,400) with 10^6,10^6+1": lambda: AdditiveSet.from_elements(
+        GroupSpec((0,)), [(x,) for x in [*range(400), 10**6, 10**6 + 1]]
     ),
 }
 
@@ -92,6 +98,7 @@ GOLDEN = {
     ("ball:2,9*2^64+1", "1/4", False): "006791ac8c20d155782c9edfb8259d582a4dc0dac67e716d4c91c917eac81020",
     ("random:80,521,2*2^64+1", "knife", True): "b5b97c6bb8f25fce851e3d368f8d98102ded54aa1a85f3dbeec3be09199fe761",
     ("random:60,2^64,5 in Z_(2^64+13)", "1/4", False): "f47e83235902fbbec9446f28f5217b08ec9aa57d66ad8fe0e88056333c6c7f8b",
+    ("[0,400) with 10^6,10^6+1", "2/5", False): "ecdca128ffe17205db1ea223bad6226da2df1b5df288479e018aa6a6774c2988",
 }
 
 
@@ -151,6 +158,9 @@ VERIFY_GOLDEN = {
     ("random:80,521,2*2^64+1", "knife", True): ("49ba9aaaddd9eaa928149ddd983eb0ed816328dc0980566c4537143eaeae0f7d",),
     ("random:60,2^64,5 in Z_(2^64+13)", "1/4", False): (
         "e84643138087c24fbf014a723572bc4701d3fbe2e8239cef5685e26613037033",
+    ),
+    ("[0,400) with 10^6,10^6+1", "2/5", False): (
+        "ca6017800b6e3439574f85f980c327f293e9ce820a14ff564c8adf4c260edae5",
     ),
 }
 
