@@ -48,7 +48,6 @@ from .numeric_lemma import (
 from .oracle import (
     CheckRecord,
     VerificationResult,
-    verify_extraction,
     verify_report_dict,
 )
 from .relation_lemma import Relation, TvWitness, extract_tv
@@ -91,6 +90,5 @@ __all__ = [
     "sample_subset",
     "select_index_set",
     "serialize_set",
-    "verify_extraction",
     "verify_report_dict",
 ]

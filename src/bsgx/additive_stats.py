@@ -65,10 +65,6 @@ class RepTable:
         """Codes of a_i - a_j for lo <= i < hi and every j, shape (hi - lo, n)."""
         return self.coder.diff_codes(self.coords[lo:hi], self.coords)
 
-    def decode(self, codes: np.ndarray) -> list:
-        """The differences with the given codes, as element tuples."""
-        return self.coder.decode(codes)
-
     def lookup(self, keys: np.ndarray, values: Optional[np.ndarray] = None) -> Callable:
         """The map from codes to values[t] where a code is keys[t].
 

@@ -96,7 +96,7 @@ def partition_pq(a_set: AdditiveSet) -> PartitionPQ:
     popular = counts * counts * n >= e_val
     p_counts = counts[popular]
     p_mass = int(np.dot(p_counts, p_counts))
-    p_items = tuple(zip(rep.decode(rep.codes[popular]), p_counts.tolist()))
+    p_items = tuple(zip(rep.coder.decode(rep.codes[popular]), p_counts.tolist()))
     zero = a_set.spec.zero()
     if all(d != zero for d, _ in p_items):
         raise InvariantViolation("zero difference missing from the popular side")
@@ -353,7 +353,7 @@ def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
     del weights  # free the unpopular counts before the n x n passes
     q_prime_codes = pq.rep.codes[~pq.popular][np.array(selection.index_set, dtype=np.int64)]
     # codes ascend with their differences, so Q' is canonical and sorted as decoded
-    q_prime = AdditiveSet.from_sorted(a_set.spec, tuple(pq.rep.decode(q_prime_codes)))
+    q_prime = AdditiveSet.from_sorted(a_set.spec, tuple(pq.rep.coder.decode(q_prime_codes)))
 
     relation = Relation.from_difference_set(pq.rep, q_prime_codes)
     if relation.size != selection.certified_coeff:

@@ -156,7 +156,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise _CliError(EXIT_USAGE, f"{spec.label()}: {exc}") from exc
         for eps in eps_list:
             report = extract(a_set, Params(eps=eps))
-            checks = dict(report.checks)
             ratio = Fraction(report.diff_size, report.a_prime_size) / report.K**4
             rows.append(
                 [
@@ -168,16 +167,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     report.case,
                     str(report.a_prime_size),
                     str(report.diff_size),
-                    "true" if checks["size_lower_bound"] else "false",
-                    "true" if checks["diff_upper_bound"] else "false",
                     repr(float(ratio)),
                 ]
             )
 
-    header = [
-        "family", "params", "n", "E", "K", "case",
-        "a_prime_size", "diff_size", "size_bound_ok", "diff_bound_ok", "ratio",
-    ]
+    header = ["family", "params", "n", "E", "K", "case", "a_prime_size", "diff_size", "ratio"]
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)

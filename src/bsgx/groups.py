@@ -2,8 +2,10 @@
 
 Group elements are plain tuples of Python integers, one entry per coordinate.
 A modulus of 0 marks a free (integer) coordinate; a modulus m >= 2 marks a
-cyclic coordinate stored in the canonical range [0, m).  All arithmetic is
-arbitrary precision, so there are no overflow semantics anywhere downstream.
+cyclic coordinate stored in the canonical range [0, m).  GroupSpec.reduce is
+the one canonical form: an element is canonical when reduce returns it
+unchanged.  All arithmetic is arbitrary precision, so there are no overflow
+semantics anywhere downstream.
 """
 
 from __future__ import annotations
@@ -49,11 +51,6 @@ class GroupSpec:
             for c, m in zip(coords, self.moduli)
         )
 
-    def is_canonical(self, a: Element) -> bool:
-        if len(a) != self.dim:
-            return False
-        return all(m == 0 or 0 <= c < m for c, m in zip(a, self.moduli))
-
 
 @dataclass(frozen=True)
 class AdditiveSet:
@@ -72,7 +69,7 @@ class AdditiveSet:
             raise ValueError("additive set must be nonempty")
         prev = None
         for a in self.elements:
-            if not self.spec.is_canonical(a):
+            if self.spec.reduce(a) != a:
                 raise ValueError(f"element {a!r} is not canonical for {self.spec}")
             if prev is not None and not prev < a:
                 raise ValueError("elements must be strictly increasing")
@@ -168,10 +165,10 @@ def parse_set(data: "bytes | str") -> AdditiveSet:
         moduli = tuple(int(m) for m in mod_parts[1:])
     except ValueError as exc:
         raise AsetFormatError(f"bad modulus in {lines[2]!r}") from exc
-    for m in moduli:
-        if m != 0 and m < 2:
-            raise AsetFormatError(f"modulus must be 0 or >= 2, got {m}")
-    spec = GroupSpec(moduli)
+    try:
+        spec = GroupSpec(moduli)
+    except ValueError as exc:
+        raise AsetFormatError(str(exc)) from exc
     elems = []
     for ln in lines[3:]:
         parts = ln.split()

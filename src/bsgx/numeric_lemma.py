@@ -136,11 +136,7 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
     cut = -(-(b - a) * c2 // (2 * b * c1))
     # they are the first l of the stable descending order: sort them alone
     window = np.flatnonzero(coeffs >= cut)
-    keys = -coeffs[window]
-    if keys.dtype != object:
-        # numpy's stable sort is a radix sort on keys of 16 bits or fewer
-        keys = keys.astype(np.min_scalar_type(int(keys.min())))
-    order = window[np.argsort(keys, kind="stable")]
+    order = window[np.argsort(-coeffs[window], kind="stable")]
     ell = len(order)
 
     prefix = np.cumsum(coeffs[order])

@@ -1,6 +1,7 @@
 """Independent verification of every certified quantity.
 
-The counting here shares no code with the main path: no codec, no rep
+verify_report_dict reads a report as its JSON dict; a library caller passes
+ExtractionReport.to_json_dict().  The counting here shares no code with the main path: no codec, no rep
 table, and none of its float32 GEMMs or row chunking.  Energy is recounted
 through sums a + b rather than differences; r(d) for every difference of A,
 and |A' - A'|, come from separate histograms of the differences a - b.  A
@@ -39,13 +40,13 @@ raises KeyError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bsg import ExtractionReport, _frac_str
+from .bsg import _frac_str
 from .groups import AdditiveSet, GroupSpec, parse_set
 
 _BUDGET_CELLS = 1 << 25
@@ -86,15 +87,7 @@ class VerificationResult:
         return {
             "ok": self.ok,
             "status": self.status,
-            "checks": [
-                {
-                    "name": c.name,
-                    "claimed": c.claimed,
-                    "actual": c.actual,
-                    "status": c.status,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -272,9 +265,6 @@ class _Checks:
         """Record a relation that needs no pass: the claim, and whether it held."""
         self.add(name, (), lambda: (claim, ok, ok))
 
-    def result(self) -> VerificationResult:
-        return VerificationResult(tuple(self.records))
-
 
 def _is_int(value) -> bool:
     """An integer, as a report or the library writes it: no bool, no float."""
@@ -411,7 +401,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
         _unpopular_checks(checks, a_set, witness, q_prime, m, eps, energy, diffs)
     else:
         checks.add("case_known", (), lambda: ("P or Q", case, False))
-    return checks.result()
+    return VerificationResult(tuple(checks.records))
 
 
 def _popular_checks(
@@ -516,8 +506,3 @@ def _unpopular_checks(
         1 for a in a_set.elements if spec.reduce([c - x for c, x in zip(a, x_star)]) in members
     )
     checks.equal("a_star_size_matches", witness["a_star_size"], (), lambda: a_star_size)
-
-
-def verify_extraction(a_set: AdditiveSet, report: ExtractionReport) -> VerificationResult:
-    """Object-level wrapper over the serialized-report verification."""
-    return verify_report_dict(a_set, report.to_json_dict())

@@ -73,7 +73,7 @@ def rep_items(rep: additive_stats.RepTable) -> Iterator[Tuple[Element, int]]:
     """(difference, count) pairs of a rep table in lexicographic difference order."""
     for start in range(0, len(rep.codes), _DECODE_CHUNK):
         block = slice(start, start + _DECODE_CHUNK)
-        yield from zip(rep.decode(rep.codes[block]), rep.counts[block].tolist())
+        yield from zip(rep.coder.decode(rep.codes[block]), rep.counts[block].tolist())
 
 
 def difference_relation(base: AdditiveSet, members: Iterable[Element]) -> Relation:

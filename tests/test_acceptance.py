@@ -43,7 +43,7 @@ from bsgx.generators import (
 )
 from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.numeric_lemma import select_index_set
-from bsgx.oracle import verify_extraction
+from bsgx.oracle import verify_report_dict
 from bsgx.relation_lemma import extract_tv
 from bsgx.additive_stats import energy
 
@@ -191,7 +191,7 @@ def get_sweep():
             runs = []
             for eps in EPS_GRID:
                 report = extract(a, Params(eps=eps))
-                verified = verify_extraction(a, report).status == "pass"
+                verified = verify_report_dict(a, report.to_json_dict()).status == "pass"
                 diff_prime = reference_counts(label, report.a_prime)[1]
                 runs.append(Run(eps, report, diff_prime, verified))
             rows.append(Row(label, a, len(a), *reference_counts(label, a), tuple(runs)))

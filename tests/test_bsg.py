@@ -7,7 +7,7 @@ import pytest
 
 from conftest import difference_relation, pure_diff_size, rep_items, sub, tv_failures, widen
 
-from bsgx import _codec, bsg, relation_lemma
+from bsgx import _codec, additive_stats, bsg, relation_lemma
 from bsgx.additive_stats import energy, rep_table
 from bsgx.bsg import (
     ExtractionReport,
@@ -23,7 +23,7 @@ from bsgx.bsg import (
 from bsgx.errors import InvariantViolation
 from bsgx.generators import gen_ap, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec
-from bsgx.oracle import verify_extraction, verify_report_dict
+from bsgx.oracle import verify_report_dict
 
 F = Fraction
 Z = GroupSpec((0,))
@@ -55,7 +55,7 @@ def test_partition_012():
     assert pq.energy == 19
     q_counts = pq.rep.counts[~pq.popular]
     assert sorted(q_counts.tolist()) == [1, 1, 2, 2]
-    assert list(zip(pq.rep.decode(pq.rep.codes[~pq.popular]), q_counts.tolist())) == [
+    assert list(zip(pq.rep.coder.decode(pq.rep.codes[~pq.popular]), q_counts.tolist())) == [
         ((-2,), 1),
         ((-1,), 2),
         ((1,), 2),
@@ -169,7 +169,7 @@ def test_extract_q_random_fixture():
     # the path filter ran with xi = eps / 2
     assert tv_failures(difference_relation(a, w.q_prime.elements), w.tv, F(1, 8))[0] == []
     assert len(w.q_prime) == len(w.selection.index_set)
-    assert verify_extraction(a, rep).ok
+    assert verify_report_dict(a, rep.to_json_dict()).ok
 
 
 def test_singleton_extracts_itself():
@@ -206,7 +206,7 @@ def test_run_both_at_the_exact_boundary(monkeypatch):
     assert both.case in ("P", "Q")
     # the dual run keeps the better achieved ratio
     assert all(F(both.diff_size, both.a_prime_size) <= F(r.diff_size, r.a_prime_size) for r in direct)
-    assert verify_extraction(a, both).ok
+    assert verify_report_dict(a, both.to_json_dict()).ok
     # extract records that both ran; a branch called directly records False
     assert both.run_both and not any(r.run_both for r in direct)
     best = min(direct, key=lambda r: (F(r.diff_size, r.a_prime_size), -r.a_prime_size))
@@ -293,7 +293,35 @@ def test_branch_p_breaks_a_score_tie_by_slice_size_then_first_d(monkeypatch):
     w = report.witness
     assert (s_star, w.thin_pairs_in_a_star, w.thin_threshold) == (0, 0, 2)
     assert w.a_star == report.a_prime == zset(*range(398))
-    assert verify_extraction(a, report).status == "pass"
+    assert verify_report_dict(a, report.to_json_dict()).status == "pass"
+
+
+
+def test_branch_p_thin_filter_drops_an_element(monkeypatch):
+    # A* = A_0 = A, and at eps 2/5 the thin floor is 1: -485 has more than
+    # |A*|/4 thin partners, so the filter drops it and A' is a proper subset
+    a = zset(*range(200), -485, -427, -413)
+    sizes = []
+    real = additive_stats._sorted_pair_codes
+
+    def spy(coder, blocks):
+        sizes.append([len(left) * len(right) for left, right in blocks])
+        return real(coder, blocks)
+
+    monkeypatch.setattr(additive_stats, "_sorted_pair_codes", spy)
+    report = extract(a, Params(eps=F(2, 5)))
+    w = report.witness
+    assert report.case == "P" and w.d_star == (0,) and w.a_star == a
+    assert (w.thin_threshold, w.thin_pairs_in_a_star) == (1, 146)
+    assert report.a_prime == zset(*range(200), -427, -413)
+    assert report.diff_size == pure_diff_size(report.a_prime) == 827
+    # the recount sorted the 203 + 202 pairs that A' loses, not its own 202^2
+    assert sizes == [[203 * 203], [203, 202]]
+    assert verify_report_dict(a, report.to_json_dict()).status == "pass"
+    # below eps 2/5 the floor is 0 and nothing drops
+    for eps in (F(1, 10), F(1, 4), F(1, 3)):
+        low = extract(a, Params(eps=eps))
+        assert low.witness.thin_threshold == 0 and low.a_prime == a
 
 
 def test_report_json_shape():

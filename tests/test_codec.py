@@ -14,7 +14,7 @@ from bsgx._codec import _CAPS, build_codec, reduced_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import extract_p, extract_q, partition_pq
 from bsgx.groups import AdditiveSet, GroupSpec
-from bsgx.oracle import verify_extraction
+from bsgx.oracle import verify_report_dict
 
 _COORD_CAP, _CODE_CAP = _CAPS[np.dtype(np.int64)]
 
@@ -101,7 +101,7 @@ def test_near_cap_sets_are_packed():
         ]
         rep = rep_table(a)
         tally = Counter(sub(a.spec, x, y) for x in a.elements for y in a.elements)
-        assert rep.decode(rep.codes) == sorted(tally)
+        assert rep.coder.decode(rep.codes) == sorted(tally)
         assert rep.counts.tolist() == [tally[d] for d in sorted(tally)]
 
     ladder = ((16, np.int16, np.int32), (32, np.int32, np.int64), (64, np.int64, object))
@@ -232,7 +232,7 @@ def test_pair_codes_decode_to_differences(wide, a, data):
     block = rep.pair_codes(lo, hi)
     assert block.shape == (hi - lo, n)
     want = [sub(a.spec, x, y) for x in a.elements[lo:hi] for y in a.elements]
-    assert rep.decode(block.ravel()) == want
+    assert rep.coder.decode(block.ravel()) == want
 
 
 # Sets whose raw coordinates do not pack, so rep_table codes their reduced
@@ -281,13 +281,13 @@ def test_reduced_route_matches_the_definition(label, cells, monkeypatch):
     elems = a.elements
     tally = Counter(sub(a.spec, x, y) for x in elems for y in elems)
     diffs = sorted(tally)
-    assert rep.decode(rep.codes) == diffs
+    assert rep.coder.decode(rep.codes) == diffs
     assert rep.counts.tolist() == [tally[d] for d in diffs]
     assert rep.codes.tolist() == [expected_code(rep.coder, d) for d in diffs]
     n = len(a)
     for lo, hi in ((0, n), (n // 3, n // 2)):
         want = [sub(a.spec, x, y) for x in elems[lo:hi] for y in elems]
-        assert rep.decode(rep.pair_codes(lo, hi).ravel()) == want
+        assert rep.coder.decode(rep.pair_codes(lo, hi).ravel()) == want
 
 
 @pytest.mark.parametrize("label", list(REDUCED))
@@ -303,7 +303,7 @@ def test_reduced_route_runs_both_branches(label, monkeypatch):
         runs = [(extract_p, F(1, 4))]
     for branch, eps in runs:
         report = branch(a, pq, eps)
-        assert verify_extraction(a, report).status == "pass"
+        assert verify_report_dict(a, report.to_json_dict()).status == "pass"
         with monkeypatch.context() as mp:
             mp.setattr(_codec, "BLOCK_CELLS", 64)
             assert branch(a, partition_pq(a), eps).to_json() == report.to_json()

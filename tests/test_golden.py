@@ -11,9 +11,12 @@ last base set lies in Z_(2^64+13); neither can be reduced, so their codes
 are Python ints.  A "knife" eps is 4 * p_mass / E, where both branch
 hypotheses hold with equality, so extract runs both branches.  The third
 entry of each key is the report's run_both, true exactly at a knife eps.
-On every other branch-P case d* = 0 and A' = A* = A; on [0,400) with the
-two far points 10^6 and 10^6 + 1, d = -2 and d = +2 tie on score and on
-slice size, so that case pins the slice choice and its tie rule.
+On [0,400) with the two far points 10^6 and 10^6 + 1, d = -2 and d = +2
+tie on score and on slice size, so that case pins the slice choice and its
+tie rule.  On [0,200) with -485, -427 and -413 at eps 2/5, d* = 0 and
+A* = A, but the thin floor is 1 and the filter drops -485, so that case
+pins a nonempty thin drop.  On every other branch-P case d* = 0 and
+A' = A* = A.
 
 The verify-output digests pin the claimed and actual text of every oracle
 check on these reports; on branch Q the lemma references' recounts are
@@ -37,7 +40,7 @@ from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
 from bsgx.groups import parse_set
 from bsgx.numeric_lemma import WeightVector
-from bsgx.oracle import verify_extraction, verify_report_dict
+from bsgx.oracle import verify_report_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,6 +56,9 @@ _BASES = {
     ),
     "[0,400) with 10^6,10^6+1": lambda: AdditiveSet.from_elements(
         GroupSpec((0,)), [(x,) for x in [*range(400), 10**6, 10**6 + 1]]
+    ),
+    "[0,200) with -485,-427,-413": lambda: AdditiveSet.from_elements(
+        GroupSpec((0,)), [(x,) for x in [*range(200), -485, -427, -413]]
     ),
 }
 
@@ -99,6 +105,8 @@ GOLDEN = {
     ("random:80,521,2*2^64+1", "knife", True): "b5b97c6bb8f25fce851e3d368f8d98102ded54aa1a85f3dbeec3be09199fe761",
     ("random:60,2^64,5 in Z_(2^64+13)", "1/4", False): "f47e83235902fbbec9446f28f5217b08ec9aa57d66ad8fe0e88056333c6c7f8b",
     ("[0,400) with 10^6,10^6+1", "2/5", False): "ecdca128ffe17205db1ea223bad6226da2df1b5df288479e018aa6a6774c2988",
+    ("[0,200) with -485,-427,-413", "2/5", False): "239f13c277da2938bf58a498cd31f348993865778212a7a5200b6b158f82a87b",
+    ("[0,200) with -485,-427,-413*2^53", "2/5", False): "57596a6ed1005b1fef29aabd65bb25d356d7d3afd8089c421e4aba5877d99828",
 }
 
 
@@ -127,7 +135,7 @@ def test_golden_report_bytes(label, eps, ran_both, cells, monkeypatch):
 @pytest.mark.parametrize("label,eps,ran_both", list(GOLDEN))
 def test_golden_reports_pass_every_oracle_check(label, eps, ran_both):
     a, params = build(label, eps)
-    res = verify_extraction(a, extract(a, params))
+    res = verify_report_dict(a, extract(a, params).to_json_dict())
     assert res.status == "pass", [c.name for c in res.checks if c.status != "pass"]
 
 
@@ -161,6 +169,12 @@ VERIFY_GOLDEN = {
     ),
     ("[0,400) with 10^6,10^6+1", "2/5", False): (
         "ca6017800b6e3439574f85f980c327f293e9ce820a14ff564c8adf4c260edae5",
+    ),
+    ("[0,200) with -485,-427,-413", "2/5", False): (
+        "7259b7ef91c54dafc02fe336fc6f42a06d7ba9d7c18b20f36810b91d3e7a6700",
+    ),
+    ("[0,200) with -485,-427,-413*2^53", "2/5", False): (
+        "7259b7ef91c54dafc02fe336fc6f42a06d7ba9d7c18b20f36810b91d3e7a6700",
     ),
 }
 

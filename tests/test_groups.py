@@ -21,9 +21,17 @@ def test_group_spec_basics():
     assert spec.dim == 2
     assert spec.zero() == (0, 0)
     assert spec.reduce((-3, 7)) == (-3, 2)
-    assert spec.is_canonical((-3, 2))
-    assert not spec.is_canonical((0, 5))
-    assert not spec.is_canonical((0,))  # wrong arity
+    # an element is canonical when reduce leaves it as it is, which the
+    # checked constructor requires
+    assert spec.reduce((-3, 2)) == (-3, 2)
+    assert AdditiveSet(spec, ((-3, 2),)).elements == ((-3, 2),)
+    assert spec.reduce((0, 5)) != (0, 5)
+    with pytest.raises(ValueError, match="not canonical"):
+        AdditiveSet(spec, ((0, 5),))
+    with pytest.raises(ValueError, match="coordinates"):
+        spec.reduce((0,))  # wrong arity
+    with pytest.raises(ValueError, match="coordinates"):
+        AdditiveSet(spec, ((0,),))
 
 
 def test_group_spec_rejects_bad_moduli():
@@ -71,6 +79,12 @@ def test_direct_construction_is_strict():
         AdditiveSet(Z, ((0,), (0,)))  # duplicate
     with pytest.raises(ValueError):
         AdditiveSet(GroupSpec((5,)), ((6,),))  # not canonical
+    with pytest.raises(ValueError):
+        AdditiveSet(Z, ((1, 2),))  # wrong arity
+    # a coordinate that int would change is not canonical
+    for coord in ("1", 1.5):
+        with pytest.raises(ValueError, match="not canonical"):
+            AdditiveSet(Z, ((coord,),))
 
 
 def test_subset_by_rows_equals_the_validated_set():
@@ -157,6 +171,9 @@ def test_parse_names_the_first_bad_element_line(lines, message):
         ("aset 1\ndims 1\nmod 0", "bad dim line 'dims 1'"),
         ("aset 1\ndim 1 2\nmod 0", "bad dim line 'dim 1 2'"),
         ("aset 1\ndim 2\nmod 0 x", "bad modulus in 'mod 0 x'"),
+        # GroupSpec's own check, re-raised with its text
+        ("aset 1\ndim 2\nmod 0 1", "modulus must be 0 or >= 2, got 1"),
+        ("aset 1\ndim 1\nmod -3", "modulus must be 0 or >= 2, got -3"),
     ],
 )
 def test_parse_names_a_bad_header_line(header, message):

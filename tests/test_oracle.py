@@ -24,7 +24,7 @@ from bsgx.bsg import Params, extract
 from bsgx.generators import SplitMix64, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.numeric_lemma import PrefixSelection
-from bsgx.oracle import verify_extraction, verify_report_dict
+from bsgx.oracle import verify_report_dict
 from bsgx.relation_lemma import extract_tv
 
 F = Fraction
@@ -133,10 +133,10 @@ def test_malformed_report_raises():
         verify_report_dict(a, doc)
 
 
-def test_verify_extraction_object_entrypoint():
+def test_verify_report_dict_on_a_library_report():
     a = gen_axis(11, 2)
     rep = extract(a, Params(eps=F(1, 10)))
-    res = verify_extraction(a, rep)
+    res = verify_report_dict(a, rep.to_json_dict())
     assert res.ok
     # P route gets the extra popularity checks
     names = {c.name for c in res.checks}
