@@ -78,16 +78,23 @@ class AdditiveSet:
     @classmethod
     def from_elements(cls, spec: GroupSpec, elems: Iterable[Sequence[int]]) -> "AdditiveSet":
         """Canonicalize arbitrary input: check arity, reduce, deduplicate, sort."""
-        rows = list(elems)
-        if not rows:
-            raise ValueError("additive set must be nonempty")
-        for e in rows:
+        rows = []
+        for e in elems:
             if len(e) != spec.dim:
                 raise ValueError(f"expected {spec.dim} coordinates, got {len(e)}")
-        # reduce only the cyclic columns; the rows are then canonical and need no second check
-        cols = [[c % m for c in map(int, col)] if m else list(map(int, col))
-                for col, m in zip(zip(*rows), spec.moduli)]
-        return cls.from_sorted(spec, tuple(sorted(set(zip(*cols)))))
+            rows.append(tuple(map(int, e)))
+        return cls._from_int_rows(spec, rows)
+
+    @classmethod
+    def _from_int_rows(cls, spec: GroupSpec, rows: list) -> "AdditiveSet":
+        """The set of rows, tuples of Python ints with spec.dim entries each."""
+        if not rows:
+            raise ValueError("additive set must be nonempty")
+        if any(spec.moduli):
+            # reduce only the cyclic columns; the rows are then canonical and need no second check
+            cols = [[c % m for c in col] if m else col for col, m in zip(zip(*rows), spec.moduli)]
+            rows = zip(*cols)
+        return cls.from_sorted(spec, tuple(sorted(set(rows))))
 
     def subset(self, rows: Iterable[int]) -> "AdditiveSet":
         """The elements at the strictly increasing indices rows, as a set.
@@ -180,7 +187,7 @@ def parse_set(data: "bytes | str") -> AdditiveSet:
             elems.append(tuple(map(int, parts)))
         except ValueError as exc:
             raise AsetFormatError(f"bad coordinate in {ln!r}") from exc
-    return AdditiveSet.from_elements(spec, elems)
+    return AdditiveSet._from_int_rows(spec, elems)
 
 
 def serialize_set(a_set: AdditiveSet) -> bytes:

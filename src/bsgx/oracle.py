@@ -3,24 +3,35 @@
 verify_report_dict reads a report as its JSON dict; a library caller passes
 ExtractionReport.to_json_dict().  The counting here shares no code with the main path: no codec, no rep
 table, and none of its float32 GEMMs or row chunking.  Energy is recounted
-through sums a + b rather than differences; r(d) for every difference of A,
-and |A' - A'|, come from separate histograms of the differences a - b.  A
+through sums a + b rather than differences; r(d) for every difference of A
+comes from a histogram of the differences a - b, and so does |A' - A'|:
+from that same histogram when A' is A, else from a pass over A'.  A
 histogram writes each coordinate of every ordered pair as a fixed-width
-int64 column, folds the columns into one mixed-radix int64 key, sorts the
-keys and counts the runs of equal ones.  Before that, each coordinate is
-mapped into the smallest group that holds it (a free one shifted by its
-minimum, and both kinds divided by the gcd of their values), so a scaled
-copy of a set counts like the set.  A column whose radix still needs 64
-bits (a reduced modulus above 2^63, a free span of 2^62 or more) is
-computed on Python ints and replaced by the ranks of its values, and a key
-whose radix would overflow is ranked the same way.
+column, folds the columns into one mixed-radix key, sorts the keys and
+counts the runs of equal ones.  Before that, each coordinate is mapped into
+the smallest group that holds it (a free one shifted by its minimum, and
+both kinds divided by the gcd of their values), so a scaled copy of a set
+counts like the set.
+
+The key width follows one rule.  When the product of a pass's column
+radices is at most _NARROW_LIMIT = 2^31, every column and the key are
+uint32: a free column's x_i + (top - x_j) <= 2 top stays below its radix
+2 top + 2, a cyclic column's unreduced sum is at most 2 (top - 1) < 2^32,
+and every key is below the product.  Otherwise columns are uint64 and keys
+int64.  A column whose radix still needs 64 bits (a reduced modulus above
+2^63, a free span of 2^62 or more) is computed on Python ints and replaced
+by the ranks of its values, and a key whose radix would overflow is ranked
+the same way.
 
 One pass costs a cell per ordered pair of its set plus one per difference
 looked up in it, and _RANKED_CELL_COST = 5 cells for each of those when its
 key is ranked.  A pass above _BUDGET_CELLS = 2^25 cells is not run, which
-admits sets of up to 5792 elements, or 2590 when the key is ranked.  At its
-peak a pass holds about 24 bytes per cell (measured: 24 on a set whose
-differences are all distinct, 22 on axis:997,3).  A ranked pass held 66
+admits sets of up to 5792 elements on either key width, or 2590 when the
+key is ranked.  A pass raises the process's peak RSS by 6 bytes per cell
+on uint32 keys with one column (random:2000,1000003,3) and 9 with three
+(axis:997,3), against 10 and 17 on uint64; when nearly every difference is
+distinct, the run starts and counts (16 bytes per distinct value) take over
+and both widths reach 18.  A ranked pass held 66
 bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above 2^62, whose
 column is on Python ints and runs about 40 times slower per cell; the
 charge of 5 keeps both within the budget's memory bound.  Every
@@ -52,6 +63,7 @@ from .groups import AdditiveSet, GroupSpec, parse_set
 _BUDGET_CELLS = 1 << 25
 _RANKED_CELL_COST = 5  # budget cells charged per cell of a pass whose key is ranked
 _KEY_LIMIT = 1 << 63  # every column value and every key stays below this
+_NARROW_LIMIT = 1 << 31  # a pass whose radix product is at most this runs on uint32
 _KNOWN_VERSIONS = ("0.1.0",)
 
 
@@ -149,13 +161,23 @@ class _Coordinate:
         return self.top + 1 if self.cyclic else 2 * self.top + 2
 
 
-def _column(c: _Coordinate, op: str, queries: Sequence[int]) -> Tuple[np.ndarray, int]:
+def _coordinates(a_set: AdditiveSet) -> List[_Coordinate]:
+    """Every coordinate of a_set, each mapped into its smallest group."""
+    return [
+        _Coordinate.of([a[k] for a in a_set.elements], m)
+        for k, m in enumerate(a_set.spec.moduli)
+    ]
+
+
+def _column(
+    c: _Coordinate, op: str, queries: Sequence[int], dtype: type
+) -> Tuple[np.ndarray, int]:
     """One coordinate of x_i + x_j ("sum") or x_i - x_j ("diff") over all pairs.
 
     The pairs come row-major, then one value per query (a coordinate of a
-    looked-up difference).  Returns int64 values below the returned radix,
-    equal exactly when the coordinates are.  A query that no pair can reach
-    gets a value of its own.
+    looked-up difference).  Returns values below the returned radix, equal
+    exactly when the coordinates are: uint32 when dtype is, else int64.  A
+    query that no pair can reach gets a value of its own.
     """
     n, top, radix = len(c.x), c.top, c.radix
     shift = 0 if c.cyclic else top
@@ -164,26 +186,33 @@ def _column(c: _Coordinate, op: str, queries: Sequence[int]) -> Tuple[np.ndarray
         w = d // c.g + shift
         wanted.append(w if d % c.g == 0 and 0 <= w < radix - 1 else radix - 1)
     # a coordinate whose radix needs 64 bits is counted on Python ints
-    dtype = np.uint64 if radix <= _KEY_LIMIT else object
+    if radix > _KEY_LIMIT:
+        dtype = object
     xs = np.array(c.x, dtype=dtype)
     col = np.empty(n * n + len(queries), dtype=dtype)
     cells = col[: n * n].reshape(n, n)
     # x_i + (top - x_j) is x_i - x_j + top, which the reduction or the
-    # free span absorbs; on uint64 no sum reaches 2^64
+    # free span absorbs; no sum reaches 2^64, nor 2^32 on the narrow route
     np.add(xs[:, None], xs[None, :] if op == "sum" else top - xs[None, :], out=cells)
     if c.cyclic:
         np.subtract(cells, top, out=cells, where=cells >= top)
     col[n * n:] = wanted
     if dtype is object:
         return _ranks(col)
-    return col.view(np.int64), radix
+    return (col if dtype is np.uint32 else col.view(np.int64)), radix
 
 
-def _keys(coords: Sequence[_Coordinate], op: str, queries: Sequence[tuple]) -> np.ndarray:
-    """Mixed-radix int64 keys of every pair a_i op a_j, then of the queries."""
-    key, radix = _column(coords[0], op, [d[0] for d in queries])
+def _keys(
+    coords: Sequence[_Coordinate], op: str, queries: Sequence[tuple], dtype: type
+) -> np.ndarray:
+    """Mixed-radix keys of every pair a_i op a_j, then of the queries.
+
+    On uint32 the radix product is at most _NARROW_LIMIT, so no key needs
+    ranking; on uint64 the keys are int64 and ranked past _KEY_LIMIT.
+    """
+    key, radix = _column(coords[0], op, [d[0] for d in queries], dtype)
     for k in range(1, len(coords)):
-        col, r = _column(coords[k], op, [d[k] for d in queries])
+        col, r = _column(coords[k], op, [d[k] for d in queries], dtype)
         if radix * r > _KEY_LIMIT:
             key, radix = _ranks(key)
             if radix * r > _KEY_LIMIT:
@@ -196,21 +225,19 @@ def _keys(coords: Sequence[_Coordinate], op: str, queries: Sequence[tuple]) -> n
 
 
 def _histogram(
-    a_set: AdditiveSet, op: str, what: str, queries: Sequence[tuple] = ()
+    coords: Sequence[_Coordinate], op: str, what: str, queries: Sequence[tuple] = ()
 ) -> Union[_Histogram, _OverBudget]:
-    """Count the pairs of a_set by the value of a_i op a_j, and look up the queries."""
-    coords = [
-        _Coordinate.of([a[k] for a in a_set.elements], m)
-        for k, m in enumerate(a_set.spec.moduli)
-    ]
-    pairs = len(a_set) ** 2
+    """Count the pairs of a set, given as its coordinates, by the value of
+    a_i op a_j, and look up the queries."""
+    pairs = len(coords[0].x) ** 2
     cells = pairs + len(queries)
+    product = math.prod(c.radix for c in coords)
     # the key is ranked exactly when the radix product passes the limit
-    if math.prod(c.radix for c in coords) > _KEY_LIMIT:
+    if product > _KEY_LIMIT:
         cells *= _RANKED_CELL_COST
     if cells > _BUDGET_CELLS:
         return _OverBudget(f"skipped (over budget): {what} needs {cells} cells > {_BUDGET_CELLS}")
-    key = _keys(coords, op, queries)
+    key = _keys(coords, op, queries, np.uint32 if product <= _NARROW_LIMIT else np.uint64)
     values, wanted = key[:pairs], key[pairs:]
     values.sort()
     found = np.searchsorted(values, wanted, "right") - np.searchsorted(values, wanted, "left")
@@ -222,6 +249,18 @@ def _histogram(
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = pairs - starts[-1]
     return _Histogram(counts, found)
+
+
+def _diff_size(a_prime: AdditiveSet, is_a: bool, diffs) -> Union[int, _OverBudget]:
+    """|A' - A'|: the size of A's r(d) histogram when A' is A, else its own pass.
+
+    The r(d) pass carries the queries, so it can be over budget where the
+    pass over A' alone is not; then A' gets its own pass.
+    """
+    if is_a and isinstance(diffs, _Histogram):
+        return len(diffs.counts)
+    hist = _histogram(_coordinates(a_prime), "diff", "|A'-A'|")
+    return len(hist.counts) if isinstance(hist, _Histogram) else hist
 
 
 # ----- report checks --------------------------------------------------------
@@ -340,13 +379,14 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
             raise ValueError(f"thin_pairs_in_a_star must be an integer >= 0, got {thin_pairs!r}")
 
     # E and |A'-A'| replace their passes, or stay the _OverBudget of one not run
-    energy = _histogram(a_set, "sum", "E (sums of A)")
+    coords = _coordinates(a_set)
+    energy = _histogram(coords, "sum", "E (sums of A)")
     if isinstance(energy, _Histogram):
         energy = int(np.dot(energy.counts, energy.counts))
-    diffs = _histogram(a_set, "diff", "r(d) (differences of A)", queries)
-    diff_size = _histogram(a_prime, "diff", "|A'-A'|")
-    if isinstance(diff_size, _Histogram):
-        diff_size = len(diff_size.counts)
+    diffs = _histogram(coords, "diff", "r(d) (differences of A)", queries)
+    in_a = all(a in a_set.as_set for a in a_prime.elements)
+    # A' in A with |A'| = n is A itself
+    diff_size = _diff_size(a_prime, in_a and m == n, diffs)
 
     def k_of(e: int) -> Fraction:
         return Fraction(n**3, e)
@@ -365,7 +405,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     checks.equal("energy_matches", recorded["energy"], (energy,), lambda e: e)
     checks.equal("k_matches", recorded["K"], (energy,), k_of)
     checks.equal("a_prime_size_matches", achieved["a_prime_size"], (), lambda: m)
-    checks.holds("a_prime_subset", "A' <= A", all(a in a_set.as_set for a in a_prime.elements))
+    checks.holds("a_prime_subset", "A' <= A", in_a)
     checks.equal("diff_size_matches", achieved["diff_size"], (diff_size,), lambda d: d)
     checks.equal("size_bound_recorded", bounds["size_bound_sq"], (energy,), size_sq)
     checks.add(

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,7 @@ import bsgx.oracle as oracle
 from bsgx.additive_stats import energy
 from bsgx.bsg import Params, extract
 from bsgx.generators import SplitMix64, gen_ap, gen_axis, gen_ball, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec
+from bsgx.groups import AdditiveSet, GroupSpec, serialize_set
 from bsgx.numeric_lemma import PrefixSelection
 from bsgx.oracle import verify_report_dict
 from bsgx.relation_lemma import extract_tv
@@ -371,9 +372,10 @@ def check_histograms(a, ranked=False):
     sums = Counter(pure_pairs(a, operator.add))
     diffs = Counter(pure_pairs(a, operator.sub))
     queries = probe_differences(a, diffs)
-    sum_hist = oracle._histogram(a, "sum", "E")
-    hist = oracle._histogram(a, "diff", "r(d)", queries)
-    diff_hist = oracle._histogram(a, "diff", "|A-A|")
+    coords = oracle._coordinates(a)
+    sum_hist = oracle._histogram(coords, "sum", "E")
+    hist = oracle._histogram(coords, "diff", "r(d)", queries)
+    diff_hist = oracle._histogram(coords, "diff", "|A-A|")
     fits = len(a) ** 2 * cost <= oracle._BUDGET_CELLS
     if fits:
         assert int(np.dot(sum_hist.counts, sum_hist.counts)) == sum(c * c for c in sums.values())
@@ -412,6 +414,126 @@ def test_a_ranked_pass_is_charged_more(monkeypatch):
     assert check_histograms(plain) and not check_histograms(ranked, ranked=True)
     monkeypatch.setattr(oracle, "_BUDGET_CELLS", n * n * oracle._RANKED_CELL_COST)
     assert check_histograms(ranked, ranked=True)
+
+
+def near_top(spec, n, seed):
+    """n + 2 rows: each cyclic coordinate takes m - 1, m - 2, values just below
+    them and values below 50, each free one 0, 1 and values below 1000.
+
+    A sum of two values near m - 1 that wrapped past 2^32 would land among
+    the sums of the small values.
+    """
+    rng = SplitMix64(seed)
+    rows = [tuple(m - 1 if m else 0 for m in spec.moduli), tuple(m - 2 if m else 1 for m in spec.moduli)]
+    for i in range(n):
+        rows.append(tuple(
+            (m - 1 - rng.below(50) if i % 2 else rng.below(50)) if m else rng.below(1000)
+            for m in spec.moduli
+        ))
+    return rows
+
+
+# (label, moduli, free span or None, radix product); the narrow route takes
+# a product of at most 2^31
+WIDTH_EDGES = [
+    ("Z_(2^31-1)", (2**31 - 1,), None, 2**31),
+    ("Z_(2^31)", (2**31,), None, 2**31 + 1),
+    ("Z_(2^31+11)", (2**31 + 11,), None, 2**31 + 12),
+    ("Z span 2^30-1", (0,), 2**30 - 1, 2**31),
+    ("Z span 2^30", (0,), 2**30, 2**31 + 2),
+    ("ZxZ_(2^15-1)", (0, 2**15 - 1), 2**15 - 1, 2**31),
+    ("ZxZ_(2^15)", (0, 2**15), 2**15 - 1, 2**31 + 2**16),
+]
+
+
+@pytest.mark.parametrize(
+    "label, moduli, span, product", WIDTH_EDGES, ids=[e[0] for e in WIDTH_EDGES]
+)
+def test_key_width_at_the_boundary(monkeypatch, label, moduli, span, product):
+    spec = GroupSpec(moduli)
+    rows = near_top(spec, 30, len(label))
+    if span is not None:
+        # the free coordinate runs over exactly [0, span], with gcd 1
+        rows.append(tuple(span if m == 0 else r for m, r in zip(moduli, rows[0])))
+    a = AdditiveSet.from_elements(spec, rows)
+    coords = oracle._coordinates(a)
+    assert math.prod(c.radix for c in coords) == product
+    if span is None:
+        # the unreduced sums reach 2(m - 1) = 2(top - 1)
+        assert max(a.elements)[0] == moduli[0] - 1
+    dtypes = []
+    keys = oracle._keys
+    monkeypatch.setattr(oracle, "_keys", lambda *args: dtypes.append(args[-1]) or keys(*args))
+    assert check_histograms(a)
+    narrow = product <= 2**31
+    assert set(dtypes) == {np.uint32 if narrow else np.uint64}
+
+
+@pytest.mark.parametrize("label, a", DIFFERENTIAL_SETS, ids=[s[0] for s in DIFFERENTIAL_SETS])
+def test_the_wide_route_counts_like_the_narrow_one(monkeypatch, label, a):
+    diffs = Counter(pure_pairs(a, operator.sub))
+    queries = probe_differences(a, diffs)
+    coords = oracle._coordinates(a)
+
+    def passes():
+        sums = oracle._histogram(coords, "sum", "E")
+        hist = oracle._histogram(coords, "diff", "r(d)", queries)
+        return sums.counts.tolist(), hist.counts.tolist(), hist.query_counts.tolist()
+
+    narrow = passes()
+    monkeypatch.setattr(oracle, "_NARROW_LIMIT", 0)
+    assert passes() == narrow
+
+
+def histogram_labels(monkeypatch):
+    """The label of every pass verify runs from now on, in order."""
+    labels = []
+    histogram = oracle._histogram
+    monkeypatch.setattr(
+        oracle, "_histogram", lambda coords, op, what, *rest: labels.append(what) or histogram(coords, op, what, *rest)
+    )
+    return labels
+
+
+def test_a_prime_equal_to_a_reuses_the_difference_pass(monkeypatch):
+    a = gen_ap(60, 1, 1)
+    doc = fresh_report(a, F(1, 4))
+    assert doc["case"] == "P" and doc["achieved"]["a_prime_size"] == len(a)
+    labels = histogram_labels(monkeypatch)
+    reused = verify_report_dict(a, doc)
+    assert reused.status == "pass" and "|A'-A'|" not in labels
+    diff_size = oracle._diff_size
+    monkeypatch.setattr(oracle, "_diff_size", lambda a_prime, is_a, diffs: diff_size(a_prime, False, diffs))
+    labels.clear()
+    separate = verify_report_dict(a, doc)
+    assert labels[-1] == "|A'-A'|"
+    assert separate.checks == reused.checks
+
+
+def test_a_prime_gets_its_own_pass_when_the_difference_pass_is_over_budget(monkeypatch):
+    a = gen_ap(60, 1, 1)
+    doc = fresh_report(a, F(1, 4))
+    monkeypatch.setattr(oracle, "_BUDGET_CELLS", len(a) ** 2)
+    labels = histogram_labels(monkeypatch)
+    status = {c.name: c.status for c in verify_report_dict(a, doc).checks}
+    assert labels[-1] == "|A'-A'|"
+    # the r(d) pass holds n^2 pairs and d*, one cell too many
+    assert status["branch_hypothesis"] == "skipped"
+    for name in ("diff_size_matches", "diff_upper_bound", "diff_upper_bound_popular"):
+        assert status[name] == "pass", name
+
+
+def test_a_prime_of_n_elements_not_all_in_a_gets_its_own_pass(monkeypatch):
+    a = gen_ap(60, 1, 1)
+    doc = fresh_report(a, F(1, 4))
+    forged = zset(*(list(range(1, 60)) + [1000]))
+    assert len(forged) == len(a)
+    doc["a_prime"] = serialize_set(forged).decode()
+    labels = histogram_labels(monkeypatch)
+    records = {c.name: c for c in verify_report_dict(a, doc).checks}
+    assert labels[-1] == "|A'-A'|"
+    assert records["a_prime_subset"].status == "fail"
+    assert records["diff_size_matches"].actual == str(len(set(pure_pairs(forged, operator.sub))))
 
 
 @pytest.mark.parametrize("label, a", DIFFERENTIAL_SETS, ids=[s[0] for s in DIFFERENTIAL_SETS])
