@@ -15,7 +15,11 @@ writes with a square root is compared after squaring, so the whole pipeline
 is exact integer and rational arithmetic.  Floating point appears only
 inside the 0/1 matrix products of relation_lemma, whose exactness bound is
 checked in one place (exact_float); both branches pick and filter their
-slice through relation_lemma.pick_slice.  extract runs each branch whose
+slice through relation_lemma.pick_slice.  Branch P first prunes: A_0 = A
+holds T0 = (sum of the thin r(d)) thin pairs and no slice scores above
+eps * r(d)^2, so only a d with eps * (n^2 - r(d)^2) <= 4 * T0 can win.
+With d = 0 alone left, A* = A, no membership scan runs, and a row has at
+most min(T0, #thin d) thin partners to count.  extract runs each branch whose
 hypothesis holds; at the knife edge 4 * p_mass = eps * E both hold, and it
 keeps the better result.  The ExtractionReport stores what was measured and
 computes the bounds above, its checks and its branch from that.
@@ -36,7 +40,7 @@ from .additive_stats import RepTable, rep_table
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element, serialize_set
 from .numeric_lemma import PrefixSelection, WeightVector, select_index_set
-from .relation_lemma import Relation, TvWitness, extract_tv, pick_slice
+from .relation_lemma import Relation, TvWitness, drop_thin, extract_tv, pick_slice
 
 TOOL_VERSION = "0.1.0"
 
@@ -256,26 +260,27 @@ def _finish_report(
     return report
 
 
-def _membership_matrices(pq: PartitionPQ, thin_floor: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Build X[i, j] = (r(a_i - a_j) <= thin_floor) and M[i, t] = (a_i in A_d_t).
+def _membership_matrices(
+    rep: RepTable, thin: np.ndarray, live: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Build X[i, j] = thin[a_i - a_j] and M[i, t] = (a_i in A_d_t), d_t the t-th live d.
 
-    Both come from one scan of the difference codes: a_i is in A_d exactly
-    when a_i - a_j = d for some j.  RepTable.lookup gives each pair a column
-    of an n x (k + 2) matrix, set by one flat scatter a block: t for the t-th
-    of the k popular differences, k + 1 for a thin one (X), k for the rest.
+    thin and live are masks over rep's rows.  Both come from one scan of the
+    difference codes: a_i is in A_d exactly when a_i - a_j = d for some j.
+    RepTable.lookup gives each pair a column of an n x (k + 2) matrix, set by
+    one flat scatter a block: t for the t-th of the k live differences, k + 1
+    for a thin one (X), k for the rest.
     """
-    rep = pq.rep
     n = len(rep.a_set)
-    k = len(pq.p_items)
-    # no d is both thin and popular: a thin r(d) is at most
+    k = int(np.count_nonzero(live))
+    # a code has one column, and no live d is thin: a thin r(d) is at most
     # eps^2 E / (16 n^2) < E / n^2 <= sqrt(E / n), as E <= n^3
-    thin = rep.counts <= thin_floor
-    if thin[pq.popular].any():
+    if (thin & live).any():
         raise InvariantViolation("thin floor reaches the popular floor")
     # the flat index of the last of the n * (k + 2) cells is n * (k + 2) - 1
     col = np.full(len(rep), k, dtype=np.int32 if n * (k + 2) <= 1 << 31 else np.int64)
     col[thin] = k + 1
-    col[pq.popular] = np.arange(k)
+    col[live] = np.arange(k)
     column_of = rep.lookup(rep.codes, col)
     x_mat = np.empty((n, n), dtype=np.bool_)
     cells = np.zeros((n, k + 2), dtype=np.bool_)
@@ -296,27 +301,46 @@ def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
     elements; d* maximizes eps * |A_d|^2 - 4 * (thin pairs inside A_d^2),
     with ties broken by larger |A_d| and then lexicographically smaller d.
     A' keeps the elements of A* = A_d* with at most |A*| / 4 thin partners.
+
+    A_0 = A, so d = 0 scores eps * n^2 - 4 * T0 with T0 = sum of the thin
+    r(d), and no d scores above eps * r(d)^2: a d with
+    eps * (n^2 - r(d)^2) > 4 * T0 scores below d = 0 and is pruned.  The
+    membership scan runs over the live rest only when some d != 0 is left.
+    Else A* = A, and a row has at most one thin partner per thin d, so at
+    most min(T0, #thin d): past |A| / 4, one lookup scan counts them.
     """
     eps = Params(eps).eps
     if not pq.p_holds(eps):
         raise ValueError("popular branch requires p_mass >= eps * E / 4")
     n = len(a_set)
     e_val = pq.energy
+    rep = pq.rep
 
-    thin = eps * eps * e_val / (16 * n * n)
-    thin_floor = thin.numerator // thin.denominator
-    x_mat, m_mat = _membership_matrices(pq, thin_floor)
+    thin_floor = eps * eps * e_val // (16 * n * n)
+    thin = rep.counts <= thin_floor
+    t0 = int(rep.counts[thin].sum())
+    # eps * (n^2 - r^2) <= 4 * T0 with integer n^2 - r^2, at most n^2
+    slack = min(4 * eps.denominator * t0 // eps.numerator, n * n)
+    live = pq.popular & (rep.counts * rep.counts >= n * n - slack)
+    live_t = np.flatnonzero(live[pq.popular])  # the live d's places in p_items
 
-    slice_sizes = m_mat.sum(axis=0, dtype=np.int64)
-    if not np.array_equal(slice_sizes, pq.rep.counts[pq.popular]):
-        raise InvariantViolation("slice size disagrees with its difference count")
-
-    # equal scores go to the larger slice, then to the lexicographically smaller d
-    best_t, s_star, star_rows, prime_rows = pick_slice(
-        m_mat, slice_sizes, x_mat, eps, 4, second=slice_sizes
-    )
-    d_star = pq.p_items[best_t][0]
-    m_star = int(slice_sizes[best_t])
+    if len(live_t) == 1:  # d = 0 alone: A* = A with T0 thin pairs
+        best_t, s_star, star_rows = 0, t0, np.arange(n)
+        prime_rows = star_rows
+        if 4 * min(t0, np.count_nonzero(thin)) > n:
+            partners = Relation.from_difference_set(rep, rep.codes[thin]).matrix
+            prime_rows = drop_thin(star_rows, partners)
+    else:
+        x_mat, m_mat = _membership_matrices(rep, thin, live)
+        slice_sizes = m_mat.sum(axis=0, dtype=np.int64)
+        if not np.array_equal(slice_sizes, rep.counts[live]):
+            raise InvariantViolation("slice size disagrees with its difference count")
+        # equal scores go to the larger slice, then to the lexicographically smaller d
+        best_t, s_star, star_rows, prime_rows = pick_slice(
+            m_mat, slice_sizes, x_mat, eps, 4, second=slice_sizes
+        )
+    d_star = pq.p_items[live_t[best_t]][0]
+    m_star = len(star_rows)
     if 4 * s_star > eps * m_star * m_star:
         raise InvariantViolation("chosen slice has too many thin pairs")
     if m_star * m_star * n < e_val:

@@ -30,8 +30,9 @@ admits sets of up to 5792 elements on either key width, or 2590 when the
 key is ranked.  A pass raises the process's peak RSS by 6 bytes per cell
 on uint32 keys with one column (random:2000,1000003,3) and 9 with three
 (axis:997,3), against 10 and 17 on uint64; when nearly every difference is
-distinct, the run starts and counts (16 bytes per distinct value) take over
-and both widths reach 18.  A ranked pass held 66
+distinct, the int64 run starts and int32 counts (12 bytes per distinct
+value) take over: 12 on uint32 keys (Z_(2^31-1)) and 14 on uint64
+(Z_(2^33+17)), 2,000 random elements each.  A ranked pass held 66
 bytes per cell on (Z_(2^40+15))^3 and 106 on a free span above 2^62, whose
 column is on Python ints and runs about 40 times slower per cell; the
 charge of 5 keeps both within the budget's memory bound.  Every
@@ -114,7 +115,7 @@ class _OverBudget:
 
 @dataclass(frozen=True)
 class _Histogram:
-    counts: np.ndarray        # how many pairs give each distinct value
+    counts: np.ndarray        # how many pairs give each distinct value, int32
     query_counts: np.ndarray  # how many pairs give each looked-up value
 
     def split(self, energy: int, n: int) -> Tuple[int, int]:
@@ -123,7 +124,8 @@ class _Histogram:
         A difference d is popular when r(d)^2 * n >= E; the popular mass is
         the sum of r(d)^2 over the popular d.
         """
-        popular = self.counts[self.counts * self.counts * n >= energy]
+        # r^2 * n >= E exactly when r > isqrt((E - 1) // n)
+        popular = self.counts[self.counts > math.isqrt((energy - 1) // n)].astype(np.int64)
         return int(np.dot(popular, popular)), len(self.counts) - len(popular)
 
 
@@ -245,7 +247,7 @@ def _histogram(
     del key, values, wanted  # free the keys before the run starts are built
     starts = np.flatnonzero(breaks)
     del breaks
-    counts = np.empty_like(starts)
+    counts = np.empty(len(starts), dtype=np.int32)  # a count is at most n
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = pairs - starts[-1]
     return _Histogram(counts, found)
@@ -382,7 +384,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     coords = _coordinates(a_set)
     energy = _histogram(coords, "sum", "E (sums of A)")
     if isinstance(energy, _Histogram):
-        energy = int(np.dot(energy.counts, energy.counts))
+        energy = int(np.square(energy.counts, dtype=np.int64).sum())
     diffs = _histogram(coords, "diff", "r(d) (differences of A)", queries)
     in_a = all(a in a_set.as_set for a in a_prime.elements)
     # A' in A with |A'| = n is A itself

@@ -8,7 +8,8 @@ The helpers below count energies and difference sets over element pairs,
 list a rep table's (difference, count) pairs, build relations from elements
 rather than rep-table codes, recount neighbourhoods by their definitions and
 write rational weights as integer arrays; the library needs none of them.
-tv_failures and st_failures are the reference checks of the two lemmas
+branch_p_reference is branch P by its definitions, scoring every popular
+d.  tv_failures and st_failures are the reference checks of the two lemmas
 behind branch Q, the 3-step-path filter and the prefix selection: each
 recounts its witness from the definitions and names the properties it
 breaks.  Test modules import them with ``from conftest import ...``.
@@ -144,6 +145,36 @@ def widen(a_set: AdditiveSet, wide: bool) -> AdditiveSet:
         return a_set
     spec = GroupSpec(a_set.spec.moduli + (0,))
     return AdditiveSet(spec, tuple(e + (1 << 70,) for e in a_set.elements))
+
+
+def branch_p_reference(a: AdditiveSet, eps: Fraction) -> Tuple[Dict[Element, Tuple[Fraction, int]], tuple]:
+    """Branch P by its definitions: every popular d's rank, and (d*, A*, s*, A').
+
+    A popular d (r(d)^2 * n >= E) ranks by (eps * |A_d|^2 - 4 * s_d, |A_d|),
+    with A_d = {x in A : x - d in A} and s_d the ordered pairs of A_d^2 whose
+    difference has r <= eps^2 * E / (16 * n^2); d* is the first top-ranked d
+    in lexicographic order, A* = A_d*, s* = s_d* and A' keeps the x in A*
+    with at most |A*| / 4 such partners in A*.
+    """
+    elems = a.elements
+    n = len(elems)
+    diffs = [[sub(a.spec, x, y) for y in elems] for x in elems]
+    r = Counter(d for row in diffs for d in row)
+    e = sum(c * c for c in r.values())
+    thin_floor = eps * eps * e // (16 * n * n)
+    thin = np.array([[r[d] <= thin_floor for d in row] for row in diffs], dtype=np.int64)
+    ranks, slices = {}, {}
+    for d in sorted(r):
+        if r[d] ** 2 * n >= e:
+            s = np.array([sub(a.spec, x, d) in a.as_set for x in elems])
+            slices[d] = s
+            ranks[d] = (eps * int(s.sum()) ** 2 - 4 * int(thin[np.ix_(s, s)].sum()), int(s.sum()))
+    d_star = max(ranks, key=ranks.get)  # the first of the top ranks
+    star = np.flatnonzero(slices[d_star])
+    partners = thin[np.ix_(star, star)].sum(axis=1)
+    prime = star[4 * partners <= len(star)]
+    s_star = int(thin[np.ix_(star, star)].sum())
+    return ranks, (d_star, a.subset(star), s_star, a.subset(prime))
 
 
 def weight_vector(rho, coeffs: Iterable) -> WeightVector:

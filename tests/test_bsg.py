@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import difference_relation, pure_diff_size, rep_items, sub, tv_failures, widen
+from conftest import branch_p_reference, difference_relation, pure_diff_size, rep_items, sub, tv_failures, widen
 
 from bsgx import _codec, additive_stats, bsg, relation_lemma
 from bsgx.additive_stats import energy, rep_table
@@ -24,6 +26,7 @@ from bsgx.errors import InvariantViolation
 from bsgx.generators import gen_ap, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec
 from bsgx.oracle import verify_report_dict
+from bsgx.relation_lemma import Relation
 
 F = Fraction
 Z = GroupSpec((0,))
@@ -34,6 +37,8 @@ def zset(*vals):
 
 
 A012 = zset(0, 1, 2)
+# [0, 400) with the far points 10^6 and 10^6 + 1: d = -2 and d = +2 tie at eps 2/5
+TIE = zset(*range(400), 10**6, 10**6 + 1)
 
 
 def test_params_validation():
@@ -126,9 +131,11 @@ def test_each_branch_passes_its_tie_rule_to_pick_slice(monkeypatch):
 
     monkeypatch.setattr(bsg, "pick_slice", spy)
     monkeypatch.setattr(relation_lemma, "pick_slice", spy)
-    assert extract(gen_ap(30), Params(eps=F(1, 4))).case == "P"
+    # on an AP only d = 0 is left and pick_slice never runs; the tie set
+    # keeps d = -2 and d = +2 live
+    assert extract(TIE, Params(eps=F(2, 5))).case == "P"
     assert extract(gen_random(63, 127, 7), Params(eps=F(1, 4))).case == "Q"
-    assert calls == [(F(1, 4), 4, True, False), (F(1, 8), 8, False, True)]
+    assert calls == [(F(2, 5), 4, True, False), (F(1, 8), 8, False, True)]
 
 
 def test_extract_p_requires_its_hypothesis():
@@ -265,7 +272,7 @@ def test_branch_p_breaks_a_score_tie_by_slice_size_then_first_d(monkeypatch):
     # keeps all 402 elements, but its slice holds 1,606 thin pairs, 1,600 of
     # them joining the far points to the interval, while d = -2 and d = +2
     # keep {0, ..., 397} and {2, ..., 399}, with no thin pair
-    a = zset(*range(400), 10**6, 10**6 + 1)
+    a, eps = TIE, F(2, 5)
     calls = []
     real = bsg.pick_slice
 
@@ -275,26 +282,29 @@ def test_branch_p_breaks_a_score_tie_by_slice_size_then_first_d(monkeypatch):
         return out
 
     monkeypatch.setattr(bsg, "pick_slice", spy)
-    report = extract(a, Params(eps=F(2, 5)))
+    report = extract(a, Params(eps=eps))
     [((members, sizes, thin, weight, penalty), kwargs, (t, s_star, _, _))] = calls
-    assert np.array_equal(kwargs["second"], sizes)
-    diffs = [d for d, _ in partition_pq(a).p_items]
-    # score and slice size of each popular d, recounted pair by pair
-    ranked = {}
-    for u, d in enumerate(diffs):
-        rows = np.flatnonzero(members[:, u])
-        ranked[d] = (weight * len(rows) ** 2 - penalty * int(thin[np.ix_(rows, rows)].sum()), len(rows))
+    assert np.array_equal(kwargs["second"], sizes) and (weight, penalty) == (eps, 4)
+    # score and slice size of every popular d, recounted from the set pair by pair
+    ranked, expected = branch_p_reference(a, eps)
     top = max(ranked.values())
     assert top == (F(316808, 5), 398)
     assert [d for d, rank in ranked.items() if rank == top] == [(-2,), (2,)]
-    assert ranked[(0,)] == (weight * 402**2 - penalty * 1606, 402)
+    zero = ranked[(0,)]
+    assert zero == (eps * 402**2 - 4 * 1606, 402)
+    # pick_slice ranks the live d, those with eps * (402^2 - r(d)^2) <= 4 * 1606,
+    # in order; every pruned d scores below d = 0
+    live = [d for d, (_, size) in ranked.items() if eps * (402**2 - size**2) <= 4 * 1606]
+    assert sizes.tolist() == [ranked[d][1] for d in live] and members.shape == (402, len(live))
+    assert 0 < len(live) < len(ranked)
+    assert all(rank[0] < zero[0] for d, rank in ranked.items() if d not in live)
     # the first of the tied d wins
-    assert diffs[t] == report.witness.d_star == (-2,)
+    assert live[t] == report.witness.d_star == (-2,)
     w = report.witness
     assert (s_star, w.thin_pairs_in_a_star, w.thin_threshold) == (0, 0, 2)
     assert w.a_star == report.a_prime == zset(*range(398))
+    assert expected == (w.d_star, w.a_star, w.thin_pairs_in_a_star, report.a_prime)
     assert verify_report_dict(a, report.to_json_dict()).status == "pass"
-
 
 
 def test_branch_p_thin_filter_drops_an_element(monkeypatch):
@@ -303,13 +313,24 @@ def test_branch_p_thin_filter_drops_an_element(monkeypatch):
     a = zset(*range(200), -485, -427, -413)
     sizes = []
     real = additive_stats._sorted_pair_codes
+    scans = []
+    real_relation = Relation.from_difference_set.__func__
 
     def spy(coder, blocks):
         sizes.append([len(left) * len(right) for left, right in blocks])
         return real(coder, blocks)
 
+    def relation_spy(cls, rep, codes):
+        scans.append(len(codes))
+        return real_relation(cls, rep, codes)
+
     monkeypatch.setattr(additive_stats, "_sorted_pair_codes", spy)
+    monkeypatch.setattr(bsg, "_membership_matrices", _no_scan)
+    monkeypatch.setattr(Relation, "from_difference_set", classmethod(relation_spy))
     report = extract(a, Params(eps=F(2, 5)))
+    # d = 0 alone is left, and 4 * min(T0, #thin d) = 4 * 146 passes n = 203:
+    # one lookup scan of the 146 thin codes counts each row's thin partners
+    assert scans == [146]
     w = report.witness
     assert report.case == "P" and w.d_star == (0,) and w.a_star == a
     assert (w.thin_threshold, w.thin_pairs_in_a_star) == (1, 146)
@@ -322,6 +343,74 @@ def test_branch_p_thin_filter_drops_an_element(monkeypatch):
     for eps in (F(1, 10), F(1, 4), F(1, 3)):
         low = extract(a, Params(eps=eps))
         assert low.witness.thin_threshold == 0 and low.a_prime == a
+    assert scans == [146]
+
+
+def _no_scan(*args):
+    raise AssertionError("an n^2 scan ran after the rep table")
+
+
+@pytest.mark.parametrize("eps", [F(1, 10), F(1, 4)])
+def test_aps_and_balls_leave_d_zero_alone_and_scan_nothing(eps, monkeypatch):
+    # no d != 0 has r(d) near n, and the thin floor is 0 (T0 = 0), so every
+    # d != 0 scores below d = 0: A* = A' = A with no n^2 pass after the table
+    monkeypatch.setattr(bsg, "_membership_matrices", _no_scan)
+    monkeypatch.setattr(Relation, "from_difference_set", classmethod(_no_scan))
+    for a in (gen_ap(300, 5, 3), gen_ap(211), gen_ball(2, 100), gen_ball(3, 20)):
+        report = extract(a, Params(eps=eps))
+        w = report.witness
+        assert report.case == "P" and w.d_star == a.spec.zero()
+        assert (w.thin_threshold, w.thin_pairs_in_a_star) == (0, 0)
+        assert w.a_star == report.a_prime == a
+
+
+def _cyclic(m, xs):
+    return AdditiveSet.from_elements(GroupSpec((m,)), [(x % m,) for x in xs])
+
+
+# small sets in Z, Z_m and Z x Z_m at each eps, among them subgroups of
+# Z_m, where every d of the subgroup has r(d) = n and stays live, alone and
+# with a few points; and at eps 2/5, where its thin floor reaches 1, an
+# interval of 170-200 with 1-3 points in a window of 80 far below it: each
+# of its three routes (d = 0 alone, the same with the thin partners counted,
+# the scan of the live d) is drawn
+P_CASES = st.one_of(
+    st.tuples(
+        st.one_of(
+            st.sets(st.integers(-40, 40), min_size=1, max_size=24).map(lambda xs: zset(*xs)),
+            st.integers(2, 40).flatmap(
+                lambda m: st.sets(st.integers(0, m - 1), min_size=1, max_size=24).map(lambda xs: _cyclic(m, xs))
+            ),
+            st.integers(2, 9).flatmap(
+                lambda m: st.sets(
+                    st.tuples(st.integers(-5, 5), st.integers(0, m - 1)), min_size=1, max_size=24
+                ).map(lambda xs: AdditiveSet.from_elements(GroupSpec((0, m)), xs))
+            ),
+            st.tuples(st.integers(1, 6), st.integers(2, 12), st.sets(st.integers(0, 71), max_size=3)).map(
+                lambda t: _cyclic(t[0] * t[1], [*range(0, t[0] * t[1], t[0]), *t[2]])
+            ),
+        ),
+        st.sampled_from([F(1, 10), F(1, 4), F(2, 5)]),
+    ),
+    st.tuples(
+        st.tuples(
+            st.integers(170, 200), st.integers(-600, -300), st.sets(st.integers(0, 80), min_size=1, max_size=3)
+        ).map(lambda t: zset(*range(t[0]), *(t[1] + x for x in t[2]))),
+        st.just(F(2, 5)),
+    ),
+)
+
+
+@given(case=P_CASES)
+@settings(max_examples=100, deadline=None)
+def test_extract_p_matches_the_reference_that_scores_every_popular_d(case):
+    a, eps = case
+    pq = partition_pq(a)
+    assume(pq.p_holds(eps))
+    report = extract_p(a, pq, eps)
+    w = report.witness
+    _, expected = branch_p_reference(a, eps)
+    assert (w.d_star, w.a_star, w.thin_pairs_in_a_star, report.a_prime) == expected
 
 
 def test_report_json_shape():
@@ -391,28 +480,34 @@ def test_membership_matrices_match_their_definitions(wide, monkeypatch):
         assert (pq.rep.codec is None) == wide
         table = dict(rep_items(pq.rep))
         elems = a.elements
+        popular_rows = np.flatnonzero(pq.popular)
         # the default block gathers from the column table; the 169- and
         # 77-code ranges pass 64 cells, so that block searches
         for cells in (_codec.BLOCK_CELLS, 64):
             monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
-            # no difference is thin at floor 0
-            for thin_floor in (6, 0):
-                x_mat, m_mat = _membership_matrices(pq, thin_floor)
-                assert x_mat.tolist() == [
-                    [table[sub(a.spec, x, y)] <= thin_floor for y in elems] for x in elems
-                ]
-                assert m_mat.shape == (len(a), len(pq.p_items))
-                for t, (d, _) in enumerate(pq.p_items):
-                    # A_d = A intersect (A + d)
-                    assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
+            # every popular d live, then every other one, in their order
+            for step in (1, 2):
+                live = np.zeros_like(pq.popular)
+                live[popular_rows[::step]] = True
+                kept = pq.p_items[::step]
+                # no difference is thin at floor 0
+                for thin_floor in (6, 0):
+                    x_mat, m_mat = _membership_matrices(pq.rep, pq.rep.counts <= thin_floor, live)
+                    assert x_mat.tolist() == [
+                        [table[sub(a.spec, x, y)] <= thin_floor for y in elems] for x in elems
+                    ]
+                    assert m_mat.shape == (len(a), len(kept))
+                    for t, (d, _) in enumerate(kept):
+                        # A_d = A intersect (A + d)
+                        assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
 
 
 def test_membership_matrices_refuse_a_thin_floor_at_the_popular_floor():
     pq = partition_pq(gen_ball(2, 9))
     pop_floor = min(c for _, c in pq.p_items)
-    _membership_matrices(pq, pop_floor - 1)
+    _membership_matrices(pq.rep, pq.rep.counts <= pop_floor - 1, pq.popular)
     with pytest.raises(InvariantViolation, match="thin floor"):
-        _membership_matrices(pq, pop_floor)
+        _membership_matrices(pq.rep, pq.rep.counts <= pop_floor, pq.popular)
 
 
 class _ColumnDtype(Exception):
@@ -440,9 +535,8 @@ class _StubRep:
 
 def _flat_index_dtype(n, k):
     rep = _StubRep(n, k)
-    pq = bsg.PartitionPQ(rep, ((None, 5),) * k, 25 * k, 1, rep.counts == 5)
     with pytest.raises(_ColumnDtype) as info:
-        _membership_matrices(pq, 1)
+        _membership_matrices(rep, rep.counts == 1, rep.counts == 5)
     return info.value.args[0]
 
 
