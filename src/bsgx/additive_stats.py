@@ -8,8 +8,8 @@ parameter K = |A|^3 / E(A) as an exact rational.
 The table is also the one difference index of the package: every difference
 has a mixed-radix code (see _codec), codes ascend in lexicographic
 difference order, pair_codes gives the codes of a row block of the n x n
-difference matrix, and lookup, the one code lookup, maps codes to values
-kept per key code (a slice column, a count, membership in D): a gather
+difference matrix, and lookup, the code lookup of the n^2 scans, maps codes
+to values kept per key code (a slice column, membership in D): a gather
 from a table over the code range or, in two levels, over its pages, each
 level of at most _codec.BLOCK_CELLS cells, else a binary search in the keys.
 The codes are those of the gcd-reduced copy, in the narrowest integer dtype
@@ -18,7 +18,8 @@ numpy path on any of them.
 Counting sorts the codes of all n^2 pairs once, in place, and reads r(d)
 off the run lengths; exact, and independent of chunking.
 subset_diff_size counts |A' - A'| for a subset A' of A from the same codes,
-sorting the pairs of A' or the pairs A' loses, whichever are fewer.
+sorting the pairs of A' or the pairs A' loses, whichever are fewer, and
+searching the codes for the r(d) of each lost run.
 """
 
 from __future__ import annotations
@@ -123,9 +124,12 @@ class RepTable:
         Sorts the codes of whichever is fewer: the m^2 pairs of A', or the
         n^2 - m^2 pairs of A^2 that A' loses.  Each pair of A^2 is a pair of
         A'^2 or lost, so d is missing from A' - A' exactly when all r(d) of
-        its pairs are lost; A' = A loses none.
+        its pairs are lost, each run's r(d) found by one search of the codes;
+        A' = A loses none, and sorts nothing.
         """
         n, m = len(self.coords), len(rows)
+        if m == n:
+            return len(self)
         inner = self.coords[rows]
         if 2 * m * m <= n * n:
             return len(_run_edges(_sorted_pair_codes(self.coder, [(inner, inner)]))) - 1
@@ -134,7 +138,7 @@ class RepTable:
         outer = self.coords[~kept]
         lost = _sorted_pair_codes(self.coder, [(outer, self.coords), (inner, outer)])
         edges = _run_edges(lost)
-        gone = np.diff(edges) == self.lookup(self.codes, self.counts)(lost[edges[:-1]])
+        gone = np.diff(edges) == self.counts[np.searchsorted(self.codes, lost[edges[:-1]])]
         return len(self) - int(np.count_nonzero(gone))
 
     def energy_sum(self) -> int:

@@ -18,8 +18,9 @@ checked in one place (exact_float); both branches pick and filter their
 slice through relation_lemma.pick_slice.  Branch P first prunes: A_0 = A
 holds T0 = (sum of the thin r(d)) thin pairs and no slice scores above
 eps * r(d)^2, so only a d with eps * (n^2 - r(d)^2) <= 4 * T0 can win.
-With d = 0 alone left, A* = A, no membership scan runs, and a row has at
-most min(T0, #thin d) thin partners to count.  extract runs each branch whose
+With d = 0 alone left A* = A and no slice scan runs; else one scan marks
+the live slices.  Both routes read one thin-partner matrix, built by
+Relation.from_difference_set.  extract runs each branch whose
 hypothesis holds; at the knife edge 4 * p_mass = eps * E both hold, and it
 keeps the better result.  The ExtractionReport stores what was measured and
 computes the bounds above, its checks and its branch from that.
@@ -260,37 +261,27 @@ def _finish_report(
     return report
 
 
-def _membership_matrices(
-    rep: RepTable, thin: np.ndarray, live: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Build X[i, j] = thin[a_i - a_j] and M[i, t] = (a_i in A_d_t), d_t the t-th live d.
+def _slice_members(rep: RepTable, live: np.ndarray) -> np.ndarray:
+    """M[i, t] = (a_i in A_d_t), d_t the t-th difference of the mask live over rep's rows.
 
-    thin and live are masks over rep's rows.  Both come from one scan of the
-    difference codes: a_i is in A_d exactly when a_i - a_j = d for some j.
-    RepTable.lookup gives each pair a column of an n x (k + 2) matrix, set by
-    one flat scatter a block: t for the t-th of the k live differences, k + 1
-    for a thin one (X), k for the rest.
+    a_i is in A_d exactly when a_i - a_j = d for some j, so M comes from one
+    scan of the difference codes: RepTable.lookup gives each pair a column of
+    an n x (k + 1) matrix, set by one flat scatter a block: t for the t-th of
+    the k live differences, k for every other one.
     """
     n = len(rep.a_set)
     k = int(np.count_nonzero(live))
-    # a code has one column, and no live d is thin: a thin r(d) is at most
-    # eps^2 E / (16 n^2) < E / n^2 <= sqrt(E / n), as E <= n^3
-    if (thin & live).any():
-        raise InvariantViolation("thin floor reaches the popular floor")
-    # the flat index of the last of the n * (k + 2) cells is n * (k + 2) - 1
-    col = np.full(len(rep), k, dtype=np.int32 if n * (k + 2) <= 1 << 31 else np.int64)
-    col[thin] = k + 1
+    # the flat index of the last of the n * (k + 1) cells is n * (k + 1) - 1
+    col = np.full(len(rep), k, dtype=np.int32 if n * (k + 1) <= 1 << 31 else np.int64)
     col[live] = np.arange(k)
     column_of = rep.lookup(rep.codes, col)
-    x_mat = np.empty((n, n), dtype=np.bool_)
-    cells = np.zeros((n, k + 2), dtype=np.bool_)
+    cells = np.zeros((n, k + 1), dtype=np.bool_)
     for lo, hi in row_chunks(n, n):
         flat = column_of(rep.pair_codes(lo, hi))
-        np.equal(flat, k + 1, out=x_mat[lo:hi])
-        flat += np.arange(lo * (k + 2), hi * (k + 2), k + 2, dtype=flat.dtype)[:, None]
+        flat += np.arange(lo * (k + 1), hi * (k + 1), k + 1, dtype=flat.dtype)[:, None]
         cells.reshape(-1)[flat] = True
         del flat  # free it before the next block is built
-    return x_mat, cells[:, :k]
+    return cells[:, :k]
 
 
 def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionReport:
@@ -304,10 +295,11 @@ def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
 
     A_0 = A, so d = 0 scores eps * n^2 - 4 * T0 with T0 = sum of the thin
     r(d), and no d scores above eps * r(d)^2: a d with
-    eps * (n^2 - r(d)^2) > 4 * T0 scores below d = 0 and is pruned.  The
-    membership scan runs over the live rest only when some d != 0 is left.
-    Else A* = A, and a row has at most one thin partner per thin d, so at
-    most min(T0, #thin d): past |A| / 4, one lookup scan counts them.
+    eps * (n^2 - r(d)^2) > 4 * T0 scores below d = 0 and is pruned.  With
+    d = 0 alone, A* = A, and a row has at most min(T0, #thin d) thin
+    partners, one per thin d: past |A| / 4 the thin-partner matrix X filters
+    A.  Else one scan marks the live slices and pick_slice scores them
+    against X.  X is built once, from the thin codes, when a route reads it.
     """
     eps = Params(eps).eps
     if not pq.p_holds(eps):
@@ -323,21 +315,22 @@ def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
     slack = min(4 * eps.denominator * t0 // eps.numerator, n * n)
     live = pq.popular & (rep.counts * rep.counts >= n * n - slack)
     live_t = np.flatnonzero(live[pq.popular])  # the live d's places in p_items
+    # X[i, j] = [a_i - a_j is thin], None when T0 = 0 and no pair is thin
+    partners = None
+    if t0 and (len(live_t) > 1 or 4 * min(t0, np.count_nonzero(thin)) > n):
+        partners = Relation.from_difference_set(rep, rep.codes[thin]).matrix
 
     if len(live_t) == 1:  # d = 0 alone: A* = A with T0 thin pairs
         best_t, s_star, star_rows = 0, t0, np.arange(n)
-        prime_rows = star_rows
-        if 4 * min(t0, np.count_nonzero(thin)) > n:
-            partners = Relation.from_difference_set(rep, rep.codes[thin]).matrix
-            prime_rows = drop_thin(star_rows, partners)
+        prime_rows = star_rows if partners is None else drop_thin(star_rows, partners)
     else:
-        x_mat, m_mat = _membership_matrices(rep, thin, live)
+        m_mat = _slice_members(rep, live)
         slice_sizes = m_mat.sum(axis=0, dtype=np.int64)
         if not np.array_equal(slice_sizes, rep.counts[live]):
             raise InvariantViolation("slice size disagrees with its difference count")
         # equal scores go to the larger slice, then to the lexicographically smaller d
         best_t, s_star, star_rows, prime_rows = pick_slice(
-            m_mat, slice_sizes, x_mat, eps, 4, second=slice_sizes
+            m_mat, slice_sizes, partners, eps, 4, second=slice_sizes
         )
     d_star = pq.p_items[live_t[best_t]][0]
     m_star = len(star_rows)

@@ -117,8 +117,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.report_file, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    # a file that is not UTF-8 or not JSON raises a ValueError
-    except (OSError, ValueError) as exc:
+    # a file that is not UTF-8 or not JSON, or nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise _CliError(EXIT_USAGE, f"cannot read report: {exc}") from exc
     try:
         result = verify_report_dict(a_set, report)

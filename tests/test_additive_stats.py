@@ -223,7 +223,7 @@ def test_lookup_leaves_the_codes_as_they_are(label, step, route):
 @pytest.mark.parametrize("cells", [None, 64])
 @pytest.mark.parametrize("label", list(INDEXED))
 def test_subset_diff_size_is_the_subset_table_size(label, cells, monkeypatch):
-    build, dtype, dense = INDEXED[label]
+    build, dtype, _ = INDEXED[label]
     if cells is not None:
         monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
     a = build()
@@ -240,11 +240,11 @@ def test_subset_diff_size_is_the_subset_table_size(label, cells, monkeypatch):
         found, searched, taken = traced(rep.subset_diff_size, rows)
         assert found == want, m
         routes[m] = (searched, bool(taken))
-    # sorting the pairs of A' looks nothing up; the lost-pair side looks its
-    # run codes up by gather when the code range fits the block, else by search
-    gathers = dense and cells is None
-    assert routes[1] == routes[half] == (False, False)
-    assert routes[half + 1] == (not gathers, True)
+    # A' = A is the table's own size and looks nothing up, nor does sorting
+    # the pairs of A'; at every block budget the lost-pair side finds its
+    # runs' counts by one search of the codes, with no code table built
+    assert routes[n] == routes[1] == routes[half] == (False, False)
+    assert routes[half + 1] == (True, False)
 
 
 def test_energy_small_examples():

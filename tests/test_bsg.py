@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import branch_p_reference, difference_relation, pure_diff_size, rep_items, sub, tv_failures, widen
+from conftest import branch_p_reference, difference_relation, pure_diff_size, sub, tv_failures, widen
 
 from bsgx import _codec, additive_stats, bsg, relation_lemma
 from bsgx.additive_stats import energy, rep_table
@@ -16,7 +16,7 @@ from bsgx.bsg import (
     Params,
     PWitness,
     QWitness,
-    _membership_matrices,
+    _slice_members,
     extract,
     extract_p,
     extract_q,
@@ -325,7 +325,7 @@ def test_branch_p_thin_filter_drops_an_element(monkeypatch):
         return real_relation(cls, rep, codes)
 
     monkeypatch.setattr(additive_stats, "_sorted_pair_codes", spy)
-    monkeypatch.setattr(bsg, "_membership_matrices", _no_scan)
+    monkeypatch.setattr(bsg, "_slice_members", _no_scan)
     monkeypatch.setattr(Relation, "from_difference_set", classmethod(relation_spy))
     report = extract(a, Params(eps=F(2, 5)))
     # d = 0 alone is left, and 4 * min(T0, #thin d) = 4 * 146 passes n = 203:
@@ -354,7 +354,7 @@ def _no_scan(*args):
 def test_aps_and_balls_leave_d_zero_alone_and_scan_nothing(eps, monkeypatch):
     # no d != 0 has r(d) near n, and the thin floor is 0 (T0 = 0), so every
     # d != 0 scores below d = 0: A* = A' = A with no n^2 pass after the table
-    monkeypatch.setattr(bsg, "_membership_matrices", _no_scan)
+    monkeypatch.setattr(bsg, "_slice_members", _no_scan)
     monkeypatch.setattr(Relation, "from_difference_set", classmethod(_no_scan))
     for a in (gen_ap(300, 5, 3), gen_ap(211), gen_ball(2, 100), gen_ball(3, 20)):
         report = extract(a, Params(eps=eps))
@@ -371,9 +371,9 @@ def _cyclic(m, xs):
 # small sets in Z, Z_m and Z x Z_m at each eps, among them subgroups of
 # Z_m, where every d of the subgroup has r(d) = n and stays live, alone and
 # with a few points; and at eps 2/5, where its thin floor reaches 1, an
-# interval of 170-200 with 1-3 points in a window of 80 far below it: each
-# of its three routes (d = 0 alone, the same with the thin partners counted,
-# the scan of the live d) is drawn
+# interval of 170-200 with 1-3 points in a window of 80 far below it: both
+# routes are drawn (d = 0 alone, with and without the thin-partner matrix,
+# and the scan of the live d)
 P_CASES = st.one_of(
     st.tuples(
         st.one_of(
@@ -411,6 +411,42 @@ def test_extract_p_matches_the_reference_that_scores_every_popular_d(case):
     w = report.witness
     _, expected = branch_p_reference(a, eps)
     assert (w.d_star, w.a_star, w.thin_pairs_in_a_star, report.a_prime) == expected
+
+
+def test_the_scan_route_reads_its_thin_partners_from_one_relation_build(monkeypatch):
+    # at eps 2/5 the tie set and the multiples of 10 in Z_2000 with 1 and 2
+    # keep some d != 0 live, and their thin codes number 806 and 798: one
+    # membership scan marks the live slices and one relation build over the
+    # thin codes gives X.  The multiples of 10 in Z_1000 are a subgroup,
+    # every d of it live, with no thin d: no X is built, and no pair is thin
+    scans, marked = [], []
+    real_relation = Relation.from_difference_set.__func__
+    real_members = bsg._slice_members
+
+    def relation_spy(cls, rep, codes):
+        scans.append(len(codes))
+        return real_relation(cls, rep, codes)
+
+    def members_spy(rep, live):
+        marked.append(int(np.count_nonzero(live)))
+        return real_members(rep, live)
+
+    monkeypatch.setattr(Relation, "from_difference_set", classmethod(relation_spy))
+    monkeypatch.setattr(bsg, "_slice_members", members_spy)
+    cases = (
+        (TIE, 806, (-2,), 398),
+        (_cyclic(2000, [*range(0, 2000, 10), 1, 2]), 798, (10,), 200),
+        (_cyclic(1000, range(0, 1000, 10)), 0, (0,), 100),
+    )
+    for a, thin_d, d_star, star_size in cases:
+        scans.clear()
+        marked.clear()
+        report = extract(a, Params(eps=F(2, 5)))
+        w = report.witness
+        assert scans == ([thin_d] if thin_d else [])
+        assert len(marked) == 1 and marked[0] > 1
+        assert (report.case, w.d_star, len(w.a_star)) == ("P", d_star, star_size)
+        assert w.thin_pairs_in_a_star == 0 and report.a_prime == w.a_star
 
 
 def test_report_json_shape():
@@ -478,7 +514,6 @@ def test_membership_matrices_match_their_definitions(wide, monkeypatch):
         a = widen(build(), wide)
         pq = partition_pq(a)
         assert (pq.rep.codec is None) == wide
-        table = dict(rep_items(pq.rep))
         elems = a.elements
         popular_rows = np.flatnonzero(pq.popular)
         # the default block gathers from the column table; the 169- and
@@ -490,24 +525,11 @@ def test_membership_matrices_match_their_definitions(wide, monkeypatch):
                 live = np.zeros_like(pq.popular)
                 live[popular_rows[::step]] = True
                 kept = pq.p_items[::step]
-                # no difference is thin at floor 0
-                for thin_floor in (6, 0):
-                    x_mat, m_mat = _membership_matrices(pq.rep, pq.rep.counts <= thin_floor, live)
-                    assert x_mat.tolist() == [
-                        [table[sub(a.spec, x, y)] <= thin_floor for y in elems] for x in elems
-                    ]
-                    assert m_mat.shape == (len(a), len(kept))
-                    for t, (d, _) in enumerate(kept):
-                        # A_d = A intersect (A + d)
-                        assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
-
-
-def test_membership_matrices_refuse_a_thin_floor_at_the_popular_floor():
-    pq = partition_pq(gen_ball(2, 9))
-    pop_floor = min(c for _, c in pq.p_items)
-    _membership_matrices(pq.rep, pq.rep.counts <= pop_floor - 1, pq.popular)
-    with pytest.raises(InvariantViolation, match="thin floor"):
-        _membership_matrices(pq.rep, pq.rep.counts <= pop_floor, pq.popular)
+                m_mat = _slice_members(pq.rep, live)
+                assert m_mat.shape == (len(a), len(kept))
+                for t, (d, _) in enumerate(kept):
+                    # A_d = A intersect (A + d)
+                    assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in elems], d
 
 
 class _ColumnDtype(Exception):
@@ -515,7 +537,7 @@ class _ColumnDtype(Exception):
 
 
 class _StubRep:
-    """A rep table of k popular counts and one thin one over a set of n elements.
+    """A rep table of k live codes and one other over a set of n elements.
 
     Its lookup raises _ColumnDtype with the dtype of the column table it is
     handed, so no n x n block is ever built.
@@ -524,7 +546,7 @@ class _StubRep:
     def __init__(self, n, k):
         self.a_set = range(n)
         self.codes = np.arange(k + 1)
-        self.counts = np.array([5] * k + [1])
+        self.live = np.arange(k + 1) < k
 
     def __len__(self):
         return len(self.codes)
@@ -536,14 +558,14 @@ class _StubRep:
 def _flat_index_dtype(n, k):
     rep = _StubRep(n, k)
     with pytest.raises(_ColumnDtype) as info:
-        _membership_matrices(rep, rep.counts == 1, rep.counts == 5)
+        _slice_members(rep, rep.live)
     return info.value.args[0]
 
 
 def test_flat_scatter_index_dtype_holds_the_last_cell():
-    # the flat index of the last cell of n * (k + 2) cells is n * (k + 2) - 1
-    assert _flat_index_dtype(1 << 29, 2) == np.int32  # 2^31 cells
-    assert _flat_index_dtype(715827883, 1) == np.int64  # 2^31 + 1 cells
+    # the flat index of the last cell of n * (k + 1) cells is n * (k + 1) - 1
+    assert _flat_index_dtype(1 << 30, 1) == np.int32  # 2^31 cells
+    assert _flat_index_dtype(715827883, 2) == np.int64  # 2^31 + 1 cells
 
 
 def test_q_prime_equals_the_validated_set():

@@ -233,6 +233,17 @@ def test_verify_garbage_report_exits_2(aset_file, tmp_path, capsys):
         assert main(["verify", src, str(bad)]) == 2, eps
 
 
+def test_verify_deeply_nested_report_exits_2(aset_file, tmp_path, capsys):
+    # JSON nested past the recursion limit is unreadable, not a failed check
+    src = aset_file(A012)
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 200_000)
+    capsys.readouterr()
+    assert main(["verify", src, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read report: ") and "Traceback" not in err
+
+
 def test_verify_malformed_field_exits_2(tmp_path, capsys):
     # a fraction sent as a JSON number, or a set that is not a string
     src = str(tmp_path / "r.aset")

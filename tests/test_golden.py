@@ -15,8 +15,12 @@ On [0,400) with the two far points 10^6 and 10^6 + 1, d = -2 and d = +2
 tie on score and on slice size, so that case pins the slice choice and its
 tie rule.  On [0,200) with -485, -427 and -413 at eps 2/5, d* = 0 and
 A* = A, but the thin floor is 1 and the filter drops -485, so that case
-pins a nonempty thin drop.  On every other branch-P case d* = 0 and
-A' = A* = A.
+pins a nonempty thin drop.  The multiples of 10 in Z_2000 with 1 and 2
+(n 202, int16 codes) at eps 2/5 keep every d of the subgroup live, and the
+thin floor is 1: d* = 10 and A' = A* = the 200 multiples, so that case
+pins the scan of the live d with the thin-partner matrix on a cyclic
+group; its *2^64+1 copy (n 203) runs the same scan on Python-int codes,
+whose lookups search.  On every other branch-P case d* = 0 and A' = A* = A.
 
 The verify-output digests pin the claimed and actual text of every oracle
 check on these reports; on branch Q the lemma references' recounts are
@@ -59,6 +63,9 @@ _BASES = {
     ),
     "[0,200) with -485,-427,-413": lambda: AdditiveSet.from_elements(
         GroupSpec((0,)), [(x,) for x in [*range(200), -485, -427, -413]]
+    ),
+    "10Z_2000 with 1,2": lambda: AdditiveSet.from_elements(
+        GroupSpec((2000,)), [(x,) for x in [*range(0, 2000, 10), 1, 2]]
     ),
 }
 
@@ -107,6 +114,8 @@ GOLDEN = {
     ("[0,400) with 10^6,10^6+1", "2/5", False): "ecdca128ffe17205db1ea223bad6226da2df1b5df288479e018aa6a6774c2988",
     ("[0,200) with -485,-427,-413", "2/5", False): "239f13c277da2938bf58a498cd31f348993865778212a7a5200b6b158f82a87b",
     ("[0,200) with -485,-427,-413*2^53", "2/5", False): "57596a6ed1005b1fef29aabd65bb25d356d7d3afd8089c421e4aba5877d99828",
+    ("10Z_2000 with 1,2", "2/5", False): "03139dfdedc8147bf8462ef1bde09175ebbced6400f907901f021d5e8f2e304b",
+    ("10Z_2000 with 1,2*2^64+1", "2/5", False): "307473bbfc5c7ffa07621d7ba09d2104f49b795abf0391a705c3997b43ac6276",
 }
 
 
@@ -175,6 +184,10 @@ VERIFY_GOLDEN = {
     ),
     ("[0,200) with -485,-427,-413*2^53", "2/5", False): (
         "7259b7ef91c54dafc02fe336fc6f42a06d7ba9d7c18b20f36810b91d3e7a6700",
+    ),
+    ("10Z_2000 with 1,2", "2/5", False): ("63d3f0afdf4d87ec658036d53fa0fddc48cc08b21fd9dc06343573bf1daef4c6",),
+    ("10Z_2000 with 1,2*2^64+1", "2/5", False): (
+        "644d61332531ca714483844c2454329c60d5f5072a8f0665df898f5251036ffa",
     ),
 }
 
