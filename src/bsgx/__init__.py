@@ -42,7 +42,6 @@ from .groups import (
 )
 from .numeric_lemma import (
     PrefixSelection,
-    WeightVector,
     select_index_set,
 )
 from .oracle import (
@@ -74,7 +73,6 @@ __all__ = [
     "SplitMix64",
     "TvWitness",
     "VerificationResult",
-    "WeightVector",
     "energy",
     "extract",
     "extract_p",

@@ -14,16 +14,18 @@ for any rational eps in (0, 1/2).  The popular branch additionally achieves
 writes with a square root is compared after squaring, so the whole pipeline
 is exact integer and rational arithmetic.  Floating point appears only
 inside the 0/1 matrix products of relation_lemma, whose exactness bound is
-checked in one place (exact_float); both branches pick and filter their
-slice through relation_lemma.pick_slice.  Branch P first prunes: A_0 = A
+checked in one place (exact_float).  relation_lemma.pick_slice scores and
+filters candidate slices for two callers: branch P's scan route and
+extract_tv, the last step of branch Q.  Branch P first prunes: A_0 = A
 holds T0 = (sum of the thin r(d)) thin pairs and no slice scores above
 eps * r(d)^2, so only a d with eps * (n^2 - r(d)^2) <= 4 * T0 can win.
-With d = 0 alone left A* = A and no slice scan runs; else one scan marks
-the live slices.  Both routes read one thin-partner matrix, built by
-Relation.from_difference_set.  extract runs each branch whose
-hypothesis holds; at the knife edge 4 * p_mass = eps * E both hold, and it
-keeps the better result.  The ExtractionReport stores what was measured and
-computes the bounds above, its checks and its branch from that.
+With d = 0 alone left A* = A, no slice scan runs and drop_thin filters A
+directly; else one scan marks the live slices for pick_slice.  Both routes
+read one thin-partner matrix, built by Relation.from_difference_set.
+extract runs each branch whose hypothesis holds; at the knife edge
+4 * p_mass = eps * E both hold, and it keeps the better result.  The
+ExtractionReport stores what was measured and computes the bounds above,
+its checks and its branch from that.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from ._codec import row_chunks
 from .additive_stats import RepTable, rep_table
 from .errors import InvariantViolation
 from .groups import AdditiveSet, Element, serialize_set
-from .numeric_lemma import PrefixSelection, WeightVector, select_index_set
+from .numeric_lemma import PrefixSelection, select_index_set
 from .relation_lemma import Relation, TvWitness, drop_thin, extract_tv, pick_slice
 
 TOOL_VERSION = "0.1.0"
@@ -365,10 +367,9 @@ def extract_q(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionR
     n = len(a_set)
     e_val = pq.energy
 
-    weights = WeightVector(rho=Fraction(n, e_val), coeffs=pq.rep.counts[~pq.popular])
-    selection = select_index_set(weights, 1 - eps / 4)
-    del weights  # free the unpopular counts before the n x n passes
-    q_prime_codes = pq.rep.codes[~pq.popular][np.array(selection.index_set, dtype=np.int64)]
+    unpopular = ~pq.popular
+    selection = select_index_set(pq.rep.counts[unpopular], Fraction(n, e_val), 1 - eps / 4)
+    q_prime_codes = pq.rep.codes[unpopular][selection.index_set]
     # codes ascend with their differences, so Q' is canonical and sorted as decoded
     q_prime = AdditiveSet.from_sorted(a_set.spec, tuple(pq.rep.coder.decode(q_prime_codes)))
 

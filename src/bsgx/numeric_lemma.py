@@ -1,9 +1,10 @@
 """Select a prefix of the largest weights whose sum is provably big.
 
 Input is a vector of weights x_i in [0, 1], each of the form c_i * sqrt(rho)
-with an integer c_i >= 0 and one shared rational rho > 0.  Writing S for the
-sum of the x_i and T for the sum of the x_i^2, the selection returns an index
-set I (a prefix of the weights sorted descending) whose sum W satisfies
+with an integer count c_i >= 0 and one shared rational rho > 0.  Writing S
+for the sum of the x_i and T for the sum of the x_i^2, the selection returns
+an index set I (a prefix of the weights sorted descending) whose sum W
+satisfies
 
     W >= alpha * T                                   (mass branch)
     W >= ((1-alpha)^5 |I|^4 T^4 / (2^10 S^2))^(1/6)  (size branch)
@@ -13,15 +14,15 @@ forms: the mass branch squares once to remove sqrt(rho), the cutoff test for
 the scan window divides out sqrt(rho), and in the size branch the rho powers
 cancel identically, so the whole selection is exact.
 
-The coefficients are one numpy array of integers: the caller passes the
-representation counts r(d) over the radicand n / E as int64, and
-WeightVector checks them without boxing their millions of entries.  Weights
-given as rationals c / L take this form after (c, rho) -> (L * c, rho / L^2),
-in an object array of Python ints when L * c passes int64.  The selection
-runs on int64 when len * max^2 (which bounds every sum it forms) fits, else
-on an object array of Python ints.  S, T and the window end are numpy
-passes over all weights; the sort and the prefix sums run over the window
-alone, and only the size-branch scan compares Python ints one at a time.
+The counts are one numpy array of integers, and the selection runs on int64
+alone: extract_q passes the representation counts r(d) of the unpopular
+differences over the radicand n / E.  Every sum formed (of the counts, of
+their squares, a prefix sum) is at most sum(c) * max(c), and counts with
+sum(c) * max(c) >= 2^63 are refused; a rep table's, with sum r(d) = n^2 and
+max r(d) <= n, stay below n^3 for every n whose n^2 pair scan can run.
+S, T and the window end are numpy passes over all weights; the sort and the
+prefix sums run over the window alone, and only the size-branch scan
+compares Python ints one at a time.
 """
 
 from __future__ import annotations
@@ -29,101 +30,66 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 import numpy as np
 
 from .errors import InvariantViolation
 
-_INT64_LIMIT = 1 << 63
-
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Weights x_i = coeffs[i] * sqrt(rho), each in [0, 1], not all zero.
-
-    coeffs is a 1-d numpy array of integers, kept as it is: an int or uint
-    dtype, or object dtype holding Python ints past int64.
-    """
-
-    rho: Fraction
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        coeffs = self.coeffs
-        # a tuple or list has no ndim, so only numpy arrays get past this
-        if getattr(coeffs, "ndim", None) != 1 or not (
-            coeffs.dtype.kind in "iu"
-            or coeffs.dtype == object and all(type(c) is int for c in coeffs.tolist())
-        ):
-            raise ValueError("coefficients must be a 1-d array of integers")
-        if self.rho <= 0:
-            raise ValueError(f"radicand must be > 0, got {self.rho}")
-        if not len(coeffs):
-            raise ValueError("weight vector must be nonempty")
-        top = int(coeffs.max())
-        low = int(coeffs.min())
-        if low < 0:
-            raise ValueError(f"weights must be >= 0, got coefficient {low}")
-        if top == 0:
-            raise ValueError("weights must not all be zero")
-        if top * top * self.rho > 1:
-            raise ValueError(f"weight {top}*sqrt({self.rho}) exceeds 1")
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
+_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True, eq=False)
 class PrefixSelection:
     """A chosen prefix of the stable descending order, with its certified sum.
 
-    order holds the first window_hi entries of the permutation (0-based
-    original indices, int64) sorting the weight_count weights descending
-    with ties kept in original order: the scan window's weights, in scan
-    order; index_set lists the first chosen_i of them, sorted ascending;
-    certified_coeff is the sum of their coefficients, so the certified sum
-    is W = certified_coeff * sqrt(rho) on the weight vector's rho;
-    window_lo and window_hi are the bounds of the prefix lengths the scan was
-    allowed to consider.
+    The order sorts the weight_count weights descending, ties kept in
+    original order.  index_set holds the first chosen_i entries of it (0-based
+    original indices) as a sorted int64 array; certified_coeff is the sum of
+    their counts, so the certified sum is W = certified_coeff * sqrt(rho);
+    window_lo is the shortest prefix length the scan was allowed to consider.
     """
 
-    order: np.ndarray
     weight_count: int
     chosen_i: int
-    index_set: Tuple[int, ...]
+    index_set: np.ndarray
     certified_coeff: int
     window_lo: int
-    window_hi: int
 
 
-def _integer_coeffs(xs: WeightVector) -> np.ndarray:
-    """The coefficients as int64, or as Python ints when int64 sums could overflow."""
-    top = int(xs.coeffs.max())
-    # every sum formed below is at most len * top^2
-    dtype = np.int64 if len(xs) * top * top < _INT64_LIMIT else object
-    return xs.coeffs.astype(dtype, copy=False)
+def select_index_set(coeffs: np.ndarray, rho: Fraction, alpha: Fraction) -> PrefixSelection:
+    """Pick the shortest certified prefix of the descending order of coeffs * sqrt(rho).
 
-
-def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
-    """Pick the shortest certified prefix of the descending weight order.
-
-    The scan window is [k, l] where k is the smallest prefix length whose
-    sum reaches alpha * T and l is the largest index whose weight is at
-    least (1 - alpha) * T / (2 * S); the first prefix length in the window
-    satisfying the size branch is returned.  A valid length always exists,
-    so running out of window means the implementation is wrong, not the
-    input.
+    coeffs is a nonempty 1-d int or uint array of counts >= 0, not all zero,
+    with max(c)^2 * rho <= 1 and sum(c) * max(c) < 2^63; anything else is a
+    ValueError.  The scan window is [k, l] where k is the smallest prefix
+    length whose sum reaches alpha * T and l is the largest index whose
+    weight is at least (1 - alpha) * T / (2 * S); the first prefix length in
+    the window satisfying the size branch is returned.  A valid length always
+    exists, so running out of window means the implementation is wrong, not
+    the input.
     """
-    alpha = Fraction(alpha)
+    alpha, rho = Fraction(alpha), Fraction(rho)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if rho <= 0:
+        raise ValueError(f"radicand must be > 0, got {rho}")
+    # a tuple or list has no ndim, so only numpy arrays get past this
+    if getattr(coeffs, "ndim", None) != 1 or coeffs.dtype.kind not in "iu" or not len(coeffs):
+        raise ValueError("counts must be a nonempty 1-d array of integers")
+    top, low = int(coeffs.max()), int(coeffs.min())
+    if low < 0 or top == 0:
+        raise ValueError(f"counts must be >= 0 and not all zero, got {low} to {top}")
+    if top * top * rho > 1:
+        raise ValueError(f"weight {top}*sqrt({rho}) exceeds 1")
+    # sum(c) >= max(c), so max(c)^2 < 2^63 comes first; then each run of
+    # 2^63 // max(c) counts, more than 2^31 of them, sums exactly in int64
+    if top * top < _LIMIT:
+        coeffs = coeffs.astype(np.int64, copy=False)
+        step = _LIMIT // top
+        c1 = sum(int(coeffs[i : i + step].sum()) for i in range(0, len(coeffs), step))
+    if top * top >= _LIMIT or c1 * top >= _LIMIT:
+        raise ValueError("sum * max of the counts passes 2^63")
     a, b = alpha.numerator, alpha.denominator
-
-    coeffs = _integer_coeffs(xs)
-    rho = xs.rho
-    c1 = int(coeffs.sum())
     c2 = int(np.dot(coeffs, coeffs))
 
     # T <= S, i.e. c2^2 * rho <= c1^2, is forced by every weight being <= 1
@@ -156,12 +122,10 @@ def select_index_set(xs: WeightVector, alpha: Fraction) -> PrefixSelection:
         p = int(prefix[i - 1])
         if lhs_factor * p**6 >= rhs_factor * i**4:
             return PrefixSelection(
-                order=order,
-                weight_count=len(xs),
+                weight_count=len(coeffs),
                 chosen_i=i,
-                index_set=tuple(np.sort(order[:i]).tolist()),
+                index_set=np.sort(order[:i]),
                 certified_coeff=p,
                 window_lo=k,
-                window_hi=ell,
             )
     raise InvariantViolation("no prefix in the scan window was certified")

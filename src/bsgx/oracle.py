@@ -58,7 +58,6 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bsg import _frac_str
 from .groups import AdditiveSet, GroupSpec, parse_set
 
 _BUDGET_CELLS = 1 << 25
@@ -318,6 +317,10 @@ def _bound_str(bound: Fraction) -> str:
         return repr(float(bound))
     except OverflowError:
         return _frac_str(bound)
+
+
+def _frac_str(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _frac(text: str) -> Fraction:

@@ -23,10 +23,11 @@ which every entry and partial sum is an exact integer.  Sums of products run
 in a dtype checked against their own bound, so the results are exact and
 independent of chunking.
 
-Both branches of the extraction end in the same step, which lives here:
-pick_slice takes the candidate slice (a neighborhood N(x) here, a popular
-difference slice A_d in bsg.extract_p) whose size squared best outweighs its
-thin pairs (thin_pairs_per_slice), and filters it with drop_thin.
+pick_slice takes the candidate slice whose size squared best outweighs its
+thin pairs (thin_pairs_per_slice), and filters it with drop_thin.  It has
+two callers: extract_tv here, over the neighborhoods N(x), and the scan
+route of bsg.extract_p, over the live popular difference slices A_d.  Branch
+P's route with d = 0 alone scores no slice and calls drop_thin directly.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ pass/fail lines are visible in a plain ``pytest -v`` run (no -s needed).
 The helpers below count energies and difference sets over element pairs,
 list a rep table's (difference, count) pairs, build relations from elements
 rather than rep-table codes, recount neighbourhoods by their definitions and
-write rational weights as integer arrays; the library needs none of them.
+select over rational weights written as integer counts; the library needs
+none of them.
 branch_p_reference is branch P by its definitions, scoring every popular
 d.  tv_failures and st_failures are the reference checks of the two lemmas
 behind branch Q, the 3-step-path filter and the prefix selection: each
@@ -26,7 +27,7 @@ import numpy as np
 
 import bsgx.additive_stats as additive_stats
 from bsgx.groups import AdditiveSet, Element, GroupSpec
-from bsgx.numeric_lemma import PrefixSelection, WeightVector
+from bsgx.numeric_lemma import PrefixSelection, select_index_set
 from bsgx.relation_lemma import Relation, TvWitness, exact_float
 
 ACCEPTANCE_LINES = []
@@ -177,17 +178,20 @@ def branch_p_reference(a: AdditiveSet, eps: Fraction) -> Tuple[Dict[Element, Tup
     return ranks, (d_star, a.subset(star), s_star, a.subset(prime))
 
 
-def weight_vector(rho, coeffs: Iterable) -> WeightVector:
-    """The weights c * sqrt(rho) for rational c, as WeightVector's integer array.
+def weight_vector(
+    rho, coeffs: Iterable, alpha: Fraction
+) -> Tuple[np.ndarray, Fraction, PrefixSelection]:
+    """The weights c * sqrt(rho) for rational c as int64 counts, their radicand and selection.
 
     The weights are unchanged by (c, rho) -> (L * c, rho / L^2), where L is
-    the common denominator of the c; the array is int64 when L * c fits.
+    the common denominator of the c; select_index_set takes them in that
+    form, the counts L * c over the radicand rho / L^2.
     """
     fracs = [Fraction(c) for c in coeffs]
     scale = math.lcm(*(c.denominator for c in fracs))
-    ints = [c.numerator * (scale // c.denominator) for c in fracs]
-    dtype = np.int64 if max(ints) < 1 << 63 else object
-    return WeightVector(rho=Fraction(rho) / (scale * scale), coeffs=np.array(ints, dtype=dtype))
+    counts = np.array([c.numerator * (scale // c.denominator) for c in fracs], dtype=np.int64)
+    rho = Fraction(rho) / (scale * scale)
+    return counts, rho, select_index_set(counts, rho, alpha)
 
 
 def tv_failures(
@@ -235,23 +239,23 @@ def tv_failures(
 
 
 def st_failures(
-    weights: WeightVector, alpha: Fraction, sel: PrefixSelection
+    coeffs: np.ndarray, rho: Fraction, alpha: Fraction, sel: PrefixSelection
 ) -> Tuple[List[str], Tuple[Optional[int], int]]:
     """The properties a prefix selection breaks, and the window [k, l] it should have.
 
-    With the weights c_i * sqrt(rho), S their sum and T the sum of their
-    squares, order_matches asks that sel.order be the first l entries of
-    the stable descending order, index_set_matches that the index set be
-    the first chosen_i of it, sum_matches that certified_coeff be their
-    coefficient sum W, mass_branch that W >= alpha * T and size_branch that
-    W^6 >= (1-alpha)^5 * chosen_i^4 * T^4 / (2^10 * S^2).  The window runs
-    from the first prefix reaching alpha * T to the last weight of at least
-    (1-alpha) * T / (2 * S); window_matches, chosen_in_window and
-    window_has_valid_prefix check it.  Everything runs on Python ints, with
-    rho and alpha Fractions; an index outside the weights adds nothing to W.
+    With the weights coeffs[i] * sqrt(rho), S their sum and T the sum of
+    their squares, index_set_matches asks that the index set be the first
+    chosen_i entries of the stable descending order, sum_matches that
+    certified_coeff be their count sum W, mass_branch that W >= alpha * T
+    and size_branch that W^6 >= (1-alpha)^5 * chosen_i^4 * T^4 / (2^10 * S^2).
+    The window runs from the first prefix reaching alpha * T to the last
+    weight of at least (1-alpha) * T / (2 * S); window_matches checks its
+    start against sel.window_lo, and chosen_in_window and
+    window_has_valid_prefix check the rest.  Everything runs on Python ints,
+    with rho and alpha Fractions; an index outside the weights adds nothing
+    to W.
     """
-    rho = weights.rho
-    coeffs = weights.coeffs.tolist()
+    coeffs = coeffs.tolist()
     n = len(coeffs)
     # sorted is stable, and reverse=True keeps equal keys in index order
     order = sorted(range(n), key=coeffs.__getitem__, reverse=True)
@@ -272,12 +276,11 @@ def st_failures(
     chosen = sel.chosen_i
     w = sum(coeffs[i] for i in sel.index_set if 0 <= i < n)
     holds = {
-        "order_matches": list(sel.order) == order[:ell],
         "index_set_matches": sorted(order[:chosen]) == list(sel.index_set),
         "sum_matches": sel.certified_coeff == w,
         "mass_branch": mass(w),
         "size_branch": size(w, chosen),
-        "window_matches": (sel.window_lo, sel.window_hi) == (k, ell),
+        "window_matches": sel.window_lo == k,
         "chosen_in_window": k is not None and k <= chosen <= ell,
         "window_has_valid_prefix": k is not None
         and any(mass(prefix[i - 1]) and size(prefix[i - 1], i) for i in range(k, ell + 1)),

@@ -42,7 +42,6 @@ from bsgx.generators import (
     sample_subset,
 )
 from bsgx.groups import AdditiveSet, GroupSpec
-from bsgx.numeric_lemma import select_index_set
 from bsgx.oracle import verify_report_dict
 from bsgx.relation_lemma import extract_tv
 from bsgx.additive_stats import energy
@@ -329,15 +328,17 @@ def test_path_richness_of_filtered_subsets():
 
 # ----- 5: prefix selection always certifies both max branches ---------------
 
-def seeded_weight_vector(seed):
+def seeded_weights(seed):
     rng = SplitMix64(seed)
     n = 1 + rng.below(50)
     style = rng.below(3)
     if style == 0:
         coeffs = tuple(rng.below(10**6) for _ in range(n))
     elif style == 1:
+        # denominators up to 12 clear to counts below 10^4 * lcm(1..12), so
+        # 50 of them keep sum * max below the 2^63 select_index_set accepts
         coeffs = tuple(
-            F(rng.below(10**4), 1 + rng.below(10**4)) for _ in range(n)
+            F(rng.below(10**4), 1 + rng.below(12)) for _ in range(n)
         )
     else:
         coeffs = tuple(
@@ -354,8 +355,7 @@ def seeded_weight_vector(seed):
         rho = F(1, 1) / (top * top * (1 + rng.below(1000)))
     else:
         rho = F(1 + rng.below(50), 50) / (top * top)      # within (0, 1/top^2]
-    # Fraction coefficients are cleared to the integer array selection takes
-    return weight_vector(rho, coeffs)
+    return rho, coeffs
 
 
 def test_prefix_selection_certificates():
@@ -363,10 +363,10 @@ def test_prefix_selection_certificates():
         alphas = (F(1, 2), F(3, 4), F(39, 40))
         checked = 0
         for seed in range(1000):
-            w = seeded_weight_vector(10_000 + seed)
+            rho, weights = seeded_weights(10_000 + seed)
             for alpha in alphas:
-                sel = select_index_set(w, alpha)
-                assert st_failures(w, alpha, sel)[0] == [], (seed, str(alpha))
+                coeffs, cleared, sel = weight_vector(rho, weights, alpha)
+                assert st_failures(coeffs, cleared, alpha, sel)[0] == [], (seed, str(alpha))
                 checked += 1
         assert checked == 3000
 

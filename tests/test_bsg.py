@@ -482,9 +482,9 @@ def test_reports_are_deterministic_objects():
     r1 = extract(a, Params(eps=F(1, 4)))
     r2 = extract(a, Params(eps=F(1, 4)))
     s1, s2 = r1.witness.selection, r2.witness.selection
-    # a selection compares by identity, since its order is an array
-    assert s1.order.tolist() == s2.order.tolist()
-    assert {**vars(s1), "order": None} == {**vars(s2), "order": None}
+    # a selection compares by identity, since its index set is an array
+    assert s1.index_set.tolist() == s2.index_set.tolist()
+    assert {**vars(s1), "index_set": None} == {**vars(s2), "index_set": None}
     unselected = [replace(r, witness=replace(r.witness, selection=None)) for r in (r1, r2)]
     assert unselected[0] == unselected[1]
     assert r1.to_json() == r2.to_json()

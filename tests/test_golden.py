@@ -43,7 +43,6 @@ from bsgx._codec import build_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
 from bsgx.groups import parse_set
-from bsgx.numeric_lemma import WeightVector
 from bsgx.oracle import verify_report_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -205,8 +204,8 @@ def test_golden_verify_output(label, eps, ran_both):
         relation = difference_relation(a, w.q_prime.elements)
         tv_failed, thin_pairs, fewest = tv_failures(relation, w.tv, report.eps / 2)
         pq = partition_pq(a)
-        weights = WeightVector(rho=F(len(a), pq.energy), coeffs=pq.rep.counts[~pq.popular])
-        st_failed, window = st_failures(weights, 1 - report.eps / 4, w.selection)
+        counts = pq.rep.counts[~pq.popular]
+        st_failed, window = st_failures(counts, F(len(a), pq.energy), 1 - report.eps / 4, w.selection)
         assert tv_failed == st_failed == []
         pinned += [thin_pairs, fewest, window, w.selection.chosen_i]
     assert tuple(pinned) == VERIFY_GOLDEN[(label, eps, ran_both)]

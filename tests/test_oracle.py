@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import json
@@ -5,6 +6,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,61 +211,40 @@ def test_verify_tv_matches_a_loop_recount():
 
 
 def test_verify_st_rejects_wrong_selection():
-    w = weight_vector(F(1), (1, F(1, 2), F(1, 3), F(1, 4)))
-    from bsgx.numeric_lemma import select_index_set
-
-    good = select_index_set(w, F(1, 2))
-    assert st_failures(w, F(1, 2), good)[0] == []
+    alpha = F(1, 2)
+    coeffs, rho, good = weight_vector(F(1), (1, F(1, 2), F(1, 3), F(1, 4)), alpha)
+    assert st_failures(coeffs, rho, alpha, good)[0] == []
     bad = PrefixSelection(
-        order=good.order,
         weight_count=good.weight_count,
         chosen_i=good.chosen_i,
         index_set=good.index_set,
         certified_coeff=good.certified_coeff + 1,
         window_lo=good.window_lo,
-        window_hi=good.window_hi,
     )
-    assert st_failures(w, F(1, 2), bad)[0] == ["sum_matches"]
-
-    shuffled = PrefixSelection(
-        order=tuple(reversed(good.order)),
-        weight_count=good.weight_count,
-        chosen_i=good.chosen_i,
-        index_set=good.index_set,
-        certified_coeff=good.certified_coeff,
-        window_lo=good.window_lo,
-        window_hi=good.window_hi,
-    )
-    assert st_failures(w, F(1, 2), shuffled)[0] == ["order_matches"]
+    assert st_failures(coeffs, rho, alpha, bad)[0] == ["sum_matches"]
     shifted = dataclasses.replace(good, window_lo=good.window_lo + 1)
-    assert st_failures(w, F(1, 2), shifted)[0] == ["window_matches"]
+    assert st_failures(coeffs, rho, alpha, shifted)[0] == ["window_matches"]
 
 
 def test_verify_st_fails_an_index_outside_the_weights():
-    w = weight_vector(F(1), (1, F(1, 2), F(1, 3), F(1, 4)))
-    from bsgx.numeric_lemma import select_index_set
-
-    good = select_index_set(w, F(1, 2))
-    for index_set in (good.index_set[:-1] + (len(w),), (-1,) + good.index_set[1:]):
-        failed, _ = st_failures(w, F(1, 2), dataclasses.replace(good, index_set=index_set))
+    alpha = F(1, 2)
+    coeffs, rho, good = weight_vector(F(1), (1, F(1, 2), F(1, 3), F(1, 4)), alpha)
+    index_set = good.index_set.tolist()
+    for forged in (index_set[:-1] + [len(coeffs)], [-1] + index_set[1:]):
+        forgery = dataclasses.replace(good, index_set=np.array(forged))
+        failed, _ = st_failures(coeffs, rho, alpha, forgery)
         assert {"index_set_matches", "sum_matches"} <= set(failed)
 
 
-@pytest.mark.parametrize("forgery", ["full-permutation", "one-short", "tie-swapped"])
-def test_verify_st_fails_an_order_other_than_the_window(forgery):
-    # the window holds 5 of the 8 weights, and indices 2 and 4 tie in it
-    w = weight_vector(F(1), (F(1, 4), 1, F(1, 2), F(1, 9), F(1, 2), F(1, 3), F(1, 20), F(1, 100)))
-    from bsgx.numeric_lemma import select_index_set
-
-    good = select_index_set(w, F(1, 2))
-    assert good.order.tolist() == [1, 2, 4, 5, 0] and good.window_hi == 5 < len(w)
-    assert st_failures(w, F(1, 2), good)[0] == []
-    order = {
-        "full-permutation": np.array([1, 2, 4, 5, 0, 3, 6, 7]),
-        "one-short": good.order[:-1],
-        "tie-swapped": good.order[[0, 2, 1, 3, 4]],
-    }[forgery]
-    assert st_failures(w, F(1, 2), dataclasses.replace(good, order=order))[0] == ["order_matches"]
+def test_verify_st_fails_a_tie_swapped_index_set():
+    # the window holds 5 of the 8 weights, and indices 2 and 4 tie in it:
+    # taking 4 before 2 keeps the sum but breaks the stable order
+    alpha = F(3, 5)
+    weights = (F(1, 4), 1, F(1, 2), F(1, 9), F(1, 2), F(1, 3), F(1, 20), F(1, 100))
+    coeffs, rho, good = weight_vector(F(1), weights, alpha)
+    assert good.index_set.tolist() == [1, 2] and st_failures(coeffs, rho, alpha, good) == ([], (2, 5))
+    swapped = dataclasses.replace(good, index_set=np.array([1, 4]))
+    assert st_failures(coeffs, rho, alpha, swapped)[0] == ["index_set_matches"]
 
 
 def test_results_serialize():
@@ -701,3 +682,15 @@ def test_float_and_bool_counts_fail():
         ("energy_matches", "True"),
         ("diff_size_matches", "True"),
     ]
+
+
+def test_the_oracle_imports_nothing_of_the_package_but_groups():
+    # the oracle shares no code with the main path: of bsgx it imports the
+    # set parser alone
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bsgx")):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.startswith("bsgx")}
+    assert imported == {".groups"}
