@@ -8,10 +8,10 @@ parameter K = |A|^3 / E(A) as an exact rational.
 The table is also the one difference index of the package: every difference
 has a mixed-radix code (see _codec), codes ascend in lexicographic
 difference order, pair_codes gives the codes of a row block of the n x n
-difference matrix, and lookup, the code lookup of the n^2 scans, maps codes
-to values kept per key code (a slice column, membership in D): a gather
-from a table over the code range or, in two levels, over its pages, each
-level of at most _codec.BLOCK_CELLS cells, else a binary search in the keys.
+difference matrix, and lookup, the code lookup of the n^2 scans, maps each
+key code to its value (a live slice's column, True for D) and any other to
+0: a gather from a zeroed table over the code range or, in two levels, over
+its pages, each level of at most _codec.BLOCK_CELLS cells, else a search.
 The codes are those of the gcd-reduced copy, in the narrowest integer dtype
 that holds them or Python ints, and the rest of the package runs the same
 numpy path on any of them.
@@ -66,18 +66,17 @@ class RepTable:
         """Codes of a_i - a_j for lo <= i < hi and every j, shape (hi - lo, n)."""
         return self.coder.diff_codes(self.coords[lo:hi], self.coords)
 
-    def lookup(self, keys: np.ndarray, values: Optional[np.ndarray] = None) -> Callable:
-        """The map from codes to values[t] where a code is keys[t].
+    def lookup(self, keys: np.ndarray, values: np.ndarray) -> Callable:
+        """The map from codes to values[t] where a code is keys[t], else to 0.
 
-        keys ascend, at least one.  With values, every code looked up must be
-        a key; with none, the map tells whether a code is a key.  The map
-        takes out and leaves its codes as they are.  Its table is built here,
-        for the least shift s leaving at most BLOCK_CELLS pages of 2^s codes:
-        at s = 0 one level over the code range, one gather a code; else a
-        first level holds each page's pre-shifted start in the second, or 0
-        for the shared all-miss page, so a code is a shift, gather, mask, or
-        and gather.  A second level past BLOCK_CELLS cells, or Python-int
-        codes, search keys instead.
+        keys ascend, at least one; a code that is no key maps to 0 (False for
+        bool values), and the map takes out and leaves its codes as they are.
+        Its table, for the least shift s leaving at most BLOCK_CELLS pages of
+        2^s codes, is at s = 0 one zeroed level over the code range, one
+        gather a code; else a first level holds each page's pre-shifted start
+        in the second, or 0 for the shared all-miss page: a shift, gather,
+        mask, or and gather.  A second level past BLOCK_CELLS cells, or
+        Python-int codes, search keys, keeping a value where the key is the code.
         """
         size = int(self.coder.strides[0]) * int(self.coder.radices[0])
         shift = ((size - 1) // _codec.BLOCK_CELLS).bit_length()
@@ -94,8 +93,8 @@ class RepTable:
                 top = np.zeros(-(-size >> shift), keys.dtype)
                 top[pages] = starts
                 slots = starts | keys & mask
-            table = np.zeros(cells, np.bool_ if values is None else values.dtype)
-            table[slots] = True if values is None else values
+            table = np.zeros(cells, values.dtype)
+            table[slots] = values
 
             def gather(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
                 out = np.empty(codes.shape, table.dtype) if out is None else out
@@ -108,15 +107,13 @@ class RepTable:
                 return out
 
             return gather
-        if values is not None:
-            return lambda codes, out=None: np.take(values, np.searchsorted(keys, codes), out=out)
 
-        def member(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        def search(codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
             pos = np.searchsorted(keys, codes)
             np.minimum(pos, len(keys) - 1, out=pos)
-            return np.equal(keys[pos], codes, out=out)
+            return np.multiply(values[pos], keys[pos] == codes, out=out)
 
-        return member
+        return search
 
     def subset_diff_size(self, rows: np.ndarray) -> int:
         """|A' - A'| for A' the elements of a_set at the distinct indices rows.

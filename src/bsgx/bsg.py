@@ -267,23 +267,22 @@ def _slice_members(rep: RepTable, live: np.ndarray) -> np.ndarray:
     """M[i, t] = (a_i in A_d_t), d_t the t-th difference of the mask live over rep's rows.
 
     a_i is in A_d exactly when a_i - a_j = d for some j, so M comes from one
-    scan of the difference codes: RepTable.lookup gives each pair a column of
-    an n x (k + 1) matrix, set by one flat scatter a block: t for the t-th of
-    the k live differences, k for every other one.
+    scan of the difference codes: RepTable.lookup of the k live codes to 1..k
+    gives each pair a column of an n x (k + 1) matrix, set by one flat scatter
+    a block; column 0 collects every other difference and is dropped.
     """
     n = len(rep.a_set)
     k = int(np.count_nonzero(live))
     # the flat index of the last of the n * (k + 1) cells is n * (k + 1) - 1
-    col = np.full(len(rep), k, dtype=np.int32 if n * (k + 1) <= 1 << 31 else np.int64)
-    col[live] = np.arange(k)
-    column_of = rep.lookup(rep.codes, col)
+    col = np.arange(1, k + 1, dtype=np.int32 if n * (k + 1) <= 1 << 31 else np.int64)
+    column_of = rep.lookup(rep.codes[live], col)
     cells = np.zeros((n, k + 1), dtype=np.bool_)
     for lo, hi in row_chunks(n, n):
         flat = column_of(rep.pair_codes(lo, hi))
         flat += np.arange(lo * (k + 1), hi * (k + 1), k + 1, dtype=flat.dtype)[:, None]
         cells.reshape(-1)[flat] = True
         del flat  # free it before the next block is built
-    return cells[:, :k]
+    return cells[:, 1:]
 
 
 def extract_p(a_set: AdditiveSet, pq: PartitionPQ, eps: Fraction) -> ExtractionReport:

@@ -40,8 +40,8 @@ check that needs a pass over budget reports a distinct "skipped" status
 with the pass's size, and a skipped check never counts as a pass.
 
 Every check is one call on _Checks: equal(name, claimed, needs, recount)
-for a recorded value that must equal its recount, holds(name, claim, ok)
-for a relation that needs no pass, and add for any other comparison.  A
+for a recorded value that must equal its recount, holds(name, claim, needs,
+test) for a claim that test decides, and add for any other comparison.  A
 fraction or set field of a report that is not a string, an element field
 with a coordinate that is not an integer, a run_both that is not a JSON
 bool, a thin_pairs_in_a_star that is not an integer >= 0, or an eps outside
@@ -301,9 +301,9 @@ class _Checks:
 
         self.add(name, needs, evaluate)
 
-    def holds(self, name: str, claim, ok: bool) -> None:
-        """Record a relation that needs no pass: the claim, and whether it held."""
-        self.add(name, (), lambda: (claim, ok, ok))
+    def holds(self, name: str, claim: str, needs: Sequence, test: Callable) -> None:
+        """Record the claim, and whether test(*needs) held, at every entry of an array."""
+        self.add(name, needs, lambda *values: (claim,) + (bool(np.all(test(*values))),) * 2)
 
 
 def _is_int(value) -> bool:
@@ -410,7 +410,7 @@ def verify_report_dict(a_set: AdditiveSet, report: dict) -> VerificationResult:
     checks.equal("energy_matches", recorded["energy"], (energy,), lambda e: e)
     checks.equal("k_matches", recorded["K"], (energy,), k_of)
     checks.equal("a_prime_size_matches", achieved["a_prime_size"], (), lambda: m)
-    checks.holds("a_prime_subset", "A' <= A", in_a)
+    checks.holds("a_prime_subset", "A' <= A", (), lambda: in_a)
     checks.equal("diff_size_matches", achieved["diff_size"], (diff_size,), lambda d: d)
     checks.equal("size_bound_recorded", bounds["size_bound_sq"], (energy,), size_sq)
     checks.add(
@@ -516,11 +516,12 @@ def _unpopular_checks(
     sizes_ok = all(_is_int(c) and c == len(q_prime) for c in sizes)
     checks.add("q_prime_size_matches", (), lambda: (sizes[0], len(q_prime), sizes_ok))
 
-    def unpopular(e: int, h: _Histogram):
-        ok = bool(np.all(h.query_counts * h.query_counts * n < e))
-        return "r(d)^2 * n < E for d in Q'", ok, ok
-
-    checks.add("q_prime_unpopular", (energy, diffs), unpopular)
+    checks.holds(
+        "q_prime_unpopular", "r(d)^2 * n < E for d in Q'", (energy, diffs),
+        lambda e, h: h.query_counts * h.query_counts * n < e,
+    )
+    # r(d) = 0 is unpopular too, so only this check finds a d of Q' outside A - A
+    checks.holds("q_prime_in_differences", "r(d) >= 1 for d in Q'", (diffs,), lambda h: h.query_counts >= 1)
 
     def delta(h: _Histogram) -> Fraction:
         return Fraction(int(h.query_counts.sum()), n * n)
@@ -544,7 +545,7 @@ def _unpopular_checks(
         ),
     )
     x_star = _element(spec, witness["x_star"], "x_star")
-    checks.holds("x_star_in_input", "x* in A", x_star in a_set.as_set)
+    checks.holds("x_star_in_input", "x* in A", (), lambda: x_star in a_set.as_set)
     # A* = N(x*) = {a in A : a - x* in Q'}, one lookup per element of A
     members = q_prime.as_set
     a_star_size = sum(

@@ -59,14 +59,14 @@ class Relation:
         """The relation {(a, b) : a - b in D} on rep's base set.
 
         codes lists the rep-table codes of D in ascending order; each row block
-        is written by RepTable.lookup's membership map: a gather from a table
-        over the code range, or over its pages that hold codes of D, or a search.
+        is RepTable.lookup of D's codes to True, and so False at every other
+        code: a gather from a table over the code range or its pages, or a search.
         """
         base = rep.a_set
         n = len(base)
         matrix = np.zeros((n, n), dtype=np.bool_)
         if len(codes):
-            in_d = rep.lookup(codes)
+            in_d = rep.lookup(codes, np.ones(len(codes), dtype=np.bool_))
             for lo, hi in row_chunks(n, n):
                 in_d(rep.pair_codes(lo, hi), out=matrix[lo:hi])
         return cls(base, matrix)

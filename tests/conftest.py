@@ -8,7 +8,8 @@ The helpers below count energies and difference sets over element pairs,
 list a rep table's (difference, count) pairs, build relations from elements
 rather than rep-table codes, recount neighbourhoods by their definitions and
 select over rational weights written as integer counts; the library needs
-none of them.
+none of them.  traced runs a call while it spies on the numpy searches and
+gathers that tell RepTable.lookup's routes apart.
 branch_p_reference is branch P by its definitions, scoring every popular
 d.  tv_failures and st_failures are the reference checks of the two lemmas
 behind branch Q, the 3-step-path filter and the prefix selection: each
@@ -24,6 +25,7 @@ from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
+import pytest
 
 import bsgx.additive_stats as additive_stats
 from bsgx.groups import AdditiveSet, Element, GroupSpec
@@ -128,6 +130,27 @@ def common_counts(relation: Relation) -> Dict[Tuple[Element, Element], int]:
         for i, a in enumerate(elems)
         for j, b in enumerate(elems)
     }
+
+
+def traced(call, *args, **kwargs):
+    """call(*args, **kwargs), whether it searched with np.searchsorted, and the
+    shapes of the arrays it gathered from with np.take."""
+    searched, taken = [], set()
+    search, take = np.searchsorted, np.take
+
+    def spy_search(*a, **k):
+        searched.append(True)
+        return search(*a, **k)
+
+    def spy_take(a, *rest, **k):
+        taken.add(a.shape)
+        return take(a, *rest, **k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "searchsorted", spy_search)
+        patch.setattr(np, "take", spy_take)
+        result = call(*args, **kwargs)
+    return result, bool(searched), taken
 
 
 def translate(a_set: AdditiveSet, t: Element) -> AdditiveSet:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rep_items, sub, translate
+from conftest import rep_items, sub, traced, translate
 
 from bsgx import _codec
 from bsgx.additive_stats import energy, rep_table
@@ -75,25 +75,9 @@ def tables(rep, keys):
     return {(-(-size >> shift),), (second,)} if second <= _codec.BLOCK_CELLS else None
 
 
-def traced(call, *args, **kwargs):
-    """call(*args, **kwargs), whether it searched with np.searchsorted, and the
-    shapes of the arrays it gathered from with np.take."""
-    searched, taken = [], set()
-    search, take = np.searchsorted, np.take
-
-    def spy_search(*a, **k):
-        searched.append(True)
-        return search(*a, **k)
-
-    def spy_take(a, *rest, **k):
-        taken.add(a.shape)
-        return take(a, *rest, **k)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "searchsorted", spy_search)
-        patch.setattr(np, "take", spy_take)
-        result = call(*args, **kwargs)
-    return result, bool(searched), taken
+def truths(keys):
+    """The values of a membership map: True at every key."""
+    return np.ones(len(keys), dtype=bool)
 
 
 @pytest.mark.parametrize("cells", [None, 64])
@@ -112,24 +96,26 @@ def test_index_is_the_position_of_each_code(label, cells, monkeypatch):
     assert found.tolist() == np.searchsorted(rep.codes, pairs).tolist()
     # a table over the code range is gathered from, with no search, only when
     # the block holds the range; every code range here passes 64 cells, and
-    # no two-level table of all the codes fits, so those search and take the
-    # values at the found positions
+    # no two-level table of all the codes fits, so those search and gather
+    # from no table
     gathers = dense and cells is None
     assert tables(rep, rep.codes) == ({(code_range(rep),)} if gathers else None)
     assert searched != gathers
-    assert taken == {(code_range(rep),) if gathers else (len(rep),)}
+    assert taken == ({(code_range(rep),)} if gathers else set())
     # a block of rows, gathered a slice of rows at a time on the dense route
     assert position(block).tolist() == np.searchsorted(rep.codes, block).tolist()
     assert position(rep.codes).tolist() == list(range(len(rep)))
     # every other code of the table is a key: the map gives their values, and
-    # with no values tells the keys from the codes that are not keys
+    # 0 at every other code, so True values tell the keys from the others
     keys = rep.codes[::2]
     values = 3 * np.arange(len(keys)) + 1
     assert rep.lookup(keys, values)(keys).tolist() == values.tolist()
-    assert rep.lookup(keys)(rep.codes).tolist() == [t % 2 == 0 for t in range(len(rep))]
+    assert rep.lookup(keys, values)(rep.codes).tolist() == [
+        0 if t % 2 else values[t // 2] for t in range(len(rep))
+    ]
     key_set = set(keys.tolist())
     out = np.empty(block.shape, dtype=bool)
-    found, searched, taken = traced(rep.lookup(keys), block, out=out)
+    found, searched, taken = traced(rep.lookup(keys, truths(keys)), block, out=out)
     # half the codes of Z_(2^31+11) fit a two-level table
     assert found is out and searched == (tables(rep, keys) is None)
     assert taken == (tables(rep, keys) or set())
@@ -161,13 +147,14 @@ def test_two_level_maps_agree_with_the_search(label):
     block = rep.pair_codes(0, len(rep.a_set))
     in_keys, pos = definition(keys, block)
     out = np.empty(block.shape, dtype=bool)
-    found, searched, taken = traced(rep.lookup(keys), block, out=out)
+    found, searched, taken = traced(rep.lookup(keys, truths(keys)), block, out=out)
     assert found is out and not searched and taken == shapes
     assert out.tolist() == in_keys.tolist() and in_keys.any() and not in_keys.all()
     values = 3 * np.arange(len(keys), dtype=dtype) + 1
-    found, searched, taken = traced(rep.lookup(keys, values), block[in_keys])
+    found, searched, taken = traced(rep.lookup(keys, values), block)
     assert not searched and taken == shapes
-    assert found.tolist() == values[pos[in_keys]].tolist()
+    assert found[in_keys].tolist() == values[pos[in_keys]].tolist()
+    assert not found[~in_keys].any()
 
 
 def test_a_second_level_past_the_block_searches(monkeypatch):
@@ -183,12 +170,13 @@ def test_a_second_level_past_the_block_searches(monkeypatch):
     for cells, shapes in ((4408, {(3724,), (4408,)}), (4407, None)):
         monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
         assert tables(rep, keys) == shapes
-        found, searched, taken = traced(rep.lookup(keys), block)
+        found, searched, taken = traced(rep.lookup(keys, truths(keys)), block)
         assert found.tolist() == in_keys.tolist()
         assert searched == (shapes is None) and taken == (shapes or set())
-        found, searched, taken = traced(rep.lookup(keys, values), block[in_keys])
-        assert found.tolist() == values[pos[in_keys]].tolist()
-        assert searched == (shapes is None) and taken == (shapes or {(len(keys),)})
+        found, searched, taken = traced(rep.lookup(keys, values), block)
+        assert found[in_keys].tolist() == values[pos[in_keys]].tolist()
+        assert not found[~in_keys].any()
+        assert searched == (shapes is None) and taken == (shapes or set())
 
 
 def test_python_int_codes_always_search():
@@ -196,11 +184,12 @@ def test_python_int_codes_always_search():
     assert rep.codes.dtype == object
     # a single key would fit any table, were the codes machine integers
     keys = rep.codes[3:4]
-    found, searched, taken = traced(rep.lookup(keys), rep.codes)
+    found, searched, taken = traced(rep.lookup(keys, truths(keys)), rep.codes)
     assert searched and not taken
     assert found.tolist() == [t == 3 for t in range(len(rep))]
-    found, searched, taken = traced(rep.lookup(keys, np.array([5])), keys)
-    assert searched and taken == {(1,)} and found.tolist() == [5]
+    found, searched, taken = traced(rep.lookup(keys, np.array([5])), rep.codes)
+    assert searched and not taken
+    assert found.tolist() == [5 if t == 3 else 0 for t in range(len(rep))]
 
 
 @pytest.mark.parametrize(
@@ -214,10 +203,31 @@ def test_lookup_leaves_the_codes_as_they_are(label, step, route):
     assert len(tables(rep, keys) or ()) == route
     block = rep.pair_codes(0, len(rep.a_set))
     kept = block.copy()
-    rep.lookup(keys)(block)
+    rep.lookup(keys, truths(keys))(block)
     rep.lookup(keys, np.arange(len(keys)))(keys)
     assert block.dtype == kept.dtype and block.tolist() == kept.tolist()
     assert keys.tolist() == rep.codes[::step].tolist()
+
+
+@pytest.mark.parametrize(
+    "label, step, route",
+    [("ap:40", 2, 1), ("axis:131,3", 2, 2), ("Z_(2^31+11)", 7, 0), ("span-2^63", 2, 0)],
+)
+def test_a_map_gives_the_values_at_its_keys_and_0_at_every_other_code(label, step, route):
+    # one set per route: one level, two levels, a search, Python ints; every
+    # code of the table is a key but each step-th, and every code is looked up
+    rep = rep_table({**INDEXED, **PAGED}[label][0]())
+    keys = np.delete(rep.codes, np.s_[::step])
+    assert len(tables(rep, keys) or ()) == route
+    block = rep.pair_codes(0, len(rep.a_set))
+    for values in (3 * np.arange(len(keys), dtype=np.int32) + 1, truths(keys)):
+        value_of = dict(zip(keys.tolist(), values.tolist()))
+        want = [value_of.get(c, 0) for c in block.ravel().tolist()]
+        found = rep.lookup(keys, values)(block)
+        assert found.dtype == values.dtype and found.ravel().tolist() == want
+        assert 0 in want and want.count(0) < len(want)
+        out = np.ones(block.shape, dtype=values.dtype)
+        assert rep.lookup(keys, values)(block, out=out) is out and out.ravel().tolist() == want
 
 
 @pytest.mark.parametrize("cells", [None, 64])

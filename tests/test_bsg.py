@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import branch_p_reference, difference_relation, pure_diff_size, sub, tv_failures, widen
+from conftest import branch_p_reference, difference_relation, pure_diff_size, sub, traced, tv_failures, widen
 
 from bsgx import _codec, additive_stats, bsg, relation_lemma
-from bsgx.additive_stats import energy, rep_table
+from bsgx.additive_stats import RepTable, energy, rep_table
 from bsgx.bsg import (
     ExtractionReport,
     Params,
@@ -449,6 +449,43 @@ def test_the_scan_route_reads_its_thin_partners_from_one_relation_build(monkeypa
         assert w.thin_pairs_in_a_star == 0 and report.a_prime == w.a_star
 
 
+def test_the_slice_scan_keys_only_its_live_codes(monkeypatch):
+    # the multiples of 10 in Z_2000 with 1 and 2 have 1,000 differences, and
+    # at eps 2/5 the 200 multiples of 10 stay live.  At 1,000 cells the 2,000
+    # codes of Z_2000 take pages of 2: the live codes' 200 pages and the
+    # all-miss page make a second level of 402 cells, so the slice scan's map
+    # gathers from two tables and searches nothing.  Keyed by all 1,000 codes
+    # it would pass the 1,000 cells and search
+    monkeypatch.setattr(_codec, "BLOCK_CELLS", 1000)
+    a = _cyclic(2000, [*range(0, 2000, 10), 1, 2])
+    keyed, scans = [], []
+    real_lookup = RepTable.lookup
+    real_members = bsg._slice_members
+
+    def lookup_spy(rep, keys, values):
+        keyed.append((keys.tolist(), values.tolist()))
+        return real_lookup(rep, keys, values)
+
+    def members_spy(rep, live):
+        keyed.clear()
+        m_mat, searched, taken = traced(real_members, rep, live)
+        scans.append((rep, live, m_mat, list(keyed), searched, taken))
+        return m_mat
+
+    monkeypatch.setattr(RepTable, "lookup", lookup_spy)
+    monkeypatch.setattr(bsg, "_slice_members", members_spy)
+    report = extract(a, Params(eps=F(2, 5)))
+    assert (report.case, report.witness.d_star) == ("P", (10,))
+    [(rep, live, m_mat, keyed, searched, taken)] = scans
+    live_codes = rep.codes[live]
+    assert (len(rep), len(live_codes)) == (1000, 200)
+    assert keyed == [(live_codes.tolist(), list(range(1, 201)))]
+    assert not searched and taken == {(1000,), (402,)}
+    for t, d in enumerate(rep.coder.decode(live_codes)):
+        # A_d = A intersect (A + d)
+        assert m_mat[:, t].tolist() == [sub(a.spec, x, d) in a.as_set for x in a.elements], d
+
+
 def test_report_json_shape():
     rep = extract(A012, Params(eps=F(1, 5)))
     doc = json.loads(rep.to_json())
@@ -517,8 +554,10 @@ def test_membership_matrices_match_their_definitions(wide, monkeypatch):
         elems = a.elements
         popular_rows = np.flatnonzero(pq.popular)
         # the default block gathers from the column table; the 169- and
-        # 77-code ranges pass 64 cells, so that block searches
-        for cells in (_codec.BLOCK_CELLS, 64):
+        # 77-code ranges pass 64 cells, where the live codes' pages make a
+        # two-level table, and at 8 cells the second level passes the block,
+        # so the map searches
+        for cells in (_codec.BLOCK_CELLS, 64, 8):
             monkeypatch.setattr(_codec, "BLOCK_CELLS", cells)
             # every popular d live, then every other one, in their order
             for step in (1, 2):
@@ -539,7 +578,7 @@ class _ColumnDtype(Exception):
 class _StubRep:
     """A rep table of k live codes and one other over a set of n elements.
 
-    Its lookup raises _ColumnDtype with the dtype of the column table it is
+    Its lookup raises _ColumnDtype with the dtype of the values it is
     handed, so no n x n block is ever built.
     """
 
@@ -551,8 +590,8 @@ class _StubRep:
     def __len__(self):
         return len(self.codes)
 
-    def lookup(self, codes, col):
-        raise _ColumnDtype(col.dtype)
+    def lookup(self, keys, values):
+        raise _ColumnDtype(values.dtype)
 
 
 def _flat_index_dtype(n, k):

@@ -11,8 +11,8 @@ import bsgx.oracle as oracle
 from bsgx.bsg import Params, _frac_str, extract
 from bsgx.cli import main
 from bsgx.errors import InvariantViolation
-from bsgx.generators import gen_ap, gen_random
-from bsgx.groups import parse_set, serialize_set
+from bsgx.generators import gen_ap, gen_axis, gen_random
+from bsgx.groups import AdditiveSet, parse_set, serialize_set
 
 A012 = "aset 1\ndim 1\nmod 0\n0\n1\n2\n"
 
@@ -207,6 +207,25 @@ def test_verify_tampered_report_exits_1(aset_file, tmp_path, capsys):
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False
+
+
+def test_verify_q_prime_outside_the_differences_exits_1(tmp_path, capsys):
+    # (1, 1, 1) is no difference of two axis vectors of (Z_23)^3: r(d) = 0
+    src = tmp_path / "axis.aset"
+    src.write_bytes(serialize_set(gen_axis(23, 3)))
+    report = tmp_path / "r.json"
+    assert main(["extract", str(src), "--eps", "2/5", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    q_prime = parse_set(doc["witness"]["q_prime"])
+    forged = AdditiveSet.from_elements(q_prime.spec, [*q_prime.elements, (1, 1, 1)])
+    doc["witness"]["q_prime"] = serialize_set(forged).decode("utf-8")
+    doc["witness"]["q_prime_size"] += 1
+    doc["witness"]["selected_count"] += 1
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(src), str(report)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == ["q_prime_in_differences"]
 
 
 def test_verify_garbage_report_exits_2(aset_file, tmp_path, capsys):

@@ -156,16 +156,16 @@ VERIFY_GOLDEN = {
     ("ap:40,3,7*2^53", "1/4", False): ("cd2d4cd1a09e637543e5e4e740003bd63d399c12c08b19e63fab9fc5fe1d9acd",),
     ("ball:3,4", "1/10", False): ("f6aa427aad4023ca48edaa31f97ebe0fcf0cdbd8e6ca1a24c0f1c3e3e795277a",),
     ("axis:23,3", "2/5", False): (
-        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8", 0, 1007, (62, 1518), 62,
+        "1bec99bc2419557a1a6dfb8695415ff6ce55983c5261f2c2db9bc93d4486d393", 0, 1007, (62, 1518), 62,
     ),
     ("axis:23,3*2^53", "2/5", False): (
-        "499fd24bec543328d48007d9cd0fbc1d5d47aeadd8043dc9e3aa26e4463b98c8", 0, 1007, (62, 1518), 62,
+        "1bec99bc2419557a1a6dfb8695415ff6ce55983c5261f2c2db9bc93d4486d393", 0, 1007, (62, 1518), 62,
     ),
     ("random:80,521,2", "2/5", False): (
-        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b", 0, 4430, (141, 520), 141,
+        "2381c90d0aa1df6b82d7e42a517e53f767aedbf63cdcb26db6c4685f4d4bfa06", 0, 4430, (141, 520), 141,
     ),
     ("random:80,521,2*2^53", "2/5", False): (
-        "0418545ee167b49ad33e2c83c5de5f0d33d01c2d73f967835f6938c319525f1b", 0, 4430, (141, 520), 141,
+        "2381c90d0aa1df6b82d7e42a517e53f767aedbf63cdcb26db6c4685f4d4bfa06", 0, 4430, (141, 520), 141,
     ),
     ("random:80,521,2", "knife", True): ("fc29f3657d4ec457e0c255a53ec7e00b695fcc1407dbe556e99d5005a9786eeb",),
     ("random:80,521,2*2^53", "knife", True): ("fc29f3657d4ec457e0c255a53ec7e00b695fcc1407dbe556e99d5005a9786eeb",),

@@ -25,7 +25,7 @@ import bsgx.oracle as oracle
 from bsgx.additive_stats import energy
 from bsgx.bsg import Params, extract
 from bsgx.generators import SplitMix64, gen_ap, gen_axis, gen_ball, gen_random
-from bsgx.groups import AdditiveSet, GroupSpec, serialize_set
+from bsgx.groups import AdditiveSet, GroupSpec, parse_set, serialize_set
 from bsgx.numeric_lemma import PrefixSelection
 from bsgx.oracle import verify_report_dict
 from bsgx.relation_lemma import extract_tv
@@ -533,7 +533,9 @@ def test_over_budget_checks_are_skipped_not_passed(monkeypatch):
     res = verify_report_dict(a, doc)
     skipped = [c for c in res.checks if c.status == "skipped"]
     assert res.status == "skipped" and not failed_checks(res)
-    assert {c.name for c in skipped} >= {"energy_matches", "diff_size_matches", "delta_matches"}
+    assert {c.name for c in skipped} >= {
+        "energy_matches", "diff_size_matches", "delta_matches", "q_prime_in_differences"
+    }
     assert all("cells > 4" in c.claimed for c in skipped)
     # checks that need no pass still run
     assert {"input_size_matches", "a_prime_subset", "a_star_size_matches"} <= {
@@ -542,6 +544,25 @@ def test_over_budget_checks_are_skipped_not_passed(monkeypatch):
     # a failure still wins over a skip
     doc["input"]["n"] += 1
     assert verify_report_dict(a, doc).status == "fail"
+
+
+def test_a_q_prime_element_outside_the_differences_fails():
+    # no difference of two axis vectors of (Z_23)^3 has three nonzero
+    # coordinates, so d = (1, 1, 1) has r(d) = 0: it is unpopular and adds
+    # no pair to delta, and only the check that r(d) >= 1 on Q' finds it
+    a = gen_axis(23, 3)
+    doc = fresh_report(a, F(2, 5))
+    assert doc["case"] == "Q" and verify_report_dict(a, doc).status == "pass"
+    q_prime = parse_set(doc["witness"]["q_prime"])
+    forged = AdditiveSet.from_elements(q_prime.spec, [*q_prime.elements, (1, 1, 1)])
+    doc["witness"]["q_prime"] = serialize_set(forged).decode("utf-8")
+    doc["witness"]["q_prime_size"] += 1
+    doc["witness"]["selected_count"] += 1
+    res = verify_report_dict(a, doc)
+    assert [c.name for c in failed_checks(res)] == ["q_prime_in_differences"]
+    names = [c.name for c in res.checks]
+    assert names.index("q_prime_in_differences") == names.index("q_prime_unpopular") + 1
+    assert failed_checks(res)[0].claimed == "r(d) >= 1 for d in Q'"
 
 
 def _leaves(doc, path=()):
