@@ -4,12 +4,15 @@ test_acceptance.py appends one line per top-level check to ACCEPTANCE_LINES;
 the hook below prints the whole block after the test summary, so the
 pass/fail lines are visible in a plain ``pytest -v`` run (no -s needed).
 
-The helpers below count energies and difference sets over element pairs,
-list a rep table's (difference, count) pairs, build relations from elements
-rather than rep-table codes, recount neighbourhoods by their definitions and
-select over rational weights written as integer counts; the library needs
-none of them.  traced runs a call while it spies on the numpy searches and
-gathers that tell RepTable.lookup's routes apart.
+The helpers below build small sets, count energies and difference sets
+over element pairs, list a rep table's (difference, count) pairs, build
+relations from elements rather than rep-table codes, recount neighbourhoods
+by their definitions and select over rational weights written as integer
+counts (select_rational); the library needs none of them.  traced runs a
+call while it spies on the numpy searches and gathers that tell
+RepTable.lookup's routes apart.  ROUTES is the one table of forced routes:
+forced runs a block on one of them, and route_labels names the routes a
+block took.  GOLDEN_BASES are the base sets of the golden reports.
 branch_p_reference is branch P by its definitions, scoring every popular
 d.  tv_failures and st_failures are the reference checks of the two lemmas
 behind branch Q, the 3-step-path filter and the prefix selection: each
@@ -19,7 +22,8 @@ breaks.  Test modules import them with ``from conftest import ...``.
 
 import math
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -28,6 +32,8 @@ import numpy as np
 import pytest
 
 import bsgx.additive_stats as additive_stats
+import bsgx.oracle as oracle
+from bsgx import _codec, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, Element, GroupSpec
 from bsgx.numeric_lemma import PrefixSelection, select_index_set
 from bsgx.relation_lemma import Relation, TvWitness, exact_float
@@ -51,18 +57,42 @@ def pure_pairs(a, op):
     return (tuple(c % m if m else c for c, m in zip(map(op, x, y), moduli)) for x in a for y in a)
 
 
+def _counted_pairs(a, op):
+    """op(x, y) for every ordered pair of a, for counting: each coordinate
+    mod its modulus, a free one's 4 max|c| + 1, which keeps apart every sum
+    and every difference of two of its values."""
+    moduli = [m or 4 * max(abs(e[k]) for e in a) + 1 for k, m in enumerate(a.spec.moduli)]
+    return (tuple(map(operator.mod, map(op, x, y), moduli)) for x in a for y in a)
+
+
 def pure_energy(a):
     """E(A) as the sum of p(s)^2, where p(s) counts the ordered pairs with a + b = s.
 
     Counting through sums is the transposed route from the library's, which
     counts differences; it uses no numpy and no code from bsgx.groups.
     """
-    sums = Counter(pure_pairs(a, operator.add))
+    sums = Counter(_counted_pairs(a, operator.add))
     return sum(c * c for c in sums.values())
 
 
 def pure_diff_size(a):
-    return len(set(pure_pairs(a, operator.sub)))
+    return len(set(_counted_pairs(a, operator.sub)))
+
+
+def zset(*vals) -> AdditiveSet:
+    return AdditiveSet.from_elements(GroupSpec((0,)), [(v,) for v in vals])
+
+
+def cyclic(m: int, xs: Iterable[int]) -> AdditiveSet:
+    return AdditiveSet.from_elements(GroupSpec((m,)), [(x % m,) for x in xs])
+
+
+def scaled(a: AdditiveSet, factor: int, extra: tuple = ()) -> AdditiveSet:
+    """The copy of a with every coordinate and modulus multiplied by factor, plus extra."""
+    return AdditiveSet.from_elements(
+        GroupSpec(tuple(m * factor for m in a.spec.moduli)),
+        [tuple(c * factor for c in e) for e in a.elements] + list(extra),
+    )
 
 
 def sub(spec: GroupSpec, a: Element, b: Element) -> Element:
@@ -153,6 +183,108 @@ def traced(call, *args, **kwargs):
     return result, bool(searched), taken
 
 
+# the base sets of the golden reports
+GOLDEN_BASES = {
+    "ap:40,3,7": lambda: gen_ap(40, 3, 7),
+    "ball:3,4": lambda: gen_ball(3, 4),
+    "ball:2,9": lambda: gen_ball(2, 9),
+    "axis:23,3": lambda: gen_axis(23, 3),
+    "random:80,521,2": lambda: gen_random(80, 521, 2),
+    "random:63,127,7": lambda: gen_random(63, 127, 7),
+    "random:60,2^64,5 in Z_(2^64+13)": lambda: cyclic((1 << 64) + 13, [x for (x,) in gen_random(60, 1 << 64, 5)]),
+    "[0,400) with 10^6,10^6+1": lambda: zset(*range(400), 10**6, 10**6 + 1),
+    "[0,200) with -485,-427,-413": lambda: zset(*range(200), -485, -427, -413),
+    "10Z_2000 with 1,2": lambda: cyclic(2000, [*range(0, 2000, 10), 1, 2]),
+}
+
+
+def _caps(bits: int) -> dict:
+    """The code dtype caps cut to the one b-bit dtype."""
+    return {t: caps for t, caps in _codec._CAPS.items() if t.itemsize * 8 == bits}
+
+
+def _widest_radix(a: AdditiveSet) -> int:
+    """The widest radix of a's oracle columns, at most the key limit: set as
+    the limit, it ranks every key of two or more columns."""
+    return min(max(c.radix for c in oracle._coordinates(a)), oracle._KEY_LIMIT)
+
+
+def _pair_cells(a: AdditiveSet) -> int:
+    """The budget cells of an oracle pass over the pairs of a alone; the r(d)
+    pass, which also looks up d* or Q', needs more."""
+    ranked = math.prod(c.radix for c in oracle._coordinates(a)) > oracle._KEY_LIMIT
+    return len(a) ** 2 * (oracle._RANKED_CELL_COST if ranked else 1)
+
+
+# the routes that no input set chooses by itself: each row sets one module
+# attribute to a value, or to a function of the input set, and route_labels
+# shows its marker where it runs; every run on it must match the default's
+Route = namedtuple("Route", "module attr value marker")
+ROUTES = {
+    # code maps in two levels, where the live or thin codes sit on few pages
+    "1024 cells": Route(_codec, "BLOCK_CELLS", 1024, "lookup:two levels"),
+    # one-row blocks for every n x n scan, and code maps that search
+    "8 cells": Route(_codec, "BLOCK_CELLS", 8, "lookup:search"),
+    "int32 codes": Route(_codec, "_CAPS", _caps(32), "codes:int32"),
+    "int64 codes": Route(_codec, "_CAPS", _caps(64), "codes:int64"),
+    "Python-int codes": Route(_codec, "_CAPS", {}, "codes:object"),
+    "uint64 keys": Route(oracle, "_NARROW_LIMIT", 0, "keys:uint64"),
+    "ranked keys": Route(oracle, "_KEY_LIMIT", _widest_radix, "keys:ranked"),
+    # the r(d) pass over budget, so A' = A takes its own |A'-A'| pass
+    "own A' pass": Route(oracle, "_BUDGET_CELLS", _pair_cells, "pass:|A'-A'|"),
+}
+
+
+@contextmanager
+def forced(name: Optional[str], a: Optional[AdditiveSet] = None):
+    """Run the block on the route ROUTES[name] for the input set a; None is the default route."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name is not None:
+            module, attr, value, _ = ROUTES[name]
+            patch.setattr(module, attr, value(a) if callable(value) else value)
+        yield
+
+
+@contextmanager
+def route_labels():
+    """The labels of the routes that run in the block: the dtype of each codec
+    built, the level of each code map called, the key dtype of each oracle
+    pass (or "ranked" where it ranks), and the label of each oracle pass."""
+    labels = set()
+    spies = {
+        (_codec, "_radix_codec"): lambda args, codec: f"codes:{codec.strides.dtype}",
+        (oracle, "_keys"): lambda args, _: f"keys:{args[-1].__name__}",
+        (oracle, "_ranks"): lambda args, _: "keys:ranked",
+        (oracle, "_histogram"): lambda args, _: f"pass:{args[2]}",
+    }
+    lookup = additive_stats.RepTable.lookup
+
+    def spy_lookup(rep, *args):
+        mapped = lookup(rep, *args)
+
+        def spied(codes, out=None):
+            found, searched, taken = traced(mapped, codes, out=out)
+            if searched or taken:
+                labels.add("lookup:" + ("search" if searched else ("one level", "two levels")[len(taken) - 1]))
+            return found
+
+        return spied
+
+    def spy(call, label):
+        def spied(*args):
+            result = call(*args)
+            labels.add(label(args, result))
+            return result
+
+        return spied
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(additive_stats.RepTable, "lookup", spy_lookup)
+        for (module, name), label in spies.items():
+            patch.setattr(module, name, spy(getattr(module, name), label))
+        yield labels
+
+
 def translate(a_set: AdditiveSet, t: Element) -> AdditiveSet:
     """The translate A + t (a bijection, so no dedup is needed)."""
     shifted = sorted(a_set.spec.reduce([x + y for x, y in zip(a, t)]) for a in a_set.elements)
@@ -201,7 +333,7 @@ def branch_p_reference(a: AdditiveSet, eps: Fraction) -> Tuple[Dict[Element, Tup
     return ranks, (d_star, a.subset(star), s_star, a.subset(prime))
 
 
-def weight_vector(
+def select_rational(
     rho, coeffs: Iterable, alpha: Fraction
 ) -> Tuple[np.ndarray, Fraction, PrefixSelection]:
     """The weights c * sqrt(rho) for rational c as int64 counts, their radicand and selection.

@@ -26,9 +26,9 @@ from conftest import (
     pure_diff_size,
     pure_energy,
     relation_from_index_pairs,
+    select_rational,
     st_failures,
     tv_failures,
-    weight_vector,
 )
 
 from bsgx.bsg import ExtractionReport, Params, extract
@@ -365,7 +365,7 @@ def test_prefix_selection_certificates():
         for seed in range(1000):
             rho, weights = seeded_weights(10_000 + seed)
             for alpha in alphas:
-                coeffs, cleared, sel = weight_vector(rho, weights, alpha)
+                coeffs, cleared, sel = select_rational(rho, weights, alpha)
                 assert st_failures(coeffs, cleared, alpha, sel)[0] == [], (seed, str(alpha))
                 checked += 1
         assert checked == 3000

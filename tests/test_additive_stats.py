@@ -6,19 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rep_items, sub, traced, translate
+from conftest import rep_items, sub, traced, translate, zset
 
 from bsgx import _codec
 from bsgx.additive_stats import energy, rep_table
 from bsgx.generators import gen_ap, gen_axis, gen_ball, gen_random
 from bsgx.groups import AdditiveSet, GroupSpec
-
-Z = GroupSpec((0,))
-
-
-def zset(*vals):
-    return AdditiveSet.from_elements(Z, [(v,) for v in vals])
-
 
 def test_rep_table_012():
     rep = rep_table(zset(0, 1, 2))
@@ -47,11 +40,7 @@ INDEXED = {
     "ap:40": (lambda: gen_ap(40), np.int16, True),
     "ball:3,49": (lambda: gen_ball(3, 49), np.int32, True),
     "Z_(2^31+11)": (lambda: gen_random(40, 2147483659, 7), np.int64, False),
-    "span-2^63": (
-        lambda: AdditiveSet.from_elements(Z, [(x << 63,) for x in range(0, 120, 7)] + [(1,)]),
-        object,
-        False,
-    ),
+    "span-2^63": (lambda: zset(*(x << 63 for x in range(0, 120, 7)), 1), object, False),
 }
 
 
@@ -290,7 +279,7 @@ def test_rep_invariants_on_a_structured_set():
 def test_huge_free_coordinates_fall_back():
     # coordinates beyond the packing cap, with gcd 1, take Python-int codes
     big = 1 << 62
-    a = AdditiveSet.from_elements(Z, [(0,), (big,), (2 * big,), (3 * big + 1,)])
+    a = zset(0, big, 2 * big, 3 * big + 1)
     assert rep_table(a).codes.dtype == object
     r = energy(a)
     # {0, b, 2b, 3b+1}: r(b) = 2 (two adjacent pairs), ten other nonzero

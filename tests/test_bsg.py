@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import branch_p_reference, difference_relation, pure_diff_size, sub, traced, tv_failures, widen
+from conftest import branch_p_reference, cyclic, difference_relation, pure_diff_size, sub, traced, tv_failures, widen, zset
 
 from bsgx import _codec, additive_stats, bsg, relation_lemma
 from bsgx.additive_stats import RepTable, energy, rep_table
@@ -29,12 +29,6 @@ from bsgx.oracle import verify_report_dict
 from bsgx.relation_lemma import Relation
 
 F = Fraction
-Z = GroupSpec((0,))
-
-
-def zset(*vals):
-    return AdditiveSet.from_elements(Z, [(v,) for v in vals])
-
 
 A012 = zset(0, 1, 2)
 # [0, 400) with the far points 10^6 and 10^6 + 1: d = -2 and d = +2 tie at eps 2/5
@@ -364,10 +358,6 @@ def test_aps_and_balls_leave_d_zero_alone_and_scan_nothing(eps, monkeypatch):
         assert w.a_star == report.a_prime == a
 
 
-def _cyclic(m, xs):
-    return AdditiveSet.from_elements(GroupSpec((m,)), [(x % m,) for x in xs])
-
-
 # small sets in Z, Z_m and Z x Z_m at each eps, among them subgroups of
 # Z_m, where every d of the subgroup has r(d) = n and stays live, alone and
 # with a few points; and at eps 2/5, where its thin floor reaches 1, an
@@ -379,7 +369,7 @@ P_CASES = st.one_of(
         st.one_of(
             st.sets(st.integers(-40, 40), min_size=1, max_size=24).map(lambda xs: zset(*xs)),
             st.integers(2, 40).flatmap(
-                lambda m: st.sets(st.integers(0, m - 1), min_size=1, max_size=24).map(lambda xs: _cyclic(m, xs))
+                lambda m: st.sets(st.integers(0, m - 1), min_size=1, max_size=24).map(lambda xs: cyclic(m, xs))
             ),
             st.integers(2, 9).flatmap(
                 lambda m: st.sets(
@@ -387,7 +377,7 @@ P_CASES = st.one_of(
                 ).map(lambda xs: AdditiveSet.from_elements(GroupSpec((0, m)), xs))
             ),
             st.tuples(st.integers(1, 6), st.integers(2, 12), st.sets(st.integers(0, 71), max_size=3)).map(
-                lambda t: _cyclic(t[0] * t[1], [*range(0, t[0] * t[1], t[0]), *t[2]])
+                lambda t: cyclic(t[0] * t[1], [*range(0, t[0] * t[1], t[0]), *t[2]])
             ),
         ),
         st.sampled_from([F(1, 10), F(1, 4), F(2, 5)]),
@@ -418,7 +408,8 @@ def test_the_scan_route_reads_its_thin_partners_from_one_relation_build(monkeypa
     # keep some d != 0 live, and their thin codes number 806 and 798: one
     # membership scan marks the live slices and one relation build over the
     # thin codes gives X.  The multiples of 10 in Z_1000 are a subgroup,
-    # every d of it live, with no thin d: no X is built, and no pair is thin
+    # every d of it live, with no thin d at eps 1/4 or 2/5: no X is built,
+    # no pair is thin, and d = 0, the first of the tie, wins
     scans, marked = [], []
     real_relation = Relation.from_difference_set.__func__
     real_members = bsg._slice_members
@@ -433,15 +424,17 @@ def test_the_scan_route_reads_its_thin_partners_from_one_relation_build(monkeypa
 
     monkeypatch.setattr(Relation, "from_difference_set", classmethod(relation_spy))
     monkeypatch.setattr(bsg, "_slice_members", members_spy)
+    subgroup = cyclic(1000, range(0, 1000, 10))
     cases = (
-        (TIE, 806, (-2,), 398),
-        (_cyclic(2000, [*range(0, 2000, 10), 1, 2]), 798, (10,), 200),
-        (_cyclic(1000, range(0, 1000, 10)), 0, (0,), 100),
+        (TIE, F(2, 5), 806, (-2,), 398),
+        (cyclic(2000, [*range(0, 2000, 10), 1, 2]), F(2, 5), 798, (10,), 200),
+        (subgroup, F(2, 5), 0, (0,), 100),
+        (subgroup, F(1, 4), 0, (0,), 100),
     )
-    for a, thin_d, d_star, star_size in cases:
+    for a, eps, thin_d, d_star, star_size in cases:
         scans.clear()
         marked.clear()
-        report = extract(a, Params(eps=F(2, 5)))
+        report = extract(a, Params(eps=eps))
         w = report.witness
         assert scans == ([thin_d] if thin_d else [])
         assert len(marked) == 1 and marked[0] > 1
@@ -457,7 +450,7 @@ def test_the_slice_scan_keys_only_its_live_codes(monkeypatch):
     # gathers from two tables and searches nothing.  Keyed by all 1,000 codes
     # it would pass the 1,000 cells and search
     monkeypatch.setattr(_codec, "BLOCK_CELLS", 1000)
-    a = _cyclic(2000, [*range(0, 2000, 10), 1, 2])
+    a = cyclic(2000, [*range(0, 2000, 10), 1, 2])
     keyed, scans = [], []
     real_lookup = RepTable.lookup
     real_members = bsg._slice_members
@@ -525,16 +518,6 @@ def test_reports_are_deterministic_objects():
     unselected = [replace(r, witness=replace(r.witness, selection=None)) for r in (r1, r2)]
     assert unselected[0] == unselected[1]
     assert r1.to_json() == r2.to_json()
-
-
-def test_branch_q_report_bytes_do_not_depend_on_chunking(monkeypatch):
-    a = gen_random(40, 79, 12)
-    params = Params(eps=F(2, 5))
-    whole = extract(a, params).to_json()
-    assert json.loads(whole)["case"] == "Q"
-    # a tiny block budget splits every scan into one-row chunks
-    monkeypatch.setattr(_codec, "BLOCK_CELLS", 64)
-    assert extract(a, params).to_json() == whole
 
 
 # a ball of Z^2 with nine popular differences, and a box of Z x Z_7 whose

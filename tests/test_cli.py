@@ -460,6 +460,12 @@ def test_bench_to_stdout(capsys):
     assert lines[1].startswith("ap,5,5,")
 
 
+def test_bench_row_of_branch_q(capsys):
+    # the row runs the prefix selection over the rep table's unpopular counts
+    assert main(["bench", "--families", "random:63,127,7", "--eps", "1/4"]) == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith('random,"63,127,7",63,125903,250047/125903,Q,47,127,')
+
+
 def test_bench_rejects_bad_family(capsys):
     assert main(["bench", "--families", "nope:3", "--eps", "1/4"]) == 2
     assert main(["bench", "--families", "ap:5", "--eps", "1/2"]) == 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rep_items, sub, widen
+from conftest import ROUTES, forced, rep_items, scaled, sub, widen
 
 from bsgx import _codec, gen_ap, gen_axis, gen_ball, gen_random
 from bsgx._codec import _CAPS, build_codec, reduced_codec
@@ -205,12 +205,8 @@ def test_benchmark_families_take_narrow_codes():
     def dtype(a):
         return reduced_codec(a)[1].dtype
 
-    def scaled(a):
-        spec = GroupSpec(tuple(m << 53 for m in a.spec.moduli))
-        return AdditiveSet.from_elements(spec, [tuple(c << 53 for c in e) for e in a.elements])
-
     for a in (gen_ap(2300, 5, 3), gen_ball(2, 733), gen_random(500, 1021, 3)):
-        assert dtype(a) == dtype(scaled(a)) == np.int16
+        assert dtype(a) == dtype(scaled(a, 1 << 53)) == np.int16
     assert dtype(gen_ball(3, 67)) == dtype(gen_axis(867, 3)) == np.int32
 
 
@@ -246,6 +242,9 @@ BASE = [x for (x,) in gen_random(80, 521, 2).elements]
 def _set(moduli, elems):
     return AdditiveSet.from_elements(GroupSpec(moduli), elems)
 
+
+# the rows of ROUTES that change how extract runs
+CODEC_ROUTES = [name for name, route in ROUTES.items() if route.module is _codec]
 
 REDUCED = {
     # shifted and scaled, all free values negative; reduces to int32
@@ -291,7 +290,7 @@ def test_reduced_route_matches_the_definition(label, cells, monkeypatch):
 
 
 @pytest.mark.parametrize("label", list(REDUCED))
-def test_reduced_route_runs_both_branches(label, monkeypatch):
+def test_reduced_route_runs_both_branches(label):
     a = REDUCED[label][0]()
     pq = partition_pq(a)
     # at eps = 4 * p_mass / E both branch hypotheses hold
@@ -304,6 +303,6 @@ def test_reduced_route_runs_both_branches(label, monkeypatch):
     for branch, eps in runs:
         report = branch(a, pq, eps)
         assert verify_report_dict(a, report.to_json_dict()).status == "pass"
-        with monkeypatch.context() as mp:
-            mp.setattr(_codec, "BLOCK_CELLS", 64)
-            assert branch(a, partition_pq(a), eps).to_json() == report.to_json()
+        for route in CODEC_ROUTES:
+            with forced(route, a):
+                assert branch(a, partition_pq(a), eps).to_json() == report.to_json(), route

@@ -36,9 +36,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import difference_relation, st_failures, tv_failures
+from conftest import GOLDEN_BASES, difference_relation, scaled, st_failures, tv_failures
 
-from bsgx import AdditiveSet, GroupSpec, Params, _codec, extract, gen_ap, gen_axis, gen_ball, gen_random
+from bsgx import Params, _codec, extract
 from bsgx._codec import build_codec
 from bsgx.additive_stats import rep_table
 from bsgx.bsg import partition_pq
@@ -46,36 +46,6 @@ from bsgx.groups import parse_set
 from bsgx.oracle import verify_report_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-_BASES = {
-    "ap:40,3,7": lambda: gen_ap(40, 3, 7),
-    "ball:3,4": lambda: gen_ball(3, 4),
-    "ball:2,9": lambda: gen_ball(2, 9),
-    "axis:23,3": lambda: gen_axis(23, 3),
-    "random:80,521,2": lambda: gen_random(80, 521, 2),
-    "random:63,127,7": lambda: gen_random(63, 127, 7),
-    "random:60,2^64,5 in Z_(2^64+13)": lambda: AdditiveSet.from_elements(
-        GroupSpec(((1 << 64) + 13,)), gen_random(60, 1 << 64, 5).elements
-    ),
-    "[0,400) with 10^6,10^6+1": lambda: AdditiveSet.from_elements(
-        GroupSpec((0,)), [(x,) for x in [*range(400), 10**6, 10**6 + 1]]
-    ),
-    "[0,200) with -485,-427,-413": lambda: AdditiveSet.from_elements(
-        GroupSpec((0,)), [(x,) for x in [*range(200), -485, -427, -413]]
-    ),
-    "10Z_2000 with 1,2": lambda: AdditiveSet.from_elements(
-        GroupSpec((2000,)), [(x,) for x in [*range(0, 2000, 10), 1, 2]]
-    ),
-}
-
-
-def scaled(a: AdditiveSet, factor: int, extra: tuple = ()) -> AdditiveSet:
-    """The copy of a with every coordinate and modulus multiplied by factor, plus extra."""
-    return AdditiveSet.from_elements(
-        GroupSpec(tuple(m * factor for m in a.spec.moduli)),
-        [tuple(c * factor for c in e) for e in a.elements] + list(extra),
-    )
-
 
 COPIES = {
     "": lambda a: a,
@@ -87,7 +57,7 @@ COPIES = {
 def build(label: str, eps: str):
     """The input set and parameters of one golden case."""
     base, _, copy = label.partition("*")
-    a = COPIES[copy](_BASES[base]())
+    a = COPIES[copy](GOLDEN_BASES[base]())
     if eps == "knife":
         pq = partition_pq(a)
         eps_val = F(4 * pq.p_mass, pq.energy)

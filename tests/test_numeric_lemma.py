@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import st_failures, weight_vector
+from conftest import select_rational, st_failures
 
 from bsgx.generators import SplitMix64
 from bsgx.numeric_lemma import PrefixSelection, select_index_set
@@ -28,26 +28,25 @@ def fields(sel: PrefixSelection) -> tuple:
     return (sel.weight_count, sel.chosen_i, sel.index_set.tolist(), sel.window_lo)
 
 
-class TestWeightVector:
-    def test_validation(self):
-        # only numpy arrays of int or uint dtype are counts: no tuple, list
-        # or object array, not even one of Python ints
-        for bad in (
-            (2,),
-            [2],
-            np.array([F(1, 2)], dtype=object),
-            np.array([2.0], dtype=object),
-            np.array([2], dtype=object),
-            np.array([1 << 64], dtype=object),
-        ):
-            with pytest.raises(ValueError):
-                select_index_set(bad, F(1, 4), F(1, 2))
+def test_only_integer_arrays_are_counts():
+    # only numpy arrays of int or uint dtype are counts: no tuple, list
+    # or object array, not even one of Python ints
+    for bad in (
+        (2,),
+        [2],
+        np.array([F(1, 2)], dtype=object),
+        np.array([2.0], dtype=object),
+        np.array([2], dtype=object),
+        np.array([1 << 64], dtype=object),
+    ):
         with pytest.raises(ValueError):
-            select_index_set(arr(1), F(0), F(1, 2))
-        # boundary value exactly 1 is fine, in any integer dtype
-        for dtype in (np.int64, np.int32, np.uint8, np.uint64):
-            sel = select_index_set(np.array([2], dtype=dtype), F(1, 4), F(1, 2))
-            assert sel.index_set.tolist() == [0] and sel.certified_coeff == 2
+            select_index_set(bad, F(1, 4), F(1, 2))
+    with pytest.raises(ValueError):
+        select_index_set(arr(1), F(0), F(1, 2))
+    # boundary value exactly 1 is fine, in any integer dtype
+    for dtype in (np.int64, np.int32, np.uint8, np.uint64):
+        sel = select_index_set(np.array([2], dtype=dtype), F(1, 4), F(1, 2))
+        assert sel.index_set.tolist() == [0] and sel.certified_coeff == 2
 
 
 def test_single_weight():
@@ -94,10 +93,10 @@ def test_adversarial_near_threshold_vector():
     # is the last n whose sum * max stays below 2^63
     n = 22
     for alpha in (F(1, 2), F(3, 4), F(39, 40)):
-        coeffs, rho, sel = weight_vector(F(1), (1 - F(1, i) for i in range(1, n + 1)), alpha)
+        coeffs, rho, sel = select_rational(F(1), (1 - F(1, i) for i in range(1, n + 1)), alpha)
         assert st_failures(coeffs, rho, alpha, sel)[0] == []
     with pytest.raises(ValueError, match=r"2\^63"):
-        weight_vector(F(1), (1 - F(1, i) for i in range(1, n + 2)), F(1, 2))
+        select_rational(F(1), (1 - F(1, i) for i in range(1, n + 2)), F(1, 2))
 
 
 def test_selection_is_a_descending_prefix():
@@ -126,7 +125,7 @@ def test_seeded_random_vectors_pass_the_oracle():
 
 def test_array_tuple_and_fraction_coefficients_agree():
     # the same weights as an int64 array, and as an int tuple and Fractions
-    # c / L with radicand rho * L^2, both cleared to counts by weight_vector
+    # c / L with radicand rho * L^2, both cleared to counts by select_rational
     rng = SplitMix64(2024)
     for trial in range(40):
         n = 1 + rng.below(60)
@@ -138,9 +137,9 @@ def test_array_tuple_and_fraction_coefficients_agree():
         scale = 1 + rng.below(30)
         alpha = F(1 + rng.below(38), 40)
         sel_arr = select_index_set(np.array(ints, dtype=np.int64), rho, alpha)
-        c_int, rho_int, sel_int = weight_vector(rho, tuple(ints), alpha)
+        c_int, rho_int, sel_int = select_rational(rho, tuple(ints), alpha)
         fracs = (F(c, scale) for c in ints)
-        c_frac, rho_frac, sel_frac = weight_vector(rho * scale * scale, fracs, alpha)
+        c_frac, rho_frac, sel_frac = select_rational(rho * scale * scale, fracs, alpha)
         assert fields(sel_arr) == fields(sel_int) == fields(sel_frac), trial
         assert sel_arr.certified_coeff == sel_int.certified_coeff
         assert w_squared(rho_frac, sel_frac) == w_squared(rho_int, sel_int)
@@ -158,7 +157,7 @@ def test_selection_past_int64_is_refused():
     with pytest.raises(ValueError, match=r"2\^63"):
         select_index_set(np.array(ints, dtype=np.int64), rho, F(3, 4))
     with pytest.raises(ValueError, match=r"2\^63"):
-        weight_vector(rho * 49, (F(c, 7) for c in ints), F(3, 4))
+        select_rational(rho * 49, (F(c, 7) for c in ints), F(3, 4))
     # the first count alone is inside the bound
     first = select_index_set(np.array(ints[:1], dtype=np.int64), rho, F(3, 4))
     assert first.certified_coeff == 1 << 31
@@ -170,7 +169,7 @@ def test_selection_past_int64_is_refused():
 def reference_selection(coeffs: list, rho: Fraction, alpha: Fraction) -> tuple:
     """The selection by its definition on Python ints, over the full stable
     descending order of all the weights: (that order, chosen_i, index_set,
-    certified_coeff, window_lo, window_hi)."""
+    certified_coeff, window_lo and the window's end l)."""
     a, b = alpha.numerator, alpha.denominator
     order = sorted(range(len(coeffs)), key=coeffs.__getitem__, reverse=True)
     c_desc = [coeffs[i] for i in order]
@@ -210,7 +209,7 @@ def test_selection_sorts_only_the_window(small, alpha, spread, wide):
     assert (sel.window_lo, sel.weight_count) == (lo, len(ints))
 
 
-def test_weight_vector_checks_arrays_without_boxing():
+def test_select_index_set_checks_arrays_without_boxing():
     sel = select_index_set(np.array([4, 0, 2], dtype=np.int64), F(1, 16), F(1, 2))
     assert sel.weight_count == 3
     for bad in (

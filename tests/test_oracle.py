@@ -13,12 +13,16 @@ import pytest
 
 from conftest import (
     difference_relation,
+    forced,
     pure_energy,
     pure_pairs,
     relation_from_index_pairs,
+    route_labels,
+    scaled,
+    select_rational,
     st_failures,
     tv_failures,
-    weight_vector,
+    zset,
 )
 
 import bsgx.oracle as oracle
@@ -31,11 +35,6 @@ from bsgx.oracle import verify_report_dict
 from bsgx.relation_lemma import extract_tv
 
 F = Fraction
-Z = GroupSpec((0,))
-
-
-def zset(*vals):
-    return AdditiveSet.from_elements(Z, [(v,) for v in vals])
 
 
 def failed_checks(res):
@@ -212,7 +211,7 @@ def test_verify_tv_matches_a_loop_recount():
 
 def test_verify_st_rejects_wrong_selection():
     alpha = F(1, 2)
-    coeffs, rho, good = weight_vector(F(1), (1, F(1, 2), F(1, 3), F(1, 4)), alpha)
+    coeffs, rho, good = select_rational(F(1), (1, F(1, 2), F(1, 3), F(1, 4)), alpha)
     assert st_failures(coeffs, rho, alpha, good)[0] == []
     bad = PrefixSelection(
         weight_count=good.weight_count,
@@ -228,7 +227,7 @@ def test_verify_st_rejects_wrong_selection():
 
 def test_verify_st_fails_an_index_outside_the_weights():
     alpha = F(1, 2)
-    coeffs, rho, good = weight_vector(F(1), (1, F(1, 2), F(1, 3), F(1, 4)), alpha)
+    coeffs, rho, good = select_rational(F(1), (1, F(1, 2), F(1, 3), F(1, 4)), alpha)
     index_set = good.index_set.tolist()
     for forged in (index_set[:-1] + [len(coeffs)], [-1] + index_set[1:]):
         forgery = dataclasses.replace(good, index_set=np.array(forged))
@@ -241,7 +240,7 @@ def test_verify_st_fails_a_tie_swapped_index_set():
     # taking 4 before 2 keeps the sum but breaks the stable order
     alpha = F(3, 5)
     weights = (F(1, 4), 1, F(1, 2), F(1, 9), F(1, 2), F(1, 3), F(1, 20), F(1, 100))
-    coeffs, rho, good = weight_vector(F(1), weights, alpha)
+    coeffs, rho, good = select_rational(F(1), weights, alpha)
     assert good.index_set.tolist() == [1, 2] and st_failures(coeffs, rho, alpha, good) == ([], (2, 5))
     swapped = dataclasses.replace(good, index_set=np.array([1, 4]))
     assert st_failures(coeffs, rho, alpha, swapped)[0] == ["index_set_matches"]
@@ -256,17 +255,6 @@ def test_results_serialize():
 
 
 # ----- the verifier's histograms against their definitions ----------------
-
-COPY = 1 << 53
-
-
-def scaled(a):
-    """The copy of a with every coordinate and modulus multiplied by 2^53."""
-    return AdditiveSet.from_elements(
-        GroupSpec(tuple(m * COPY for m in a.spec.moduli)),
-        (tuple(c * COPY for c in e) for e in a.elements),
-    )
-
 
 def seeded_set(spec, n, draw, seed):
     rng = SplitMix64(seed)
@@ -303,7 +291,7 @@ def differential_sets():
     ]
     sets = []
     for label, a in bases:
-        sets += [(label, a), (f"{label}*2^53", scaled(a))]
+        sets += [(label, a), (f"{label}*2^53", scaled(a, 1 << 53))]
     sets += [
         # uint64 columns whose sums come near 2^64
         ("Z_(2^63-25)", seeded_set(GroupSpec(((1 << 63) - 25,)), 30, wide_coordinate, 8)),
@@ -451,7 +439,7 @@ def test_key_width_at_the_boundary(monkeypatch, label, moduli, span, product):
 
 
 @pytest.mark.parametrize("label, a", DIFFERENTIAL_SETS, ids=[s[0] for s in DIFFERENTIAL_SETS])
-def test_the_wide_route_counts_like_the_narrow_one(monkeypatch, label, a):
+def test_the_wide_route_counts_like_the_narrow_one(label, a):
     diffs = Counter(pure_pairs(a, operator.sub))
     queries = probe_differences(a, diffs)
     coords = oracle._coordinates(a)
@@ -462,57 +450,19 @@ def test_the_wide_route_counts_like_the_narrow_one(monkeypatch, label, a):
         return sums.counts.tolist(), hist.counts.tolist(), hist.query_counts.tolist()
 
     narrow = passes()
-    monkeypatch.setattr(oracle, "_NARROW_LIMIT", 0)
-    assert passes() == narrow
+    with forced("uint64 keys"):
+        assert passes() == narrow
 
 
-def histogram_labels(monkeypatch):
-    """The label of every pass verify runs from now on, in order."""
-    labels = []
-    histogram = oracle._histogram
-    monkeypatch.setattr(
-        oracle, "_histogram", lambda coords, op, what, *rest: labels.append(what) or histogram(coords, op, what, *rest)
-    )
-    return labels
-
-
-def test_a_prime_equal_to_a_reuses_the_difference_pass(monkeypatch):
-    a = gen_ap(60, 1, 1)
-    doc = fresh_report(a, F(1, 4))
-    assert doc["case"] == "P" and doc["achieved"]["a_prime_size"] == len(a)
-    labels = histogram_labels(monkeypatch)
-    reused = verify_report_dict(a, doc)
-    assert reused.status == "pass" and "|A'-A'|" not in labels
-    diff_size = oracle._diff_size
-    monkeypatch.setattr(oracle, "_diff_size", lambda a_prime, is_a, diffs: diff_size(a_prime, False, diffs))
-    labels.clear()
-    separate = verify_report_dict(a, doc)
-    assert labels[-1] == "|A'-A'|"
-    assert separate.checks == reused.checks
-
-
-def test_a_prime_gets_its_own_pass_when_the_difference_pass_is_over_budget(monkeypatch):
-    a = gen_ap(60, 1, 1)
-    doc = fresh_report(a, F(1, 4))
-    monkeypatch.setattr(oracle, "_BUDGET_CELLS", len(a) ** 2)
-    labels = histogram_labels(monkeypatch)
-    status = {c.name: c.status for c in verify_report_dict(a, doc).checks}
-    assert labels[-1] == "|A'-A'|"
-    # the r(d) pass holds n^2 pairs and d*, one cell too many
-    assert status["branch_hypothesis"] == "skipped"
-    for name in ("diff_size_matches", "diff_upper_bound", "diff_upper_bound_popular"):
-        assert status[name] == "pass", name
-
-
-def test_a_prime_of_n_elements_not_all_in_a_gets_its_own_pass(monkeypatch):
+def test_a_prime_of_n_elements_not_all_in_a_gets_its_own_pass():
     a = gen_ap(60, 1, 1)
     doc = fresh_report(a, F(1, 4))
     forged = zset(*(list(range(1, 60)) + [1000]))
     assert len(forged) == len(a)
     doc["a_prime"] = serialize_set(forged).decode()
-    labels = histogram_labels(monkeypatch)
-    records = {c.name: c for c in verify_report_dict(a, doc).checks}
-    assert labels[-1] == "|A'-A'|"
+    with route_labels() as labels:
+        records = {c.name: c for c in verify_report_dict(a, doc).checks}
+    assert "pass:|A'-A'|" in labels
     assert records["a_prime_subset"].status == "fail"
     assert records["diff_size_matches"].actual == str(len(set(pure_pairs(forged, operator.sub))))
 

@@ -12,6 +12,7 @@ from conftest import (
     sub,
     tv_failures,
     widen,
+    zset,
 )
 
 import bsgx.relation_lemma as relation_lemma
@@ -30,11 +31,6 @@ from bsgx.relation_lemma import (
 )
 
 F = Fraction
-Z = GroupSpec((0,))
-
-
-def zset(*vals):
-    return AdditiveSet.from_elements(Z, [(v,) for v in vals])
 
 
 def complete_relation(base):
